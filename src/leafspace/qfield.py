@@ -1,17 +1,21 @@
 """Exact arithmetic in a real quadratic field Q(sqrt(d)).
 
 Every scalar in the library is a ``QNum``: a value a + b*sqrt(d) with
-rational a, b and a fixed square-free d >= 2.  All comparisons are decided
-by exact integer sign determination, never by floating point, so
-commensurability questions have certificates rather than estimates.
+rational a, b and a fixed square-free d >= 2.  It is stored as four plain
+ints (n, m, q, d) meaning (n + m*sqrt(d))/q, with q > 0 and
+gcd(n, m, q) = 1, so every value has exactly one representation.  All
+comparisons and floors are decided by exact integer arithmetic, never by
+floating point, so commensurability questions have certificates rather
+than estimates.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
-from functools import total_ordering
+from math import gcd, isqrt
 
 from .errors import DivisionByZeroError, FieldMismatchError, ParseError, PreconditionError
 
@@ -29,139 +33,200 @@ def _is_square_free(n: int) -> bool:
     return True
 
 
-_ZERO = Fraction(0)
-
 _checked_d: set[int] = set()
 
 
 def _check_d(d: int) -> int:
-    if d not in _checked_d:
-        if not isinstance(d, int) or not _is_square_free(d):
-            raise PreconditionError(f"d must be a square-free integer >= 2, got {d!r}")
-        _checked_d.add(d)
+    # The type check comes first: 2.0 == 2 would otherwise hit the cache.
+    if type(d) is not int or (d not in _checked_d and not _is_square_free(d)):
+        raise PreconditionError(f"d must be a square-free integer >= 2, got {d!r}")
+    _checked_d.add(d)
     return d
 
 
-@total_ordering
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational input."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _sign(n: int, m: int, d: int) -> int:
+    """Exact sign of n + m*sqrt(d)."""
+    if not m:
+        return (n > 0) - (n < 0)
+    if not n or (n > 0) == (m > 0):
+        return 1 if m > 0 else -1
+    # Opposite signs: the larger of n^2 and m^2 d wins (they are never
+    # equal, d not being a perfect square).
+    if n * n > m * m * d:
+        return 1 if n > 0 else -1
+    return 1 if m > 0 else -1
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _hash_rational(n: int, q: int) -> int:
+    # Python's documented hash of the rational n/q (q > 0, gcd(n, q) = 1),
+    # so a rational QNum hashes like the equal int or Fraction.
+    if q == 1:
+        return hash(n)
+    if q % _HASH_MODULUS == 0:
+        h = _HASH_INF
+    else:
+        h = abs(n) % _HASH_MODULUS * pow(q, -1, _HASH_MODULUS) % _HASH_MODULUS
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
+
+
+_new = object.__new__
+
+
+def _make(n: int, m: int, q: int, d: int) -> "QNum":
+    # Internal constructor: q > 0 and d already validated; divides out
+    # gcd(n, m, q).
+    if q != 1:
+        g = gcd(n, m, q)
+        if g != 1:
+            n //= g
+            m //= g
+            q //= g
+    x = _new(QNum)
+    x._n = n
+    x._m = m
+    x._q = q
+    x._d = d
+    return x
+
+
 class QNum:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
-    Immutable; equality is equality of the (a, b) coefficient pairs.
-    Rational values (b = 0) mix freely with any d; two numbers with
-    nonzero sqrt coefficients must share d or arithmetic raises
+    Immutable.  Stored as ints (n, m, q, d) with a = n/q, b = m/q, q > 0
+    and gcd(n, m, q) = 1; that form is canonical, so equality is equality
+    of (n, m, q).  ``.a`` and ``.b`` build the reduced ``Fraction``s on
+    demand.  Rational values (b = 0) mix freely with any d; two numbers
+    with nonzero sqrt coefficients must share d or arithmetic raises
     ``FieldMismatchError``.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_n", "_m", "_q", "_d")
 
     def __init__(self, a=0, b=0, d: int = 2) -> None:
-        self._a = a if type(a) is Fraction else Fraction(a)
-        self._b = b if type(b) is Fraction else Fraction(b)
+        an, ad = _ratio(a)
+        bn, bd = _ratio(b)
         self._d = _check_d(d)
-
-    @classmethod
-    def _make(cls, a: Fraction, b: Fraction, d: int) -> "QNum":
-        # Internal fast path: components are known Fractions, d is already
-        # validated.
-        self = object.__new__(cls)
-        self._a = a
-        self._b = b
-        self._d = d
-        return self
+        q = ad if ad == bd else math.lcm(ad, bd)
+        self._n = an * (q // ad)
+        self._m = bn * (q // bd)
+        self._q = q
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._n, self._q)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._m, self._q)
 
     @property
     def d(self) -> int:
         return self._d
 
     def is_rational(self) -> bool:
-        return self._b == 0
+        return self._m == 0
 
     def is_integer(self) -> bool:
-        return self._b == 0 and self._a.denominator == 1
+        return self._m == 0 and self._q == 1
 
     # -- coercion ---------------------------------------------------------
 
-    def _coerce(self, other) -> "QNum":
+    def _operand(self, other):
+        """(n, m, q, d) of ``other`` as an operand of ``self``, where d is
+        the field of the result: other's if it is irrational, else self's.
+        None if ``other`` is not an exact number."""
         if isinstance(other, QNum):
-            if other._b != 0 and self._b != 0 and other._d != self._d:
+            if not other._m:
+                return other._n, 0, other._q, self._d
+            if self._m and other._d != self._d:
                 raise FieldMismatchError(
                     f"mixed fields: sqrt({self._d}) vs sqrt({other._d})"
                 )
-            return other
+            return other._n, other._m, other._q, other._d
         if isinstance(other, int):
-            return QNum._make(Fraction(other), _ZERO, self._d)
+            return int(other), 0, 1, self._d
         if isinstance(other, Fraction):
-            return QNum._make(other, _ZERO, self._d)
-        return NotImplemented
-
-    def _same_d(self, other: "QNum") -> int:
-        # _coerce rejects two distinct nonrational fields, so the result
-        # lives in whichever operand's field is nonrational (self's if both
-        # are rational, where d is immaterial).
-        return other._d if self._b == 0 and other._b != 0 else self._d
+            return other.numerator, 0, other.denominator, self._d
+        return None
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return QNum._make(self._a + other._a, self._b + other._b, self._same_d(other))
+        n, m, q, d = o
+        if q == self._q:
+            return _make(self._n + n, self._m + m, q, d)
+        return _make(self._n * q + n * self._q, self._m * q + m * self._q, self._q * q, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QNum":
-        return QNum._make(-self._a, -self._b, self._d)
+        return _make(-self._n, -self._m, self._q, self._d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return QNum._make(self._a - other._a, self._b - other._b, self._same_d(other))
+        n, m, q, d = o
+        if q == self._q:
+            return _make(self._n - n, self._m - m, q, d)
+        return _make(self._n * q - n * self._q, self._m * q - m * self._q, self._q * q, d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        d = self._same_d(other)
-        if self._b == 0:
-            if other._b == 0:
-                return QNum._make(self._a * other._a, _ZERO, d)
-            return QNum._make(self._a * other._a, self._a * other._b, d)
-        if other._b == 0:
-            return QNum._make(self._a * other._a, self._b * other._a, d)
-        return QNum._make(
-            self._a * other._a + self._b * other._b * d,
-            self._a * other._b + self._b * other._a,
-            d,
-        )
+        n, m, q, d = o
+        n1, m1 = self._n, self._m
+        if not m1 and not m:
+            return _make(n1 * n, 0, self._q * q, d)
+        return _make(n1 * n + m1 * m * d, n1 * m + m1 * n, self._q * q, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QNum":
-        if self._a == 0 and self._b == 0:
+        n, m, q = self._n, self._m, self._q
+        if not n and not m:
             raise DivisionByZeroError("inverse of zero")
-        # 1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - b^2 d); the norm is
+        # q/(n + m*sqrt(d)) = q*(n - m*sqrt(d)) / (n^2 - m^2 d); the norm is
         # nonzero because d is not a perfect square.
-        norm = self._a * self._a - self._b * self._b * self._d
-        return QNum._make(self._a / norm, -self._b / norm, self._d)
+        norm = n * n - m * m * self._d
+        if norm < 0:
+            return _make(-q * n, q * m, -norm, self._d)
+        return _make(q * n, -q * m, norm, self._d)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return self * other.inverse()
+        n, m, q, d = o
+        if m:
+            return self * other.inverse()
+        if not n:
+            raise DivisionByZeroError("inverse of zero")
+        if n < 0:
+            n, q = -n, -q
+        return _make(self._n * q, self._m * q, self._q * n, d)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -169,7 +234,7 @@ class QNum:
     def __pow__(self, n: int) -> "QNum":
         if n < 0:
             return self.inverse() ** (-n)
-        result = QNum(1, 0, self._d)
+        result = _make(1, 0, 1, self._d)
         base = self
         while n:
             if n & 1:
@@ -179,50 +244,54 @@ class QNum:
         return result
 
     def conjugate(self) -> "QNum":
-        return QNum._make(self._a, -self._b, self._d)
+        return _make(self._n, -self._m, self._q, self._d)
 
     # -- ordering ---------------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d) by integer case analysis."""
-        a, b = self._a, self._b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a^2 with b^2 d.
-        lhs, rhs = a * a, b * b * self._d
-        if a > 0:  # b < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return _sign(self._n, self._m, self._d)
+
+    def _cmp(self, other):
+        """Sign of self - other from integer cross products, or None if
+        ``other`` is not an exact number."""
+        o = self._operand(other)
+        if o is None:
+            return None
+        n, m, q, d = o
+        if q == self._q:
+            return _sign(self._n - n, self._m - m, d)
+        return _sign(self._n * q - n * self._q, self._m * q - m * self._q, d)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        if self._b != other._b:
-            return False
-        if self._b != 0 and self._d != other._d:
-            return False
-        return self._a == other._a
+        return self._n == o[0] and self._m == o[1] and self._q == o[2]
 
     def __lt__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() < 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(self, other) -> bool:
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(self, other) -> bool:
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(self, other) -> bool:
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
 
     def __hash__(self) -> int:
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, self._d))
+        if not self._m:
+            return _hash_rational(self._n, self._q)
+        return hash((self._n, self._m, self._q, self._d))
 
     def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
+        return bool(self._n or self._m)
 
     def __abs__(self) -> "QNum":
         return -self if self.sign() < 0 else self
@@ -230,39 +299,40 @@ class QNum:
     # -- conversion -------------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self._a) + float(self._b) * math.sqrt(self._d)
+        # int / int is correctly rounded, so this equals float(a) + float(b)*sqrt(d).
+        return self._n / self._q + self._m / self._q * math.sqrt(self._d)
 
     def approx(self, bits: int = 128) -> Fraction:
         """Rational approximation accurate to 2^-bits."""
         scale = 1 << bits
-        root = Fraction(math.isqrt(self._d * scale * scale), scale)
-        return self._a + self._b * root
+        root = isqrt(self._d * scale * scale)
+        return Fraction(self._n * scale + self._m * root, self._q * scale)
 
     def floor(self) -> int:
-        if self._b == 0:
-            return math.floor(self._a)
-        n = math.floor(self.approx(64))
-        while (self - n).sign() < 0:
-            n -= 1
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        return n
+        n, m, q = self._n, self._m, self._q
+        if not m:
+            return n // q
+        # sqrt(m^2 d) is irrational, so floor(n + m*sqrt(d)) is n + isqrt(m^2 d)
+        # for m > 0 and n - isqrt(m^2 d) - 1 for m < 0; then divide by q.
+        root = isqrt(m * m * self._d)
+        return (n + root) // q if m > 0 else (n - root - 1) // q
 
     def as_fraction(self) -> Fraction:
-        if self._b != 0:
+        if self._m:
             raise PreconditionError(f"{self} is irrational")
-        return self._a
+        return self.a
 
     # -- canonical text form ----------------------------------------------
 
     def __str__(self) -> str:
-        if self._b == 0:
-            return _fmt_rat(self._a)
-        sign = "+" if self._b > 0 else "-"
-        return f"{_fmt_rat(self._a)}{sign}{_fmt_rat(abs(self._b))}*sqrt({self._d})"
+        a = _fmt_rat(self._n, self._q)
+        if not self._m:
+            return a
+        sign = "+" if self._m > 0 else "-"
+        return f"{a}{sign}{_fmt_rat(abs(self._m), self._q)}*sqrt({self._d})"
 
     def __repr__(self) -> str:
-        return f"QNum({self._a!r}, {self._b!r}, {self._d})"
+        return f"QNum({self.a!r}, {self.b!r}, {self._d})"
 
     @classmethod
     def parse(cls, text: str, d: int | None = None) -> "QNum":
@@ -286,10 +356,11 @@ _RAT = r"-?\d+(?:/\d+)?"
 _QNUM_RE = re.compile(rf"({_RAT})(?:\s*([+-])\s*(\d+(?:/\d+)?)\*sqrt\((\d+)\))?")
 
 
-def _fmt_rat(fr: Fraction) -> str:
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+def _fmt_rat(num: int, den: int) -> str:
+    g = gcd(num, den)
+    if g != den:
+        return f"{num // g}/{den // g}"
+    return str(num // g)
 
 
 def qnum(a=0, b=0, d: int = 2) -> QNum:

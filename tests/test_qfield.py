@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -128,3 +130,68 @@ def test_field_axioms(rng):
         assert x * (y + z) == x * y + x * z
         if x:
             assert x * x.inverse() == 1
+
+
+# -- public-surface contract of the integer-triple representation -----------
+
+
+def test_rational_hash_matches_fraction_and_int():
+    assert hash(qnum(Fraction(3, 7), 0, 2)) == hash(Fraction(3, 7)) == hash(qnum(Fraction(3, 7), 0, 5))
+    assert len({qnum(1, 0, 2), qnum(1, 0, 3), 1}) == 1
+    # Edge cases of the numeric hash: -1 hashes to -2, and a denominator
+    # divisible by the hash modulus hashes to +-inf's hash.
+    modulus = sys.hash_info.modulus
+    for value in (-1, 0, Fraction(-1, 2), Fraction(1, modulus), Fraction(-3, 2 * modulus),
+                  Fraction(modulus + 1, modulus - 1), -(2**200) + 1):
+        assert hash(qnum(value)) == hash(value)
+
+
+def test_irrational_values_hash_consistently_with_equality():
+    x = qnum(Fraction(1, 3), Fraction(2, 5))
+    y = (x * 6) / 6
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y, x + 0, qnum(Fraction(2, 6), Fraction(4, 10))}) == 1
+
+
+def test_coefficients_are_reduced_fractions():
+    x = qnum(1, 1, 2) / 2
+    assert x.b == Fraction(1, 2)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    y = qnum(Fraction(3, 4), Fraction(5, 6), 7) * 12
+    assert (y.a, y.b) == (9, 10)
+    assert (y.a.denominator, y.b.denominator) == (1, 1)
+
+
+def test_repr_unchanged():
+    assert repr(qnum(Fraction(1, 2))) == "QNum(Fraction(1, 2), Fraction(0, 1), 2)"
+    assert repr(qnum(Fraction(-3, 4), 2, 5)) == "QNum(Fraction(-3, 4), Fraction(2, 1), 5)"
+
+
+def test_float_is_bit_identical_to_coefficient_formula(rng):
+    for _ in range(500):
+        d = rng.choice([2, 3, 5, 7, 10])
+        bits = rng.choice([4, 60, 200])
+        x = qnum(
+            Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits)),
+            Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits)),
+            d,
+        )
+        expected = float(x.a) + float(x.b) * math.sqrt(x.d)
+        assert float(x).hex() == expected.hex()
+
+
+def test_rationals_take_the_field_of_the_irrational_operand():
+    r, s = qnum(Fraction(1, 2), 0, 3), sqrt_of(2)
+    assert (r + s).d == 2 and (s + r).d == 2 and (r * s).d == 2
+    assert (r + 1).d == 3 and (r - s + s).d == 2
+    for y in (r * r, r / 2, 1 - r, r.inverse(), r ** 3):
+        assert y.d == 3
+
+
+def test_check_d_rejects_non_int_after_cache_hit():
+    sqrt_of(2)  # validates d = 2 and caches it
+    for bad in (2.0, Fraction(2), True):
+        with pytest.raises(PreconditionError):
+            QNum(0, 1, bad)
+    with pytest.raises(PreconditionError):
+        QNum(1, 0, True)
