@@ -79,7 +79,7 @@ def _check_beta(beta: PLMap, label: str) -> None:
         )
     if beta.period != 1:
         raise PreconditionError(f"{label} must have period 1 in raw coordinates")
-    if not beta.commutes(PLMap.translation(1, 1)):
+    if not beta._commutes_with_shift(1):
         raise PreconditionError(
             f"{label} does not commute with the unit translation"
         )

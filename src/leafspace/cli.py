@@ -327,9 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first ``main`` call and shared by later calls in the process;
+# ``parse_args`` leaves the parser unchanged, so calls cannot leak options.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except (json.JSONDecodeError, ParseError) as exc:

@@ -221,6 +221,26 @@ class PLMap:
     def commutes(self, other: "PLMap") -> bool:
         return self.compose(other) == other.compose(self)
 
+    def _commutes_with_shift(self, c) -> bool:
+        """Whether f commutes with x -> x + c, decided without composing.
+
+        The graph of x -> f(x - c) + c is the graph of f moved by (c, c),
+        and canonical breakpoints are exactly the slope changes, so the two
+        maps are equal iff the moved breakpoints, reduced mod p, are the
+        breakpoints of f.  Both sets have len(self._pts) distinct points,
+        so membership of every moved point decides equality.
+        """
+        if self.is_translation():
+            return True
+        p = self._p
+        c = as_qnum(c, p.d)
+        pts = set(self._pts)
+        for x, y in self._pts:
+            shift = c - ((x + c) / p).floor() * p
+            if (x + shift, y + shift) not in pts:
+                return False
+        return True
+
     def affine_conjugate(self, scale) -> "PLMap":
         """h o f o h^-1 for h(x) = x/scale; rescales the coordinate system."""
         scale = as_qnum(scale, self._p.d)
@@ -293,15 +313,21 @@ class PLMap:
         """The group of translations commuting with f.
 
         All the reals for a translation; otherwise discrete of the form
-        (p/k)Z.  A commuting translation permutes the breakpoint set mod p,
-        so k never exceeds the breakpoint count and exhaustive search down
-        from that bound is exact.
+        (p/k)Z.  f commutes with x -> x + c iff its breakpoint set, reduced
+        mod p, is invariant under (x, y) -> (x + c, y + c), which is tested
+        point by point without composing.  The shift by p/k splits that set
+        into orbits of exactly k points, so only divisors k of the
+        breakpoint count can commute, and searching them downwards from
+        the count finds the largest one.
         """
         if self.is_translation():
             return PeriodGroup(True, None)
-        for k in range(len(self._pts), 0, -1):
+        n = len(self._pts)
+        for k in range(n, 0, -1):
+            if n % k:
+                continue
             step = self._p * Fraction(1, k)
-            if self.commutes(PLMap.translation(step, self._p)):
+            if self._commutes_with_shift(step):
                 return PeriodGroup(False, step)
         raise AssertionError("unreachable: k = 1 always commutes")
 

@@ -1,8 +1,8 @@
 """Exact arithmetic in a real quadratic field Q(sqrt(d)).
 
 Every scalar in the library is a ``QNum``: a value a + b*sqrt(d) with
-rational a, b and a fixed square-free d >= 2.  It is stored as four plain
-ints (n, m, q, d) meaning (n + m*sqrt(d))/q, with q > 0 and
+rational a, b and a fixed square-free d in [2, 10**18].  It is stored as
+four plain ints (n, m, q, d) meaning (n + m*sqrt(d))/q, with q > 0 and
 gcd(n, m, q) = 1, so every value has exactly one representation.  All
 comparisons and floors are decided by exact integer arithmetic, never by
 floating point, so commensurability questions have certificates rather
@@ -22,15 +22,25 @@ from .errors import DivisionByZeroError, FieldMismatchError, ParseError, Precond
 __all__ = ["QNum", "qnum", "sqrt_of", "ratio_is_rational"]
 
 
+# Largest accepted d: checking square-freeness then takes at most 10**6
+# trial divisions, so no config can make validation run long.
+_MAX_D = 10**18
+
+
 def _is_square_free(n: int) -> bool:
+    """Exact square-freeness by trial division up to the cube root."""
     if n < 2:
         return False
     k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
+    while k * k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return False
         k += 1
-    return True
+    # Every prime factor of the cofactor n is >= k and n < k**3, so n is p,
+    # p*q or p*p (never 1: a division leaves n >= k*k); only p*p is square.
+    return isqrt(n) ** 2 != n
 
 
 _checked_d: set[int] = set()
@@ -38,8 +48,13 @@ _checked_d: set[int] = set()
 
 def _check_d(d: int) -> int:
     # The type check comes first: 2.0 == 2 would otherwise hit the cache.
-    if type(d) is not int or (d not in _checked_d and not _is_square_free(d)):
-        raise PreconditionError(f"d must be a square-free integer >= 2, got {d!r}")
+    # The bound comes before the factoring it keeps short.
+    if type(d) is not int or (
+        d not in _checked_d and not (d <= _MAX_D and _is_square_free(d))
+    ):
+        raise PreconditionError(
+            f"d must be a square-free integer in [2, 10**18], got {d!r}"
+        )
     _checked_d.add(d)
     return d
 

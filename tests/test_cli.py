@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from leafspace import cli
 from leafspace.cli import (
     EXIT_BAD_INPUT,
     EXIT_COMMON_TRANSLATION,
@@ -67,6 +68,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "certify", "--config", config)
         assert code == EXIT_PRECONDITION
         assert "precondition" in err
+
+    def test_huge_d_is_rejected_not_factored(self, capsys, map_file):
+        config = map_file({"d": 1000000000000000003, "t": "1", "s": "2"}, "cfg.json")
+        code, out, err = run(capsys, "certify", "--config", config)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 class TestRotnumAndPeriods:
@@ -233,3 +241,29 @@ class TestOutputAndDeterminism:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
         assert "FAIL" not in out1
+
+
+class TestSharedParser:
+    """``main`` reuses one parser, so no call may see another's options."""
+
+    def test_output_does_not_leak_into_next_call(self, capsys, tmp_path):
+        target = tmp_path / "cert.json"
+        code, out, _ = run(
+            capsys, "certify", "--config", "flagship", "--output", str(target)
+        )
+        assert code == EXIT_OK and out == ""
+        written = target.read_text()
+        code, out, _ = run(capsys, "certify", "--config", "commensurable")
+        assert code == EXIT_COMMON_TRANSLATION
+        assert json.loads(out)["verdict"] == "COMMON_TRANSLATION"
+        assert target.read_text() == written
+
+    def test_usage_error_then_valid_call(self, capsys, monkeypatch):
+        argv = ["orbit-gap", "--config", "flagship", "--max-word-len", "2"]
+        monkeypatch.setattr(cli, "_parser", None)
+        alone = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["orbit-gap", "--max-word-len", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == alone

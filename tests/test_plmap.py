@@ -246,6 +246,35 @@ class TestPeriodGroup:
                 assert steps.denominator == 1  # p is a multiple of the step
 
 
+class TestCommutesWithShift:
+    """``_commutes_with_shift`` against the compose-based ``commutes``."""
+
+    @staticmethod
+    def _maps(rng):
+        shift = PLMap.translation(R2, 1)
+        yield PLMap.translation(R2 / 5, 1)
+        for _ in range(6):
+            f = random_plmap(rng)
+            if f.is_translation():
+                continue
+            yield f
+            yield f.affine_conjugate(1 + R2)  # period and breakpoints in Q(sqrt 2)
+            yield shift.compose(f).compose(shift.inverse())  # period 1, irrational x
+            yield f._tiled(rng.randint(2, 3))
+
+    def test_matches_commutes(self, rng):
+        seen = set()
+        for f in self._maps(rng):
+            p, n = f.period, len(f.breakpoints)
+            shifts = [j * p * Fraction(1, k) for k in range(1, n + 2) for j in range(-1, k + 2)]
+            shifts += [p * R2 / 3, R2]
+            for c in shifts:
+                expected = f.commutes(PLMap.translation(c, p))
+                assert f._commutes_with_shift(c) == expected, (f, c)
+                seen.add(expected)
+        assert seen == {True, False}
+
+
 class TestAffineConjugate:
     def test_translation_rescale(self):
         t = 1 + R2

@@ -1,12 +1,13 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leafspace.errors import DivisionByZeroError, FieldMismatchError, ParseError, PreconditionError
-from leafspace.qfield import QNum, qnum, ratio_is_rational, sqrt_of
+from leafspace.qfield import QNum, _is_square_free, qnum, ratio_is_rational, sqrt_of
 from leafspace.selftest import random_qnum
 
 R2 = sqrt_of(2)
@@ -82,7 +83,7 @@ def test_mixed_fields_rejected():
 
 
 def test_d_must_be_square_free():
-    for bad in (0, 1, 4, 12, -2):
+    for bad in (0, 1, 4, 12, -2, 10**18 + 3):
         with pytest.raises(PreconditionError):
             QNum(1, 1, bad)
 
@@ -195,3 +196,52 @@ def test_check_d_rejects_non_int_after_cache_hit():
             QNum(0, 1, bad)
     with pytest.raises(PreconditionError):
         QNum(1, 0, True)
+
+
+def _square_free_by_square_division(n):
+    """Reference: trial division by every k*k <= n."""
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
+def _primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for k in range(2, math.isqrt(n - 1) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = bytes(len(range(k * k, n, k)))
+    return [k for k in range(n) if sieve[k]]
+
+
+PRIMES = _primes_below(10**6)
+
+
+def test_square_free_matches_square_division_below_20000():
+    for n in range(-3, 20000):
+        assert _is_square_free(n) == _square_free_by_square_division(n), n
+
+
+@settings(deadline=None)  # a product near 10**18 takes up to 10**6 divisions
+@given(
+    st.sampled_from([(0,), (0, 1), (0, 0), (0, 0, 1), (0, 1, 2)]),
+    st.lists(st.sampled_from(PRIMES), min_size=3, max_size=3),
+)
+def test_square_free_matches_known_factorisation(shape, primes):
+    # shape picks p, p*q, p*p, p*p*q or p*q*r from three drawn primes; the
+    # product is square-free iff no prime repeats.
+    factors = [primes[i] for i in shape]
+    assert _is_square_free(math.prod(factors)) == (len(set(factors)) == len(factors))
+
+
+def test_prime_near_10_to_12_validates_fast():
+    d = 999999999989  # the largest prime below 10**12
+    start = time.perf_counter()
+    assert _is_square_free(d)
+    assert time.perf_counter() - start < 1.0
+    assert sqrt_of(d).d == d
