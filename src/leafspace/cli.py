@@ -15,6 +15,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .action import (
+    LONGITUDE,
     DensityParams,
     certify_nonuniform,
     evaluate_word,
@@ -77,10 +78,6 @@ def _parse_rat(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 
-def _parse_qnum(text: str) -> QNum:
-    return QNum.parse(text)
-
-
 # -- subcommand handlers --------------------------------------------------
 
 
@@ -114,7 +111,7 @@ def cmd_build_action(args) -> int:
             "t": str(spec.t),
             "s": str(spec.s),
             "generators": {k: v.to_json() for k, v in spec.generators.items()},
-            "longitude": spec.longitude,
+            "longitude": LONGITUDE,
         },
         args,
     )
@@ -150,7 +147,7 @@ def cmd_certify(args) -> int:
 def cmd_orbit_gap(args) -> int:
     spec = _load_spec(args)
     lo, hi = (QNum.parse(w, spec.d) for w in args.window.split(","))
-    rep = orbit_density(spec, _parse_qnum(args.x0), args.max_word_len, (lo, hi))
+    rep = orbit_density(spec, QNum.parse(args.x0), args.max_word_len, (lo, hi))
     _emit(rep.to_json(), args)
     return EXIT_OK
 
@@ -180,7 +177,7 @@ def cmd_metric_lemma(args) -> int:
 
 def cmd_cone_progress(args) -> int:
     run = run_progress_ledger(
-        _parse_qnum(args.T), _parse_qnum(args.r), args.n, args.policy, args.seed
+        QNum.parse(args.T), QNum.parse(args.r), args.n, args.policy, args.seed
     )
     lines = ["crossing,progress,distortion,certified_d1_lower_bound,simulated_d1"]
     for row in run.rows:
@@ -195,7 +192,7 @@ def cmd_cone_progress(args) -> int:
 
 
 def cmd_stall_search(args) -> int:
-    trace = adversarial_stall(_parse_qnum(args.T), _parse_qnum(args.r))
+    trace = adversarial_stall(QNum.parse(args.T), QNum.parse(args.r))
     if trace is None:
         _emit({"result": "NONE"}, args)
     else:
@@ -214,7 +211,7 @@ def cmd_stall_search(args) -> int:
 def cmd_shear_shadow(args) -> int:
     lines = ["level,curve_length,shadow_length,limit"]
     for level in range(1, args.n + 1):
-        rep = shadow_length(_parse_qnum(args.t), _parse_qnum(args.lam), level)
+        rep = shadow_length(QNum.parse(args.t), QNum.parse(args.lam), level)
         lines.append(
             f"{level},{rep.curve_length},{rep.shadow},{rep.limit}"
         )
@@ -224,9 +221,7 @@ def cmd_shear_shadow(args) -> int:
 
 
 def cmd_shear_holonomy(args) -> int:
-    model = ShearModel.build(
-        _parse_qnum(args.lam), _parse_rat(args.eps), _parse_rat(args.delta), _parse_qnum(args.t)
-    )
+    model = ShearModel.build(QNum.parse(args.lam), _parse_rat(args.eps), _parse_rat(args.delta))
     trace = holonomy_domain_trace(model, args.n, _parse_rat(args.threshold))
     lines = ["level,domain_length"]
     for level, length in enumerate(trace.lengths):
@@ -252,8 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # No prefix abbreviations: a removed option such as shear-holonomy's old
+    # --t must fail, not silently become --threshold.
     def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.set_defaults(fn=fn)
         p.add_argument("--output", help="write output to this file instead of stdout")
         return p
@@ -317,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", required=True)
     p.add_argument("--delta", default="1/10", help="shear displacement")
     p.add_argument("--eps", default="1/10", help="collar half-width")
-    p.add_argument("--t", default="1")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--threshold", default="1/1000000")
 

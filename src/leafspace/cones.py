@@ -188,8 +188,7 @@ def run_progress_ledger(T, r, n: int, policy: str = "adversarial", seed: int = 0
 
 @dataclass(frozen=True)
 class StallTrace:
-    distortions: tuple
-    values: tuple
+    values: tuple  # d_1 value after each crossing, all distortions -r
 
     def bounded(self) -> bool:
         return max(self.values) <= self.values[0]
@@ -207,17 +206,15 @@ def adversarial_stall(T, r, crossings: int = 1000) -> StallTrace | None:
     r = as_qnum(r)
     if T.sign() <= 0 or r.sign() < 0:
         raise PreconditionError("T must be positive and r nonnegative")
-    deltas = []
     values = []
     value = T
     values.append(value)
     for m in range(2, crossings + 1):
         # Greedy: each new crossing adds T and two re-measurements, each
         # distorted by the worst case -r.
-        deltas.append(-r)
         value = value + T - 2 * r
         values.append(value)
-    trace = StallTrace(tuple(deltas), tuple(values))
+    trace = StallTrace(tuple(values))
     if values[-1] <= values[0]:
         return trace
     return None

@@ -156,9 +156,6 @@ class QNum:
     def is_rational(self) -> bool:
         return self._m == 0
 
-    def is_integer(self) -> bool:
-        return self._m == 0 and self._q == 1
-
     # -- coercion ---------------------------------------------------------
 
     def _operand(self, other):
@@ -257,9 +254,6 @@ class QNum:
             base = base * base
             n >>= 1
         return result
-
-    def conjugate(self) -> "QNum":
-        return _make(self._n, -self._m, self._q, self._d)
 
     # -- ordering ---------------------------------------------------------
 

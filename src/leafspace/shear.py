@@ -3,7 +3,10 @@
 All outputs of this module are EXPLORATORY: the shadow-length series and the
 holonomy-domain traces reproduce the quantitative bookkeeping of the shear
 experiment, but nothing here decides whether a sheared foliation keeps its
-leaf space.
+leaf space.  The holonomy trace has a closed form: every model shear fixes
+the collar ends and is the identity outside the collar, and magnifying by
+multiplier^k >= 1 keeps both window ends outside it, so the window never
+shrinks.
 """
 
 from __future__ import annotations
@@ -108,25 +111,29 @@ class ShearModel:
     multiplier: QNum
     eps: Fraction
     shear: _MonotonePL
-    per_level_length: QNum
+
+    def __post_init__(self) -> None:
+        # holonomy_domain_trace's closed form relies on all three.
+        if not self.multiplier > 1:
+            raise PreconditionError("multiplier must exceed 1")
+        if self.eps <= 0:
+            raise PreconditionError("eps must be positive")
+        pts = self.shear.points
+        if pts[0] != (-self.eps, -self.eps) or pts[-1] != (1 + self.eps, 1 + self.eps):
+            raise PreconditionError("the shear must fix the collar ends -eps and 1+eps")
 
     @classmethod
-    def build(cls, multiplier, eps, delta, t=1) -> "ShearModel":
+    def build(cls, multiplier, eps, delta) -> "ShearModel":
         """Default shear: a single interior graph point displaced by delta."""
-        lam = as_qnum(multiplier)
         eps = Fraction(eps)
         delta = Fraction(delta)
-        if not lam > 1:
-            raise PreconditionError("multiplier must exceed 1")
-        if eps <= 0:
-            raise PreconditionError("eps must be positive")
         if delta < 0 or Fraction(1, 2) + delta >= 1 + eps:
             raise PreconditionError("delta must keep the shear monotone")
         mid = Fraction(1, 2)
         points = [(-eps, -eps), (mid, mid + delta), (1 + eps, 1 + eps)]
         if delta == 0:
             points = [(-eps, -eps), (1 + eps, 1 + eps)]
-        return cls(lam, eps, _MonotonePL(points), as_qnum(t))
+        return cls(as_qnum(multiplier), eps, _MonotonePL(points))
 
 
 @dataclass(frozen=True)
@@ -153,61 +160,17 @@ def holonomy_domain_trace(model: ShearModel, n: int, threshold=Fraction(1, 10**6
     At level k the shear acts in coordinates magnified by multiplier^k, so
     its effect on base coordinates is the conjugated map
     x -> mu(lam^k x) / lam^k; the surviving domain is the set of starting
-    points whose images stay inside the collar window at every level.
+    points whose images stay inside the collar window at every level.  The
+    window ends -eps and 1+eps magnify to points outside the collar, where
+    mu is the identity, so every level keeps the whole window: its width
+    1 + 2*eps persists unless it is already below the threshold.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    threshold = as_qnum(threshold)
-    w_lo = as_qnum(-model.eps)
-    w_hi = as_qnum(1 + model.eps)
-    lo, hi = w_lo, w_hi
-    lengths = [hi - lo]
-    if lengths[0] < threshold:
-        return HolonomyTrace((lengths[0],), "SHRINKS_TO_POINT", 0)
-    # Images of the current domain endpoints under the composition so far.
-    img_lo, img_hi = lo, hi
-    shrink_level = None
-    lam = model.multiplier
-    scale = as_qnum(1)
-    for k in range(n):
-        img_lo = model.shear(img_lo * scale) / scale
-        img_hi = model.shear(img_hi * scale) / scale
-        # Clip the domain where images leave the collar window.  The
-        # composition is increasing, so clipping is interval shrinkage at
-        # the endpoints, found by monotone bisection on the original domain.
-        if img_lo < w_lo:
-            lo, img_lo = _clip(model, lo, hi, k, w_lo, upper=False)
-        if img_hi > w_hi:
-            hi, img_hi = _clip(model, lo, hi, k, w_hi, upper=True)
-        length = hi - lo if hi > lo else as_qnum(0)
-        lengths.append(length)
-        if length < threshold:
-            shrink_level = k + 1
-            break
-        scale = scale * lam
-    flag = "PERSISTS" if shrink_level is None else "SHRINKS_TO_POINT"
-    return HolonomyTrace(tuple(lengths), flag, shrink_level)
-
-
-def _compose_to_level(model: ShearModel, x, level: int):
-    scale = as_qnum(1)
-    for _ in range(level + 1):
-        x = model.shear(x * scale) / scale
-        scale = scale * model.multiplier
-    return x
-
-
-def _clip(model: ShearModel, lo, hi, level: int, target, upper: bool, iters: int = 64):
-    """Bisect for the domain endpoint whose level-image hits the target."""
-    a, b = lo, hi
-    for _ in range(iters):
-        mid = (a + b) / 2
-        if (_compose_to_level(model, mid, level) > target) == upper:
-            b = mid
-        else:
-            a = mid
-    x = a if upper else b
-    return x, _compose_to_level(model, x, level)
+    width = as_qnum(1 + 2 * model.eps)
+    if width < as_qnum(threshold):
+        return HolonomyTrace((width,), "SHRINKS_TO_POINT", 0)
+    return HolonomyTrace((width,) * (n + 1), "PERSISTS", None)
 
 
 def disjointness_check(support, shift) -> bool:

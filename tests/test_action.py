@@ -60,7 +60,7 @@ class TestBuild:
     def test_load_config_defaults(self):
         spec = load_action_config({"t": "1+1*sqrt(2)", "s": "0+1*sqrt(2)"})
         assert spec.t == 1 + R2 and spec.s == R2
-        assert spec.raw_beta_l == standard_beta()
+        assert spec.generator("beta_l") == standard_beta().affine_conjugate(spec.t)
 
     def test_load_config_missing_field(self):
         with pytest.raises(ParseError):
@@ -194,9 +194,6 @@ class TestIncompressible:
                 "alpha_l": PLMap.translation(1, 1),
                 "alpha_r": PLMap.translation(R2, 1),
             },
-            raw_beta_l=standard_beta(),
-            raw_beta_r=standard_beta(),
-            sides={"left": ("alpha_l",), "right": ("alpha_r",)},
         )
         res = incompressible_interval_search(spec, (0, Fraction(1, 4)), 3)
         assert res.kind == "INCOMPRESSIBLE_UP_TO_BOUND"

@@ -224,6 +224,13 @@ class TestShearCommands:
         assert lines[0] == "level,domain_length"
         assert any(l.startswith("# flag:") for l in lines)
 
+    def test_shear_holonomy_has_no_t_option(self, capsys):
+        # --t is gone, and no option prefix stands for a longer option.
+        for extra in (["--t", "1"], ["--thr", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["shear-holonomy", "--lam", "2", "--n", "3", *extra])
+            assert exc.value.code == EXIT_BAD_INPUT
+
 
 class TestOutputAndDeterminism:
     def test_output_flag_writes_file(self, capsys, tmp_path):

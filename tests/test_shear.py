@@ -1,5 +1,6 @@
 """Tests for the shadow-length series and the sheared-holonomy trace."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from leafspace.errors import PreconditionError
 from leafspace.qfield import qnum, sqrt_of
 from leafspace.shear import (
     ShearModel,
+    _MonotonePL,
     disjointness_check,
     holonomy_domain_trace,
     shadow_length,
@@ -68,6 +70,21 @@ class TestShearModel:
         model = ShearModel.build(2, Fraction(1, 8), 0)
         assert model.shear(Fraction(1, 3)) == Fraction(1, 3)
 
+    def test_direct_model_must_fix_collar_ends(self):
+        eps = Fraction(1, 8)
+        moved = [
+            [(-eps, 0), (1 + eps, 1 + eps)],
+            [(-eps, -eps), (1, Fraction(9, 8))],
+            [(-eps, -eps), (Fraction(1, 2), Fraction(3, 4)), (1 + eps, 2)],
+            [(0, 0), (1, 1)],
+        ]
+        for points in moved:
+            with pytest.raises(PreconditionError):
+                ShearModel(qnum(2), eps, _MonotonePL(points))
+        with pytest.raises(PreconditionError):
+            ShearModel(qnum(Fraction(1, 2)), eps, _MonotonePL([(-eps, -eps), (1 + eps, 1 + eps)]))
+        ShearModel(qnum(2), eps, _MonotonePL([(-eps, -eps), (Fraction(1, 3), Fraction(1, 2)), (1 + eps, 1 + eps)]))
+
     def test_input_validation(self):
         with pytest.raises(PreconditionError):
             ShearModel.build(1, Fraction(1, 8), Fraction(1, 4))
@@ -110,6 +127,35 @@ class TestHolonomyTrace:
         model = ShearModel.build(2, Fraction(1, 8), 0)
         with pytest.raises(PreconditionError):
             holonomy_domain_trace(model, 0)
+
+    def test_closed_form_on_seeded_grid(self):
+        """The trace is the collar width at every level, or one level below
+        the threshold, and the window ends really are fixed at every level."""
+        rng = random.Random(2024)
+        lams = [qnum(Fraction(11, 10)), qnum(2), qnum(Fraction(7, 2)), 1 + R2, 1 + R2 / 3,
+                qnum(1, Fraction(3, 4))]
+        for _ in range(60):
+            lam = rng.choice(lams)
+            eps = Fraction(rng.randint(1, 12), 40)
+            delta = rng.choice([0, Fraction(rng.randint(1, 20), 40)])
+            if Fraction(1, 2) + delta >= 1 + eps:
+                delta = 0
+            model = ShearModel.build(lam, eps, delta)
+            n = rng.randint(1, 12)
+            width = 1 + 2 * eps
+            scale = qnum(1)
+            for _ in range(n):
+                assert model.shear(-eps * scale) / scale == -eps
+                assert model.shear((1 + eps) * scale) / scale == 1 + eps
+                scale = scale * lam
+            for threshold in (Fraction(1, 10**6), width, width + Fraction(1, 10**9), 2 * width):
+                trace = holonomy_domain_trace(model, n, threshold)
+                if width < threshold:
+                    assert (trace.lengths, trace.flag, trace.shrink_level) == (
+                        (width,), "SHRINKS_TO_POINT", 0)
+                else:
+                    assert (trace.lengths, trace.flag, trace.shrink_level) == (
+                        (width,) * (n + 1), "PERSISTS", None)
 
 
 class TestDisjointness:
