@@ -32,9 +32,7 @@ __all__ = [
     "incompressible_interval_search",
 ]
 
-LEFT_GENERATORS = ("alpha_l", "beta_l")
-RIGHT_GENERATORS = ("alpha_r", "beta_r")
-SIDES = {"left": LEFT_GENERATORS, "right": RIGHT_GENERATORS}
+SIDES = {"left": ("alpha_l", "beta_l"), "right": ("alpha_r", "beta_r")}
 # The glued longitude, a unit translation in the common coordinates.
 LONGITUDE = "alpha_l"
 
@@ -116,14 +114,16 @@ def load_action_config(config: dict) -> ActionSpec:
     plmap?}`` with numbers in the canonical text grammar; omitted beta maps
     default to the standard one.
     """
+    if not isinstance(config, dict):
+        raise ParseError("action config must be a JSON object")
+    d = config.get("d", 2)
+    if type(d) is not int:
+        raise ParseError(f"d must be an integer, got {d!r}")
     try:
-        d = int(config.get("d", 2))
         t = QNum.parse(config["t"], d)
         s = QNum.parse(config["s"], d)
     except KeyError as exc:
         raise ParseError(f"action config missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed action config: {exc}") from exc
     beta_l = beta_r = None
     if "beta_l" in config:
         beta_l = PLMap.from_json(config["beta_l"], d)
@@ -167,7 +167,7 @@ def _validate_word(spec: ActionSpec, word) -> list[tuple[str, int]]:
     for name, exp in word:
         if name not in spec.generators:
             raise PreconditionError(f"unknown generator {name!r}")
-        if not isinstance(exp, int) or exp == 0:
+        if type(exp) is not int or exp == 0:
             raise PreconditionError(f"exponent for {name} must be a nonzero integer")
         out.append((name, exp))
     return out

@@ -50,7 +50,14 @@ def _load_json(path: str) -> dict:
     else:
         with open(path) as fh:
             text = fh.read()
-    return json.loads(text)
+    return _parse_json(text)
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also int digit limit, deep nesting
+        raise ParseError(str(exc)) from exc
 
 
 def _load_spec(args):
@@ -72,10 +79,19 @@ def _write(text: str, args) -> None:
 
 
 def _parse_rat(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ValueError as exc:
-        raise ParseError(f"not a rational number: {text!r}") from exc
+    # The canonical grammar, not Fraction's: "1e999999999" would cost time
+    # and memory exponential in the length of the text.
+    q = QNum.parse(text)
+    if q.b:
+        raise ParseError(f"not a rational number: {text!r}")
+    return q.a
+
+
+def _parse_pair(text: str, d: int) -> tuple:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ParseError(f"expected two numbers a,b: {text!r}")
+    return tuple(QNum.parse(w, d) for w in parts)
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -120,7 +136,11 @@ def cmd_build_action(args) -> int:
 
 def cmd_eval_word(args) -> int:
     spec = _load_spec(args)
-    word = [(name, int(exp)) for name, exp in json.loads(args.word)]
+    word = _parse_json(args.word)
+    if type(word) is not list or any(
+        type(letter) is not list or [type(v) for v in letter] != [str, int] for letter in word
+    ):
+        raise ParseError(f"word must be a JSON list of [name, integer] pairs: {args.word!r}")
     result = evaluate_word(spec, word)
     if isinstance(result, PLMap):
         _emit({"kind": "plmap", "map": result.to_json()}, args)
@@ -146,16 +166,16 @@ def cmd_certify(args) -> int:
 
 def cmd_orbit_gap(args) -> int:
     spec = _load_spec(args)
-    lo, hi = (QNum.parse(w, spec.d) for w in args.window.split(","))
-    rep = orbit_density(spec, QNum.parse(args.x0), args.max_word_len, (lo, hi))
+    window = _parse_pair(args.window, spec.d)
+    rep = orbit_density(spec, QNum.parse(args.x0), args.max_word_len, window)
     _emit(rep.to_json(), args)
     return EXIT_OK
 
 
 def cmd_incompressible(args) -> int:
     spec = _load_spec(args)
-    a, b = (QNum.parse(w, spec.d) for w in args.interval.split(","))
-    res = incompressible_interval_search(spec, (a, b), args.max_word_len)
+    interval = _parse_pair(args.interval, spec.d)
+    res = incompressible_interval_search(spec, interval, args.max_word_len)
     _emit(res.to_json(), args)
     return EXIT_OK
 
@@ -247,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # No prefix abbreviations: a removed option such as shear-holonomy's old
+    # No prefix abbreviations: an unknown option such as shear-holonomy
     # --t must fail, not silently become --threshold.
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
@@ -335,13 +355,14 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (json.JSONDecodeError, ParseError) as exc:
+    except ParseError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except PreconditionError as exc:
+    # OverflowError: an exact value too large for a float report field.
+    except (PreconditionError, OverflowError) as exc:
         print(f"error: precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -116,13 +116,7 @@ class PLMap:
     def displacement_range(self) -> tuple[QNum, QNum]:
         """Exact (min, max) of f(x) - x, attained at breakpoints."""
         disps = [y - x for x, y in self._pts]
-        lo = hi = disps[0]
-        for v in disps[1:]:
-            if v < lo:
-                lo = v
-            if hi < v:
-                hi = v
-        return lo, hi
+        return min(disps), max(disps)
 
     @classmethod
     def translation(cls, t, period=1) -> "PLMap":
@@ -318,18 +312,16 @@ class PLMap:
         point by point without composing.  The shift by p/k splits that set
         into orbits of exactly k points, so only divisors k of the
         breakpoint count can commute, and searching them downwards from
-        the count finds the largest one.
+        the count finds the largest one; k = 1, the period itself, always
+        commutes.
         """
         if self.is_translation():
             return PeriodGroup(True, None)
         n = len(self._pts)
-        for k in range(n, 0, -1):
-            if n % k:
-                continue
-            step = self._p * Fraction(1, k)
-            if self._commutes_with_shift(step):
+        for k in range(n, 1, -1):
+            if n % k == 0 and self._commutes_with_shift(step := self._p * Fraction(1, k)):
                 return PeriodGroup(False, step)
-        raise AssertionError("unreachable: k = 1 always commutes")
+        return PeriodGroup(False, self._p)
 
     # -- serialization ----------------------------------------------------
 

@@ -346,16 +346,19 @@ class QNum:
     @classmethod
     def parse(cls, text: str, d: int | None = None) -> "QNum":
         """Parse the canonical grammar ``rat | rat SIGN rat*sqrt(uint)``."""
-        m = _QNUM_RE.fullmatch(text.strip())
+        m = _QNUM_RE.fullmatch(text.strip()) if isinstance(text, str) else None
         if m is None:
             raise ParseError(f"not a valid number: {text!r}")
-        a = Fraction(m.group(1))
+        try:
+            a = Fraction(m.group(1))
+            b = Fraction(m.group(3) or 0)
+            dd = int(m.group(4) or 2)
+        except (ValueError, ZeroDivisionError) as exc:  # "1/0", or past int's digit limit
+            raise ParseError(f"not a valid number: {text!r} ({exc})") from None
         if m.group(2) is None:
             return cls(a, 0, d if d is not None else 2)
-        b = Fraction(m.group(3))
         if m.group(2) == "-":
             b = -b
-        dd = int(m.group(4))
         if d is not None and dd != d and b != 0:
             raise FieldMismatchError(f"expected sqrt({d}), got sqrt({dd})")
         return cls(a, b, dd)

@@ -3,10 +3,8 @@
 All outputs of this module are EXPLORATORY: the shadow-length series and the
 holonomy-domain traces reproduce the quantitative bookkeeping of the shear
 experiment, but nothing here decides whether a sheared foliation keeps its
-leaf space.  The holonomy trace has a closed form: every model shear fixes
-the collar ends and is the identity outside the collar, and magnifying by
-multiplier^k >= 1 keeps both window ends outside it, so the window never
-shrinks.
+leaf space.  The holonomy trace has a closed form; ``holonomy_domain_trace``
+says why.
 """
 
 from __future__ import annotations
@@ -97,7 +95,6 @@ class _MonotonePL:
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x <= x1:
                 return y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
-        return x
 
 
 @dataclass(frozen=True)
@@ -131,8 +128,6 @@ class ShearModel:
             raise PreconditionError("delta must keep the shear monotone")
         mid = Fraction(1, 2)
         points = [(-eps, -eps), (mid, mid + delta), (1 + eps, 1 + eps)]
-        if delta == 0:
-            points = [(-eps, -eps), (1 + eps, 1 + eps)]
         return cls(as_qnum(multiplier), eps, _MonotonePL(points))
 
 

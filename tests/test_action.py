@@ -66,6 +66,16 @@ class TestBuild:
         with pytest.raises(ParseError):
             load_action_config({"t": "1+1*sqrt(2)"})
 
+    def test_load_config_d_must_be_an_int(self):
+        for d in (2.7, 2.0, True, "2", None):
+            with pytest.raises(ParseError):
+                load_action_config({"d": d, "t": "1+1*sqrt(2)", "s": "0+1*sqrt(2)"})
+
+    def test_load_config_rejects_non_text_numbers(self):
+        for bad in ({"t": 1, "s": "2"}, {"t": "1", "s": None}, []):
+            with pytest.raises(ParseError):
+                load_action_config(bad)
+
 
 class TestWords:
     def test_single_side_word_is_plmap(self):

@@ -77,6 +77,51 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+class TestMalformedNumbers:
+    """A zero denominator or a mistyped value is malformed input: exit 2."""
+
+    def test_certify_config_zero_denominator(self, capsys, map_file):
+        config = map_file({"t": "1/0", "s": "0+1*sqrt(2)"}, "cfg.json")
+        code, out, err = run(capsys, "certify", "--config", config)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_cone_progress_zero_denominator(self, capsys):
+        code, out, _ = run(capsys, "cone-progress", "--T", "1/0", "--r", "1/10", "--n", "4")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+
+    def test_shear_holonomy_zero_denominator(self, capsys):
+        code, out, _ = run(capsys, "shear-holonomy", "--lam", "2", "--n", "3", "--eps", "1/0")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+
+    def test_rotnum_zero_denominator(self, capsys, map_file):
+        code, _, _ = run(capsys, "rotnum", "--map", map_file(TRANSLATION_MAP), "--eps", "1/0")
+        assert code == EXIT_BAD_INPUT
+        bad_map = {"period": "1", "breakpoints": [{"x": "0", "y": "1/0"}]}
+        code, _, _ = run(capsys, "rotnum", "--map", map_file(bad_map))
+        assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("d", [2.7, True, "2"])
+    def test_config_d_must_be_an_int(self, capsys, map_file, d):
+        config = map_file({"d": d, "t": "1+1*sqrt(2)", "s": "0+1*sqrt(2)"}, "cfg.json")
+        code, out, _ = run(capsys, "certify", "--config", config)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+
+    @pytest.mark.parametrize(
+        "word",
+        ['[["beta_l", 1.5]]', '[["beta_l", true]]', '[["beta_l"]]', '[["beta_l", 1, 2]]',
+         '[[1, 1]]', '["beta_l"]', '{"beta_l": 1}', "5"],
+    )
+    def test_eval_word_letters_are_name_integer_pairs(self, capsys, word):
+        code, out, err = run(capsys, "eval-word", "--config", "flagship", "--word", word)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_eval_word_zero_exponent_is_a_precondition(self, capsys):
+        code, _, _ = run(capsys, "eval-word", "--config", "flagship", "--word", '[["beta_l", 0]]')
+        assert code == EXIT_PRECONDITION
+
+
 class TestRotnumAndPeriods:
     def test_rotnum_translation(self, capsys, map_file):
         code, out, _ = run(capsys, "rotnum", "--map", map_file(TRANSLATION_MAP))

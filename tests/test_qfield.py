@@ -114,6 +114,12 @@ def test_parse_rejects_garbage():
             QNum.parse(bad)
 
 
+def test_parse_rejects_zero_denominator_and_non_text():
+    for bad in ("1/0", "-3/0", "1+1/0*sqrt(2)", "0/0-1*sqrt(3)", 5, None, ["1"]):
+        with pytest.raises(ParseError):
+            QNum.parse(bad)
+
+
 @given(
     st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
     st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),

@@ -83,7 +83,8 @@ class TestShearModel:
                 ShearModel(qnum(2), eps, _MonotonePL(points))
         with pytest.raises(PreconditionError):
             ShearModel(qnum(Fraction(1, 2)), eps, _MonotonePL([(-eps, -eps), (1 + eps, 1 + eps)]))
-        ShearModel(qnum(2), eps, _MonotonePL([(-eps, -eps), (Fraction(1, 3), Fraction(1, 2)), (1 + eps, 1 + eps)]))
+        collar = [(-eps, -eps), (Fraction(1, 3), Fraction(1, 2)), (1 + eps, 1 + eps)]
+        assert ShearModel(qnum(2), eps, _MonotonePL(collar)).shear(Fraction(1, 3)) == Fraction(1, 2)
 
     def test_input_validation(self):
         with pytest.raises(PreconditionError):
