@@ -1,0 +1,148 @@
+"""Layer microbenchmarks of leafspace: microseconds per operation.
+
+Usage, from the root of a source checkout:
+
+    python3 bench/run.py --out BENCH_5.json --base 3fe6968 --repeats 7
+
+Each repeat runs every row once in a fresh interpreter per side, the base
+revision and the working tree alternating which goes first; a row's figure
+is the median over the repeats of its per-run time.  Within a run a row is
+timed with ``timeit``: the loop count is grown until one loop takes at
+least 0.2 s, and the best of three such loops gives the µs/op.  The base
+revision is exported with ``git archive`` into a temporary directory.
+Without ``--base`` only the working tree is measured.  Standard library
+only; the process pins itself to one CPU, as leafbench does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# SETUP builds the operands; ROWS maps each row name to the statement it
+# times.  They use only API that predates the integer evaluation kernel, so
+# the same rows run on older revisions.
+SETUP = """\
+from fractions import Fraction as F
+from leafspace.action import load_action_config, orbit_density
+from leafspace.plmap import PLMap, translation_number
+from leafspace.qfield import QNum, sqrt_of
+r2 = sqrt_of(2)
+beta = PLMap(1, [(0, 0), (F(1, 2), F(3, 4))])
+beta2 = beta.affine_conjugate(1 + r2)
+unit = PLMap.translation(1, 1).affine_conjugate(1 + r2)
+x_rat = QNum(F(7, 3))
+x_r2 = QNum(F(1, 3), F(2, 7), 2)
+pts_r2 = [(x / (1 + r2), y / (1 + r2)) for x, y in
+          [(0, 0), (F(1, 4), F(1, 8)), (F(1, 2), F(3, 4)), (F(3, 4), F(7, 8))]]
+period_r2 = (1 + r2).inverse()
+g_r2 = PLMap(period_r2, pts_r2)
+rot = beta.compose(PLMap.translation(r2 / 10, 1)).compose(beta.inverse())
+flagship = load_action_config(json.loads(CONFIG))
+"""
+ROWS = {
+    "plmap.call.rational_point": "beta(x_rat)",
+    "plmap.call.sqrt2_point": "beta2(x_r2)",
+    "plmap.call.translation": "unit(x_r2)",
+    "plmap.construct.sqrt2_4_breakpoints": "PLMap(period_r2, pts_r2)",
+    "plmap.compose.sqrt2": "g_r2.compose(beta2)",
+    "plmap.translation_number.forced_bracket_eps_1e-3":
+        "translation_number(rot, F(1, 1000), force_bracket=True)",
+    "action.orbit_density.flagship_L5": "orbit_density(flagship, 0, 5, (0, 1))",
+}
+
+WORKER = """\
+import json, sys, timeit
+sys.path.insert(0, sys.argv[1])
+CONFIG = open(sys.argv[2]).read()
+setup = sys.argv[3]
+rows = json.loads(sys.argv[4])
+env = {"json": json, "CONFIG": CONFIG}
+exec(setup, env)
+out = {}
+for name, stmt in rows.items():
+    timer = timeit.Timer(stmt, globals=env)
+    number = 1
+    while timer.timeit(number) < 0.2:
+        number *= 2
+    out[name] = min(timer.repeat(3, number)) / number * 1e6
+print(json.dumps(out))
+"""
+
+
+def _run_side(src: Path) -> dict[str, float]:
+    config = ROOT / "src" / "leafspace" / "configs" / "flagship.json"
+    res = subprocess.run(
+        [sys.executable, "-c", WORKER, str(src), str(config), SETUP, json.dumps(ROWS)],
+        check=True, capture_output=True, text=True,
+    )
+    return json.loads(res.stdout)
+
+
+def _export(rev: str, into: Path) -> Path:
+    data = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(into, filter="data")
+    return into / "src"
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--base", help="git revision to compare with the working tree")
+    ap.add_argument("--repeats", type=int, default=7)
+    args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be >= 1")
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"change": ROOT / "src"}
+        if args.base:
+            sides = {"parent": _export(args.base, Path(tmp)), **sides}
+        runs: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
+        for r in range(args.repeats):
+            order = list(sides) if r % 2 == 0 else list(reversed(sides))
+            for side in order:
+                runs[side].append(_run_side(sides[side]))
+                print(f"repeat {r + 1}/{args.repeats} {side} done", file=sys.stderr)
+
+    rows = []
+    for name in ROWS:
+        row = {"name": name, "unit": "us/op"}
+        for side, results in runs.items():
+            values = [res[name] for res in results]
+            row[side] = round(statistics.median(values), 3)
+            row[f"{side}_runs"] = [round(v, 3) for v in values]
+        if "parent" in row:
+            row["ratio_change_to_parent"] = round(row["change"] / row["parent"], 4)
+        rows.append(row)
+        print(name, " ".join(f"{side} {row[side]:.3f}" for side in runs), "us/op")
+    report = {
+        "command": " ".join(["python3", "bench/run.py", *sys.argv[1:]]),
+        "base": args.base,
+        "repeats": args.repeats,
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "rows": rows,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -289,12 +289,15 @@ class OrbitGapReport:
 
 
 def _generator_moves(spec: ActionSpec, names=None):
-    moves = []
+    """(letter, map) for each generator and its inverse, in order, without
+    a map equal to an earlier one: its images would repeat the earlier
+    map's, so a search skips them all, and the first letter wins."""
+    moves = {}
     for name in names or spec.generators:
         g = spec.generator(name)
-        moves.append(g)
-        moves.append(g.inverse())
-    return moves
+        moves.setdefault(g, (name, 1))
+        moves.setdefault(g.inverse(), (name, -1))
+    return [(letter, m) for m, letter in moves.items()]
 
 
 def orbit_density(
@@ -312,13 +315,14 @@ def orbit_density(
     hi = as_qnum(window[1], spec.d)
     if not lo < hi:
         raise PreconditionError("window must be nondegenerate")
-    moves = _generator_moves(spec, generator_names)
+    moves = [m for _, m in _generator_moves(spec, generator_names)]
     reach = qnum(0, 0, spec.d)
     for m in moves:
         for disp in m.displacement_range():
             if abs(disp) > reach:
                 reach = abs(disp)
     margin = reach * max_word_len + 1
+    low, high = lo - margin, hi + margin
     x0 = as_qnum(x0, spec.d)
     seen = {x0}
     frontier = [x0]
@@ -329,7 +333,7 @@ def orbit_density(
                 y = m(x)
                 if y in seen:
                     continue
-                if y < lo - margin or y > hi + margin:
+                if y < low or y > high:
                     continue
                 seen.add(y)
                 nxt.append(y)
@@ -367,11 +371,7 @@ def incompressible_interval_search(
         raise PreconditionError("interval must be nondegenerate")
     if max_word_len < 1:
         raise PreconditionError("max_word_len must be >= 1")
-    moves = []
-    for name in spec.generators:
-        g = spec.generator(name)
-        moves.append(((name, 1), g))
-        moves.append(((name, -1), g.inverse()))
+    moves = _generator_moves(spec)
     # A word acts on I through its endpoint images only, so states are
     # deduplicated by exact endpoint pairs.
     start = (a, b)

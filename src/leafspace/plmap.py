@@ -9,12 +9,12 @@ All arithmetic is exact over a quadratic field.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
-from .errors import ParseError, PeriodMismatchError, PreconditionError
-from .qfield import QNum, as_qnum, ratio_is_rational
+from .errors import FieldMismatchError, ParseError, PeriodMismatchError, PreconditionError
+from .qfield import QNum, _make, _sign, as_qnum, ratio_is_rational
 
 __all__ = [
     "PLMap",
@@ -27,15 +27,68 @@ __all__ = [
 
 
 def _coerce_points(period, breakpoints):
-    """Coerce inputs to QNums sharing one field."""
-    d = 2
-    for v in [period, *[c for pt in breakpoints for c in pt]]:
-        if isinstance(v, QNum) and not v.is_rational():
-            d = v.d
-            break
+    """Coerce inputs to QNums sharing one field.
+
+    The field is that of the irrational inputs, which must agree; with none,
+    the period's (Q(sqrt 2) for a plain int or Fraction).  A rational period
+    is given that field, since ``period.d`` names the field of the map.
+    """
+    fields = {
+        v.d
+        for v in [period, *[c for pt in breakpoints for c in pt]]
+        if isinstance(v, QNum) and not v.is_rational()
+    }
+    if len(fields) > 1:
+        raise FieldMismatchError(f"breakpoints in several fields: {sorted(fields)}")
+    d = fields.pop() if fields else period.d if isinstance(period, QNum) else 2
     p = as_qnum(period, d)
+    if p.d != d:
+        p = QNum(p.a, 0, d)
     pts = [(as_qnum(x, d), as_qnum(y, d)) for x, y in breakpoints]
     return p, pts
+
+
+def _ints(x: QNum) -> tuple[int, int, int]:
+    return x._n, x._m, x._q
+
+
+def _kernel_table(p: QNum, pts, slopes):
+    """The integer data ``PLMap.__call__`` reads, built once per map.
+
+    ``(d, x0, ip, p, xs, segs)``: ``d`` is the field of an irrational map
+    and None for a rational one, whose values take the field of x.  ``x0``
+    and ``p`` are (n, m, q) triples, ``ip`` is 1/p as (n, m*d, m, q), and
+    ``xs`` holds the breakpoint x triples.  Segment i maps x to
+    s_i*(x - k*p) + b_i + k*p with b_i = y_i - s_i*x_i; for
+    x - k*p = (rn + rm*sqrt(d))/rq that is (N + M*sqrt(d))/Q with
+
+        N = a1*rn + a2*rm + (b1 + k*c1)*rq
+        M = a1*rm + a3*rn + (b2 + k*c2)*rq
+        Q = f*rq
+
+    where ``segs[i]`` = (a1, a2, a3, b1, c1, b2, c2, f) puts s_i, b_i and p
+    over one denominator.  A translation has ``xs`` None and ``segs`` the
+    triple of its displacement.
+    """
+    irrational = not p.is_rational() or any(
+        not v.is_rational() for pt in pts for v in pt
+    )
+    d = p.d if irrational else None
+    if len(pts) == 1:
+        x, y = pts[0]
+        return d, None, None, None, None, _ints(y - x)
+    rd = p.d if irrational else 0  # a rational map has no sqrt parts
+    pn, pm, pq = _ints(p)
+    segs = []
+    for (x, y), s in zip(pts, slopes):
+        sn, sm, sq = _ints(s)
+        bn, bm, bq = _ints(y - s * x)
+        e = bq * pq // gcd(bq, pq)  # the least common denominator of b_i and p
+        fb, fp = e // bq * sq, e // pq * sq
+        segs.append((sn * e, sm * rd * e, sm * e, bn * fb, pn * fp, bm * fb, pm * fp, sq * e))
+    inn, inm, inq = _ints(p.inverse())
+    xs = tuple(_ints(x) for x, _ in pts)
+    return d, _ints(pts[0][0]), (inn, inm * rd, inm, inq), (pn, pm, pq), xs, tuple(segs)
 
 
 class PLMap:
@@ -50,7 +103,7 @@ class PLMap:
     * a pure translation is stored as the single breakpoint ``(0, t)``
     """
 
-    __slots__ = ("_p", "_pts", "_slopes", "_xs", "_pone", "_pinv")
+    __slots__ = ("_p", "_pts", "_slopes", "_table")
 
     def __init__(self, period, breakpoints) -> None:
         p, pts = _coerce_points(period, breakpoints)
@@ -69,11 +122,8 @@ class PLMap:
         if not pts[0][1] + p > pts[-1][1]:
             raise PreconditionError("map is not monotone across the wrap segment")
         self._p = p
-        self._pts = self._canonicalize(p, pts)
-        self._slopes = self._segment_slopes(self._p, self._pts)
-        self._xs = [x for x, _ in self._pts]
-        self._pone = p == 1
-        self._pinv = None if self._pone else p.inverse()
+        self._pts, self._slopes = self._canonicalize(p, pts)
+        self._table = _kernel_table(p, self._pts, self._slopes)
 
     @staticmethod
     def _segment_slopes(p, pts):
@@ -84,14 +134,17 @@ class PLMap:
 
     @staticmethod
     def _canonicalize(p, pts):
+        """The breakpoints that are not collinear with their neighbours, and
+        the slope of the segment leaving each.  Dropping a collinear point
+        merges two segments of equal slope, so a kept point's slope is the
+        one computed for it here."""
         slopes = PLMap._segment_slopes(p, pts)
-        k = len(pts)
-        keep = [pts[i] for i in range(k) if slopes[i - 1] != slopes[i]]
+        keep = [i for i in range(len(pts)) if slopes[i - 1] != slopes[i]]
         if not keep:
             # Constant slope around the cycle forces slope 1: a translation.
             t = pts[0][1] - pts[0][0]
-            return ((as_qnum(0, t.d), t),)
-        return tuple(keep)
+            return ((as_qnum(0, t.d), t),), slopes[:1]
+        return tuple(pts[i] for i in keep), tuple(slopes[i] for i in keep)
 
     # -- basic accessors --------------------------------------------------
 
@@ -131,18 +184,54 @@ class PLMap:
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, x) -> QNum:
-        x = as_qnum(x, self._p.d)
-        x0 = self._pts[0][0]
-        if self._pone:
-            n = (x - x0).floor()
-            shift = n
+        """f(x), exact: with k = floor((x - x_0)/p) and x - k*p in segment
+        i, f(x) = s_i*(x - k*p) + b_i + k*p, computed on the ints of
+        ``_kernel_table`` with one reduction at the end."""
+        if type(x) is not QNum:
+            x = as_qnum(x, self._p.d)
+        n, m, q = x._n, x._m, x._q
+        d, x0, ip, p, xs, segs = self._table
+        if d is None:
+            d = x._d
+        elif m and x._d != d:
+            raise FieldMismatchError(f"mixed fields: sqrt({x._d}) vs sqrt({d})")
+        if xs is None:
+            tn, tm, tq = segs
+            return _make(n * tq + tn * q, m * tq + tm * q, q * tq, d)
+        # k = floor((x - x0) * ip), decided like QNum.floor.
+        an, am, aq = x0
+        u = n * aq - an * q
+        v = m * aq - am * q
+        inn, inmd, inm, inq = ip
+        kn = u * inn + v * inmd
+        km = u * inm + v * inn
+        kq = q * aq * inq
+        if not km:
+            k = kn // kq
         else:
-            n = ((x - x0) * self._pinv).floor()
-            shift = n * self._p
-        xr = x - shift  # in [x_0, x_0 + p)
-        i = bisect_right(self._xs, xr) - 1
-        xi, yi = self._pts[i]
-        return yi + self._slopes[i] * (xr - xi) + shift
+            root = isqrt(km * km * d)
+            k = (kn + root) // kq if km > 0 else (kn - root - 1) // kq
+        # The last breakpoint at or below x - k*p, as bisect_right finds it;
+        # x_0 <= x - k*p, so the search starts above index 0.
+        pn, pm, pq = p
+        rn = n * pq - k * pn * q
+        rm = m * pq - k * pm * q
+        rq = q * pq
+        lo, hi = 1, len(xs)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            xn, xm, xq = xs[mid]
+            if _sign(rn * xq - xn * rq, rm * xq - xm * rq, d) < 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        a1, a2, a3, b1, c1, b2, c2, f = segs[lo - 1]
+        return _make(
+            a1 * rn + a2 * rm + (b1 + k * c1) * rq,
+            a1 * rm + a3 * rn + (b2 + k * c2) * rq,
+            f * rq,
+            d,
+        )
 
     # -- group operations -------------------------------------------------
 
@@ -422,12 +511,17 @@ def translation_number(
     n = _bracket_steps(p, eps)
     orbit = [as_qnum(0, p.d)]
     closure = None
+    # x/p = (N + M*sqrt(d))/Q with N, M, Q below, unreduced, so x is an
+    # integer multiple of p iff M == 0 and Q divides N.
+    inn, inm, inq = _ints(p.inverse())
+    inm_d = inm * p.d
     for j in range(1, n + 1):
         x = f(orbit[-1])
-        shift = x / p
-        if shift.is_rational() and shift.as_fraction().denominator == 1:
-            closure = (j, shift.as_fraction().numerator)
-            break
+        if not x._n * inm + x._m * inn:
+            k, r = divmod(x._n * inn + x._m * inm_d, x._q * inq)
+            if not r:
+                closure = (j, k)
+                break
         orbit.append(x)
     if closure is not None:
         q, m = closure

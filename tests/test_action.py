@@ -6,6 +6,7 @@ import pytest
 
 from leafspace.action import (
     ActionSpec,
+    _generator_moves,
     ComposedMap,
     DensityParams,
     build_glued_action,
@@ -19,7 +20,7 @@ from leafspace.action import (
 )
 from leafspace.errors import ParseError, PreconditionError
 from leafspace.plmap import PLMap
-from leafspace.qfield import qnum, sqrt_of
+from leafspace.qfield import as_qnum, qnum, sqrt_of
 
 R2 = sqrt_of(2)
 FLAGSHIP = build_glued_action(1 + R2, R2)
@@ -208,3 +209,112 @@ class TestIncompressible:
         res = incompressible_interval_search(spec, (0, Fraction(1, 4)), 3)
         assert res.kind == "INCOMPRESSIBLE_UP_TO_BOUND"
         assert res.word is None
+
+
+def reference_orbit_density(spec, x0, max_word_len, window):
+    """orbit_density as it searched before repeated moves were dropped."""
+    lo, hi = as_qnum(window[0], spec.d), as_qnum(window[1], spec.d)
+    moves = []
+    for name in spec.generators:
+        moves += [spec.generator(name), spec.generator(name).inverse()]
+    reach = max(abs(disp) for m in moves for disp in m.displacement_range())
+    margin = reach * max_word_len + 1
+    seen = {as_qnum(x0, spec.d)}
+    frontier = list(seen)
+    for _ in range(max_word_len):
+        nxt = []
+        for x in frontier:
+            for m in moves:
+                y = m(x)
+                if y in seen or y < lo - margin or y > hi + margin:
+                    continue
+                seen.add(y)
+                nxt.append(y)
+        frontier = nxt
+    inside = sorted(float(x) for x in seen if lo <= x < hi)
+    seq = [float(lo)] + inside + [float(hi)]
+    return max(b - a for a, b in zip(seq, seq[1:])), len(inside), len(seen)
+
+
+def reference_incompressible(spec, interval, max_word_len):
+    """incompressible_interval_search's witness word, or None, as found
+    before repeated moves were dropped."""
+    a, b = as_qnum(interval[0], spec.d), as_qnum(interval[1], spec.d)
+    moves = []
+    for name in spec.generators:
+        g = spec.generator(name)
+        moves += [((name, 1), g), ((name, -1), g.inverse())]
+    seen = {(a, b)}
+    frontier = [((a, b), ())]
+    for _ in range(max_word_len):
+        nxt = []
+        for (u, v), word in frontier:
+            for letter, m in moves:
+                state = (m(u), m(v))
+                if state in seen:
+                    continue
+                seen.add(state)
+                uu, vv = state
+                if ((a <= uu and vv <= b) or (uu <= a and b <= vv)) and state != (a, b):
+                    return word + (letter,)
+                nxt.append((state, word + (letter,)))
+        frontier = nxt
+    return None
+
+
+SPECS = {
+    "flagship": FLAGSHIP,
+    "commensurable": COMMENSURABLE,
+    "sqrt5": build_glued_action(qnum(Fraction(1, 2), 1, 5), qnum(3, Fraction(-1, 3), 5), d=5),
+    # beta has period 2 and attracts only at even integers, so an interval
+    # around 1 is compressed first by a word through the unit translation.
+    "period-2": ActionSpec(d=2, t=qnum(1), s=qnum(1), generators={
+        "alpha_l": PLMap.translation(1, 1),
+        "beta_l": PLMap(2, [(0, 0), (Fraction(1, 2), Fraction(1, 4)), (1, Fraction(3, 2)),
+                            (Fraction(3, 2), Fraction(7, 4))]),
+        "alpha_r": PLMap.translation(1, 1),
+    }),
+}
+
+
+class TestRepeatedMoves:
+    """The searches drop a move equal to an earlier one (alpha_l and
+    alpha_r are both the unit translation); their results must equal a
+    search that keeps every move."""
+
+    def test_unit_translations_are_merged(self):
+        moves = _generator_moves(FLAGSHIP)
+        assert [letter for letter, _ in moves] == [
+            ("alpha_l", 1), ("alpha_l", -1), ("beta_l", 1), ("beta_l", -1),
+            ("beta_r", 1), ("beta_r", -1),
+        ]
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("window", [(0, 1), (Fraction(-1, 2), Fraction(1, 3))])
+    def test_orbit_density_matches_search_with_repeats(self, name, window):
+        spec = SPECS[name]
+        for length in (1, 2, 4):
+            rep = orbit_density(spec, Fraction(1, 7), length, window)
+            assert (rep.max_gap, rep.points_in_window, rep.orbit_size) == reference_orbit_density(
+                spec, Fraction(1, 7), length, window
+            )
+
+    def test_orbit_density_at_length_5(self):
+        rep = orbit_density(FLAGSHIP, 0, 5, (0, 1))
+        assert (rep.max_gap, rep.points_in_window, rep.orbit_size) == reference_orbit_density(
+            FLAGSHIP, 0, 5, (0, 1)
+        )
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_incompressible_matches_search_with_repeats(self, name):
+        spec = SPECS[name]
+        words = set()
+        for interval in [(0, Fraction(1, 4)), (0, Fraction(1, 3)), (Fraction(1, 5), Fraction(2, 3)),
+                         (Fraction(-3, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2)),
+                         (Fraction(15, 16), Fraction(17, 16))]:
+            for length in (1, 3):
+                res = incompressible_interval_search(spec, interval, length)
+                want = reference_incompressible(spec, interval, length)
+                assert res.word == want
+                words.add(want)
+        assert None in words and len(words) > 1

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from leafspace.errors import PeriodMismatchError, PreconditionError
+from leafspace.errors import FieldMismatchError, PeriodMismatchError, PreconditionError
 from leafspace.plmap import Bracket, Exact, PLMap, translation_number
 from leafspace.qfield import qnum, sqrt_of
 from leafspace.selftest import random_plmap, random_qnum
@@ -50,6 +50,20 @@ class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(PreconditionError):
             PLMap(1, [])
+
+    def test_rational_period_takes_the_breakpoints_field(self):
+        f = PLMap.from_json(
+            {"period": "1", "breakpoints": [{"x": "0", "y": "0"}, {"x": "1/2", "y": "0+1/4*sqrt(6)"}]}
+        )
+        assert f.period.d == 6
+        r6 = sqrt_of(6)
+        assert f("0+1/9*sqrt(6)") == f(r6 / 9)
+        assert f.affine_conjugate("1+1*sqrt(6)") == f.affine_conjugate(1 + r6)
+
+    def test_rejects_breakpoints_from_two_fields(self):
+        # x in Q(sqrt 2) and y in Q(sqrt 3): every slope lies in Q(sqrt 2).
+        with pytest.raises(FieldMismatchError, match="several fields"):
+            PLMap(1, [(0, sqrt_of(3) / 10), (R2 / 4, sqrt_of(3) / 10 + Fraction(1, 2))])
 
 
 class TestEval:
@@ -183,6 +197,51 @@ class TestTranslationNumber:
     def test_bracket_for_translation(self):
         res = translation_number(PLMap.translation(R2, 1), eps=Fraction(1, 10**6), force_bracket=True)
         assert res.contains(R2)
+
+    @staticmethod
+    def _reference_orbit(f, eps, force_bracket):
+        """The orbit part of translation_number with closure decided by
+        building x/p as a Fraction, as it was before the integer test."""
+        p = f.period
+        n = (2 * p / eps).floor() + 1
+        orbit = [qnum(0, 0, p.d)]
+        closure = None
+        for j in range(1, n + 1):
+            x = f(orbit[-1])
+            shift = x / p
+            if shift.is_rational() and shift.as_fraction().denominator == 1:
+                closure = (j, shift.as_fraction().numerator)
+                break
+            orbit.append(x)
+        if closure is not None:
+            q, m = closure
+            if not force_bracket:
+                return Exact(p * Fraction(m, q))
+            xn = orbit[n % q] + (n // q) * m * p
+        else:
+            xn = orbit[n]
+        return Bracket((xn - p) / n, (xn + p) / n)
+
+    def test_orbit_closure_matches_fraction_test(self, rng):
+        maps = [
+            periodic_orbit_map([0, Fraction(3, 5)], 1),
+            periodic_orbit_map([0, Fraction(1, 5), Fraction(2, 5)], 2, period=Fraction(3, 2)),
+            periodic_orbit_map([0, Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)], -1),
+        ]
+        maps += [random_plmap(rng, max_breaks=3) for _ in range(8)]
+        maps += [f.affine_conjugate(1 + R2) for f in maps[:6]]  # irrational periods
+        # f(0) = -1 + sqrt 2: integer coefficients, yet not a multiple of p
+        maps.append(PLMap(1, [(0, R2 - 1), (Fraction(1, 2), R2 - Fraction(3, 4))]))
+        kinds = set()
+        for f in maps:
+            if f.is_translation():
+                continue
+            for force in (False, True):
+                # max_denom=0 skips the compose search, so the orbit decides.
+                got = translation_number(f, Fraction(1, 50), max_denom=0, force_bracket=force)
+                assert got == self._reference_orbit(f, Fraction(1, 50), force)
+                kinds.add(type(got))
+        assert kinds == {Exact, Bracket}
 
     def test_doubling(self, rng):
         for _ in range(10):

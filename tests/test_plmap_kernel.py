@@ -1,0 +1,203 @@
+"""Differential tests of the integer evaluation kernel ``PLMap.__call__``.
+
+``reference_call`` is the QNum formula the kernel replaced: floor the
+position in periods, bisect the reduced point among the breakpoint x
+values, and interpolate on that segment.  The draws cover rational maps and
+maps over Q(sqrt d) with irrational periods such as 1/(1 + sqrt 2), points
+at breakpoints and exactly at x_0 + k*p, negative points, coefficients up to
+2^200, and points from another field than the map's.
+"""
+
+from bisect import bisect_right
+from fractions import Fraction
+from math import isqrt
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from leafspace.errors import FieldMismatchError
+from leafspace.plmap import PLMap
+from leafspace.qfield import QNum, as_qnum, sqrt_of
+
+FIELDS = (2, 3, 5)
+BIG = 2**200
+ints = st.integers(-BIG, BIG) | st.integers(-50, 50)
+dens = st.integers(1, BIG) | st.integers(1, 50)
+
+
+def reference_call(f, x):
+    """f(x) by QNum arithmetic, as evaluated before the integer kernel."""
+    p = f.period
+    pts = f.breakpoints
+    x = as_qnum(x, p.d)
+    x0 = pts[0][0]
+    if p == 1:
+        n = (x - x0).floor()
+        shift = n
+    else:
+        n = ((x - x0) * p.inverse()).floor()
+        shift = n * p
+    xr = x - shift
+    i = bisect_right([u for u, _ in pts], xr) - 1
+    xi, yi = pts[i]
+    return yi + PLMap._segment_slopes(p, pts)[i] * (xr - xi) + shift
+
+
+def qnums(d):
+    return st.builds(
+        lambda a, b, q, irrational: QNum(Fraction(a, q), Fraction(b, q) if irrational else 0, d),
+        ints, ints, dens, st.booleans(),
+    )
+
+
+@st.composite
+def periods(draw, d):
+    kind = draw(st.sampled_from(["one", "rational", "unit", "irrational"]))
+    if kind == "one":
+        return QNum(1, 0, d)
+    if kind == "rational":
+        return QNum(Fraction(draw(st.integers(1, BIG)), draw(dens)), 0, d)
+    if kind == "unit":
+        return (1 + sqrt_of(d)).inverse()  # 1/(1 + sqrt d)
+    # (a + b*sqrt d)/q > 0 with b != 0
+    b = draw(ints.filter(bool))
+    a = abs(b) * (d + 1) + draw(st.integers(0, BIG))
+    q = draw(dens)
+    return QNum(Fraction(a, q), Fraction(b, q), d)
+
+
+@st.composite
+def maps(draw):
+    """A PL map with breakpoints x_i = u_i*p/D, y_i = v_i*p/D for sorted
+    distinct integers u_i in [0, D) and v_i in [v_0, v_0 + D), so the map
+    is monotone across the wrap segment; optionally conjugated by a shift
+    into the field, which moves x_0 off 0."""
+    d = draw(st.sampled_from(FIELDS))
+    p = draw(periods(d))
+    k = draw(st.integers(1, 6))
+    den = draw(st.integers(k + 1, BIG) | st.integers(k + 1, 40))
+    if draw(st.booleans()):  # x_0 = 0, so floors of x/p meet exact integers
+        us = [0] + sorted(draw(st.sets(st.integers(1, den - 1), min_size=k - 1, max_size=k - 1)))
+    else:
+        us = sorted(draw(st.sets(st.integers(0, den - 1), min_size=k, max_size=k)))
+    v0 = draw(st.integers(-BIG, BIG) | st.integers(-40, 40))
+    vs = sorted(draw(st.sets(st.integers(v0, v0 + den - 1), min_size=k, max_size=k)))
+    f = PLMap(p, [(p * Fraction(u, den), p * Fraction(v, den)) for u, v in zip(us, vs)])
+    if draw(st.booleans()):
+        c = draw(qnums(d))
+        shift = PLMap.translation(c, p)
+        f = shift.compose(f).compose(shift.inverse())
+    return f
+
+
+@st.composite
+def points(draw, f):
+    """A point on the map's grid of breakpoints, or a free one."""
+    p, pts = f.period, f.breakpoints
+    k = draw(st.integers(-(2**70), 2**70) | st.integers(-5, 5))
+    kind = draw(st.sampled_from(["x0", "breakpoint", "free", "near", "unit-near"]))
+    if kind == "x0":
+        return pts[0][0] + k * p
+    x = draw(st.sampled_from([u for u, _ in pts]))
+    if kind == "breakpoint":
+        return x + k * p
+    if kind == "unit-near":
+        # Off x + k*p by (m*sqrt(d) - isqrt(m^2 d))*p, in (-p, p) with small
+        # coefficients, where a floor decides by its last unit.
+        m = draw(st.integers(-50, 50).filter(bool))
+        delta = QNum(-isqrt(m * m * p.d) if m > 0 else isqrt(m * m * p.d), m, p.d)
+        return x + k * p + delta * p
+    free = draw(qnums(p.d))
+    if kind == "free":
+        return free
+    return x + k * p + free / BIG  # just off a breakpoint
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference(data):
+    f = data.draw(maps())
+    x = data.draw(points(f))
+    got, want = f(x), reference_call(f, x)
+    assert got == want and str(got) == str(want)
+    if not want.is_rational():
+        assert got.d == want.d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rational_map_takes_the_field_of_x(data):
+    f = data.draw(maps().filter(lambda g: all(
+        v.is_rational() for v in (g.period, *[c for pt in g.breakpoints for c in pt])
+    )))
+    e = data.draw(st.sampled_from((7, 11)))
+    x = data.draw(qnums(e))
+    got, want = f(x), reference_call(f, x)
+    assert got == want and str(got) == str(want)
+    if not x.is_rational():
+        assert got.d == e
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FieldMismatchError:
+        return FieldMismatchError
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_field_mismatch_parity(data):
+    """Wherever the reference formula mixes two fields, the kernel raises
+    FieldMismatchError too; elsewhere both give the same value.  The kernel
+    raises exactly when an irrational x meets a map that is irrational in
+    another field."""
+    f = data.draw(maps())
+    e = data.draw(st.sampled_from([d for d in (2, 3, 5, 7) if d != f.period.d]))
+    x = data.draw(qnums(e) | points(f))
+    got, want = _outcome(f, x), _outcome(reference_call, f, x)
+    irrational_map = any(
+        not v.is_rational() for v in (f.period, *[c for pt in f.breakpoints for c in pt])
+    )
+    assert (got is FieldMismatchError) == (irrational_map and not x.is_rational() and x.d != f.period.d)
+    if want is FieldMismatchError:
+        assert got is FieldMismatchError
+    elif got is not FieldMismatchError:
+        assert got == want
+
+
+def test_field_mismatch_on_a_rational_segment_of_an_irrational_map():
+    # Segment [0, 1/4) is the identity with rational ends; the map is
+    # irrational through its last breakpoint.  The reference touches no
+    # irrational coefficient for x in that segment and returns x; the
+    # kernel decides by the fields alone.
+    r2, r3 = sqrt_of(2), sqrt_of(3)
+    f = PLMap(1, [(0, 0), (Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 2) + r2 / 10)])
+    assert reference_call(f, r3 / 100) == r3 / 100
+    with pytest.raises(FieldMismatchError):
+        f(r3 / 100)
+    with pytest.raises(FieldMismatchError):
+        PLMap.translation(r2)(r3)
+    with pytest.raises(FieldMismatchError):
+        PLMap.translation(1, (1 + r2).inverse())(r3)  # irrational through its period only
+
+
+@pytest.mark.parametrize("pts, kept", [
+    ([(0, 0), (Fraction(1, 2), Fraction(3, 4))], 2),
+    ([(0, 0), (Fraction(1, 4), Fraction(3, 8)), (Fraction(1, 2), Fraction(3, 4))], 2),
+    # 1/8 and 7/8 lie on the wrap segment from (3/4, 1) to (5/4, 5/4)
+    ([(Fraction(1, 8), Fraction(3, 16)), (Fraction(1, 4), Fraction(1, 4)), (Fraction(3, 4), 1),
+      (Fraction(7, 8), Fraction(17, 16))], 2),
+    # all collinear: a translation
+    ([(0, sqrt_of(2)), (Fraction(1, 3), Fraction(1, 3) + sqrt_of(2))], 1),
+])
+def test_slopes_are_those_of_the_canonical_points(pts, kept):
+    for f in (PLMap(1, pts), PLMap(1, pts).affine_conjugate(1 + sqrt_of(2))):
+        assert len(f.breakpoints) == kept
+        assert f._slopes == PLMap._segment_slopes(f.period, f.breakpoints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps())
+def test_slopes_match_a_second_pass(f):
+    assert f._slopes == PLMap._segment_slopes(f.period, f.breakpoints)
