@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_5.json --base 3fe6968 --repeats 7
+    python3 bench/run.py --out BENCH_6.json --base b43ce31 --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
@@ -49,7 +49,8 @@ pts_r2 = [(x / (1 + r2), y / (1 + r2)) for x, y in
 period_r2 = (1 + r2).inverse()
 g_r2 = PLMap(period_r2, pts_r2)
 rot = beta.compose(PLMap.translation(r2 / 10, 1)).compose(beta.inverse())
-flagship = load_action_config(json.loads(CONFIG))
+flagship_config = json.loads(CONFIG)
+flagship = load_action_config(flagship_config)
 """
 ROWS = {
     "plmap.call.rational_point": "beta(x_rat)",
@@ -59,6 +60,10 @@ ROWS = {
     "plmap.compose.sqrt2": "g_r2.compose(beta2)",
     "plmap.translation_number.forced_bracket_eps_1e-3":
         "translation_number(rot, F(1, 1000), force_bracket=True)",
+    "plmap.inverse.sqrt2_4_breakpoints": "g_r2.inverse()",
+    "plmap.affine_conjugate.sqrt2_4_breakpoints": "g_r2.affine_conjugate(1 + r2)",
+    "qfield.parse.sqrt2_literal": 'QNum.parse("1/3+2/7*sqrt(2)")',
+    "action.load_action_config.flagship": "load_action_config(flagship_config)",
     "action.orbit_density.flagship_L5": "orbit_density(flagship, 0, 5, (0, 1))",
 }
 

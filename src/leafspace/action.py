@@ -75,7 +75,10 @@ def _check_beta(beta: PLMap, label: str) -> None:
     # Period 1 alone makes beta commute with the unit translation.
     if beta.period != 1:
         raise PreconditionError(f"{label} must have period 1 in raw coordinates")
-    if not beta.fixed_points():
+    # f(x) - x is continuous and periodic, so it vanishes somewhere iff its
+    # range, attained at the breakpoints, contains 0.
+    lo, hi = beta.displacement_range()
+    if not lo <= 0 <= hi:
         raise PreconditionError(f"{label} must have fixed points in raw coordinates")
 
 
@@ -326,14 +329,18 @@ def orbit_density(
     x0 = as_qnum(x0, spec.d)
     seen = {x0}
     frontier = [x0]
-    for _ in range(max_word_len):
+    for j in range(1, max_word_len + 1):
+        # A point found at level j lies within reach*j of x0, so the margin
+        # test can only drop one when that neighbourhood leaves [low, high].
+        spread = reach * j
+        clip = x0 - spread < low or x0 + spread > high
         nxt = []
         for x in frontier:
             for m in moves:
                 y = m(x)
                 if y in seen:
                     continue
-                if y < low or y > high:
+                if clip and (y < low or y > high):
                     continue
                 seen.add(y)
                 nxt.append(y)

@@ -125,6 +125,19 @@ class PLMap:
         self._pts, self._slopes = self._canonicalize(p, pts)
         self._table = _kernel_table(p, self._pts, self._slopes)
 
+    @classmethod
+    def _trusted(cls, p: QNum, pts, slopes) -> "PLMap":
+        """A map from data already in canonical form: ``pts`` satisfy the
+        invariants above in the field of ``p``, and ``slopes[i]`` is the
+        slope of the segment leaving ``pts[i]``.  For maps derived from
+        canonical ones, where ``__init__`` would only repeat its checks."""
+        f = object.__new__(cls)
+        f._p = p
+        f._pts = tuple(pts)
+        f._slopes = tuple(slopes)
+        f._table = _kernel_table(p, f._pts, f._slopes)
+        return f
+
     @staticmethod
     def _segment_slopes(p, pts):
         ext = list(pts) + [(pts[0][0] + p, pts[0][1] + p)]
@@ -174,8 +187,10 @@ class PLMap:
     @classmethod
     def translation(cls, t, period=1) -> "PLMap":
         """The map x -> x + t, carried at the given period."""
-        p, [(z, t)] = _coerce_points(period, [(0, t)])
-        return cls(p, [(z, t)])
+        p, [(_, t)] = _coerce_points(period, [(0, t)])
+        if p.sign() <= 0:
+            raise PreconditionError("period must be positive")
+        return cls._trusted(p, [(as_qnum(0, t.d), t)], [_make(1, 0, 1, p.d)])
 
     @classmethod
     def identity(cls, period=1) -> "PLMap":
@@ -236,29 +251,40 @@ class PLMap:
     # -- group operations -------------------------------------------------
 
     def inverse(self) -> "PLMap":
-        pairs = []
-        for x, y in self._pts:
-            m = (y / self._p).floor()
-            pairs.append((y - m * self._p, x - m * self._p))
-        pairs.sort(key=lambda q: q[0])
-        return PLMap(self._p, pairs)
+        """The graph reflected in the diagonal: segment i becomes the one
+        leaving (y_i, x_i) with slope 1/s_i, reduced mod p and sorted."""
+        p = self._p
+        if self.is_translation():
+            return PLMap.translation(-self.displacement, p)
+        triples = []
+        for (x, y), s in zip(self._pts, self._slopes):
+            m = (y / p).floor()
+            triples.append((y - m * p, x - m * p, s.inverse()))
+        triples.sort(key=lambda q: q[0])
+        return PLMap._trusted(p, [(x, y) for x, y, _ in triples], [s for _, _, s in triples])
 
     def compose(self, other: "PLMap") -> "PLMap":
         """self after other: x -> self(other(x))."""
         f, g = self, other
         if f._p == g._p:
             return f._compose_equal_period(g)
+        # A translation moves the graph of the other map without changing
+        # its slopes; _coerce_points applies the field rule to the moved
+        # breakpoints.
         if f.is_translation():
-            return PLMap(g._p, [(x, y + f.displacement) for x, y in g._pts])
+            t = f.displacement
+            p, pts = _coerce_points(g._p, [(x, y + t) for x, y in g._pts])
+            return PLMap._trusted(p, pts, g._slopes)
         if g.is_translation():
             t = g.displacement
-            pairs = []
-            for x, y in f._pts:
+            triples = []
+            for (x, y), s in zip(f._pts, f._slopes):
                 xs = x - t
                 m = (xs / f._p).floor()
-                pairs.append((xs - m * f._p, y - m * f._p))
-            pairs.sort(key=lambda q: q[0])
-            return PLMap(f._p, pairs)
+                triples.append((xs - m * f._p, y - m * f._p, s))
+            triples.sort(key=lambda q: q[0])
+            p, pts = _coerce_points(f._p, [(x, y) for x, y, _ in triples])
+            return PLMap._trusted(p, pts, [s for _, _, s in triples])
         rational, q = ratio_is_rational(f._p, g._p)
         if not rational:
             raise PeriodMismatchError(
@@ -270,13 +296,14 @@ class PLMap:
         )
 
     def _tiled(self, k: int) -> "PLMap":
-        """The same homeomorphism represented with period k*p."""
+        """The same homeomorphism represented with period k*p; only called
+        on non-translations, whose breakpoints all stay canonical."""
         pts = [
             (x + j * self._p, y + j * self._p)
             for j in range(k)
             for x, y in self._pts
         ]
-        return PLMap(self._p * k, pts)
+        return PLMap._trusted(self._p * k, pts, self._slopes * k)
 
     def _compose_equal_period(self, g: "PLMap") -> "PLMap":
         p = self._p
@@ -329,7 +356,11 @@ class PLMap:
         scale = as_qnum(scale, self._p.d)
         if scale.sign() <= 0:
             raise PreconditionError("scale must be positive")
-        return PLMap(self._p / scale, [(x / scale, y / scale) for x, y in self._pts])
+        # Scaling both coordinates keeps the order, the slopes and the field
+        # rule; a scale in another field raises in the divisions.
+        return PLMap._trusted(
+            self._p / scale, [(x / scale, y / scale) for x, y in self._pts], self._slopes
+        )
 
     # -- equality ---------------------------------------------------------
 

@@ -349,30 +349,43 @@ class QNum:
         m = _QNUM_RE.fullmatch(text.strip()) if isinstance(text, str) else None
         if m is None:
             raise ParseError(f"not a valid number: {text!r}")
+        minus, an, aq, sign, bn, bq, dd = m.groups()
         try:
-            a = Fraction(m.group(1))
-            b = Fraction(m.group(3) or 0)
-            dd = int(m.group(4) or 2)
-        except (ValueError, ZeroDivisionError) as exc:  # "1/0", or past int's digit limit
+            an, aq = _rat(minus, an, aq)
+            if sign is None:
+                return _make(an, 0, aq, _check_d(d if d is not None else 2))
+            bn, bq = _rat("", bn, bq)
+            dd = int(dd)
+        except ValueError as exc:  # "1/0", or past int's digit limit
             raise ParseError(f"not a valid number: {text!r} ({exc})") from None
-        if m.group(2) is None:
-            return cls(a, 0, d if d is not None else 2)
-        if m.group(2) == "-":
-            b = -b
-        if d is not None and dd != d and b != 0:
+        if sign == "-":
+            bn = -bn
+        if d is not None and dd != d and bn != 0:
             raise FieldMismatchError(f"expected sqrt({d}), got sqrt({dd})")
-        return cls(a, b, dd)
+        return _make(an * bq, bn * aq, aq * bq, _check_d(dd))
 
 
-_RAT = r"-?\d+(?:/\d+)?"
-_QNUM_RE = re.compile(rf"({_RAT})(?:\s*([+-])\s*(\d+(?:/\d+)?)\*sqrt\((\d+)\))?")
+_QNUM_RE = re.compile(r"(-?)(\d+)(?:/(\d+))?(?:\s*([+-])\s*(\d+)(?:/(\d+))?\*sqrt\((\d+)\))?")
+
+
+def _rat(minus: str, num: str, den: str | None) -> tuple[int, int]:
+    """(n, q), not reduced, of the matched groups of one rat; the error for
+    a zero denominator reads like ``Fraction``'s."""
+    n = -int(num) if minus else int(num)
+    q = int(den) if den is not None else 1
+    if not q:
+        raise ValueError(f"Fraction({n}, 0)")
+    return n, q
 
 
 def _fmt_rat(num: int, den: int) -> str:
     g = gcd(num, den)
-    if g != den:
-        return f"{num // g}/{den // g}"
-    return str(num // g)
+    try:
+        if g != den:
+            return f"{num // g}/{den // g}"
+        return str(num // g)
+    except ValueError:  # past int's digit limit
+        raise PreconditionError("value has too many digits to print") from None
 
 
 def qnum(a=0, b=0, d: int = 2) -> QNum:

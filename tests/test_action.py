@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafspace.action import (
     ActionSpec,
+    _check_beta,
     _generator_moves,
     ComposedMap,
     DensityParams,
@@ -20,7 +22,7 @@ from leafspace.action import (
 )
 from leafspace.errors import ParseError, PreconditionError
 from leafspace.plmap import PLMap
-from leafspace.qfield import as_qnum, qnum, sqrt_of
+from leafspace.qfield import QNum, as_qnum, qnum, sqrt_of
 
 R2 = sqrt_of(2)
 FLAGSHIP = build_glued_action(1 + R2, R2)
@@ -76,6 +78,38 @@ class TestBuild:
         for bad in ({"t": 1, "s": "2"}, {"t": "1", "s": None}, []):
             with pytest.raises(ParseError):
                 load_action_config(bad)
+
+
+@st.composite
+def period_one_maps(draw):
+    """A period-1 map through grid points, its displacement of either sign
+    or both; optionally conjugated by an irrational shift."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    k = draw(st.integers(1, 5))
+    den = draw(st.integers(k + 1, 30))
+    us = sorted(draw(st.sets(st.integers(0, den - 1), min_size=k, max_size=k)))
+    v0 = draw(st.integers(-den, den))
+    vs = sorted(draw(st.sets(st.integers(v0, v0 + den - 1), min_size=k, max_size=k)))
+    f = PLMap(QNum(1, 0, d), [(Fraction(u, den), Fraction(v, den)) for u, v in zip(us, vs)])
+    if draw(st.booleans()):
+        shift = PLMap.translation(sqrt_of(d) * Fraction(draw(st.integers(1, 99)), 100), 1)
+        f = shift.compose(f).compose(shift.inverse())
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(period_one_maps())
+def test_beta_check_accepts_exactly_the_maps_with_fixed_points(f):
+    try:
+        _check_beta(f, "beta")
+    except PreconditionError as exc:
+        if f.is_translation():
+            assert "is a translation" in str(exc)
+        else:
+            assert not f.fixed_points()
+            assert str(exc) == "beta must have fixed points in raw coordinates"
+    else:
+        assert f.fixed_points()
 
 
 class TestWords:
@@ -298,6 +332,19 @@ class TestRepeatedMoves:
             assert (rep.max_gap, rep.points_in_window, rep.orbit_size) == reference_orbit_density(
                 spec, Fraction(1, 7), length, window
             )
+
+    @pytest.mark.parametrize("name", ["flagship", "commensurable", "sqrt5"])
+    def test_orbit_density_from_far_outside_the_window(self, name):
+        # Every move displaces by at most 1 here, so from x0 = 100 and
+        # x0 = -7 + sqrt d the margin test runs on every level, and from
+        # 7/2 at length 4 only on levels 3 and 4.
+        spec = SPECS[name]
+        for x0 in (100, -7 + sqrt_of(spec.d), Fraction(7, 2)):
+            for length in (1, 2, 4):
+                rep = orbit_density(spec, x0, length, (0, 1))
+                assert (rep.max_gap, rep.points_in_window, rep.orbit_size) == (
+                    reference_orbit_density(spec, x0, length, (0, 1))
+                )
 
     def test_orbit_density_at_length_5(self):
         rep = orbit_density(FLAGSHIP, 0, 5, (0, 1))

@@ -76,6 +76,15 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_result_too_long_to_print_is_three(self, capsys, map_file):
+        # Lengths n/(n+1) and m/(m+1) of 3000 digits parse and print, but
+        # the quotient of the steps has about 6000, past str(int)'s limit.
+        n, m = 10**2999 + 7, 2 * 10**2999 + 3
+        config = map_file({"d": 2, "t": f"{n}/{n + 1}", "s": f"{m}/{m + 1}"}, "cfg.json")
+        code, out, err = run(capsys, "certify", "--config", config, "--density-word-len", "1")
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestMalformedNumbers:
     """A zero denominator or a mistyped value is malformed input: exit 2."""

@@ -1,11 +1,14 @@
-"""Differential tests of the integer evaluation kernel ``PLMap.__call__``.
+"""Differential tests of the integer evaluation kernel ``PLMap.__call__``
+and of the maps ``PLMap`` derives without re-validating them.
 
 ``reference_call`` is the QNum formula the kernel replaced: floor the
 position in periods, bisect the reduced point among the breakpoint x
 values, and interpolate on that segment.  The draws cover rational maps and
 maps over Q(sqrt d) with irrational periods such as 1/(1 + sqrt 2), points
 at breakpoints and exactly at x_0 + k*p, negative points, coefficients up to
-2^200, and points from another field than the map's.
+2^200, and points from another field than the map's.  The ``checked_*``
+functions build each derived map through ``PLMap(p, pts)``, with every
+check and the canonical form computed afresh.
 """
 
 from bisect import bisect_right
@@ -13,10 +16,10 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from leafspace.errors import FieldMismatchError
-from leafspace.plmap import PLMap
+from leafspace.errors import FieldMismatchError, PreconditionError
+from leafspace.plmap import PLMap, _coerce_points
 from leafspace.qfield import QNum, as_qnum, sqrt_of
 
 FIELDS = (2, 3, 5)
@@ -201,3 +204,132 @@ def test_slopes_are_those_of_the_canonical_points(pts, kept):
 @given(maps())
 def test_slopes_match_a_second_pass(f):
     assert f._slopes == PLMap._segment_slopes(f.period, f.breakpoints)
+
+
+# -- maps derived without re-validation --------------------------------------
+
+
+def checked_translation(t, period):
+    p, [(z, t)] = _coerce_points(period, [(0, t)])
+    return PLMap(p, [(z, t)])
+
+
+def checked_inverse(f):
+    p = f.period
+    pairs = []
+    for x, y in f.breakpoints:
+        m = (y / p).floor()
+        pairs.append((y - m * p, x - m * p))
+    return PLMap(p, sorted(pairs, key=lambda q: q[0]))
+
+
+def checked_conjugate(f, scale):
+    return PLMap(f.period / scale, [(x / scale, y / scale) for x, y in f.breakpoints])
+
+
+def checked_tiled(f, k):
+    p = f.period
+    return PLMap(p * k, [(x + j * p, y + j * p) for j in range(k) for x, y in f.breakpoints])
+
+
+def checked_translate_after(t, g):
+    """x -> g(x) + t."""
+    return PLMap(g.period, [(x, y + t) for x, y in g.breakpoints])
+
+
+def checked_translate_before(f, t):
+    """x -> f(x + t) for a map f that is not a translation."""
+    p = f.period
+    pairs = []
+    for x, y in f.breakpoints:
+        xs = x - t
+        m = (xs / p).floor()
+        pairs.append((xs - m * p, y - m * p))
+    return PLMap(p, sorted(pairs, key=lambda q: q[0]))
+
+
+def _derived(fn, *args):
+    try:
+        return fn(*args)
+    except (FieldMismatchError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_map(got, want):
+    """Equal as maps, and equal in every stored field, the kernel table and
+    the field of the period included."""
+    if not isinstance(want, PLMap):
+        assert got == want
+        return
+    assert got == want
+    assert got.period == want.period and got.period.d == want.period.d
+    assert got.breakpoints == want.breakpoints
+    assert got._slopes == want._slopes
+    assert got._table == want._table
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps())
+def test_trusted_inverse(f):
+    assert_same_map(_derived(f.inverse), _derived(checked_inverse, f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trusted_affine_conjugate(data):
+    """By rational scales and by scales in the map's field or another."""
+    f = data.draw(maps())
+    e = data.draw(st.sampled_from((f.period.d, f.period.d, 2, 3, 7)))
+    scale = abs(data.draw(
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000).map(lambda q: QNum(q, 0, e))
+        | qnums(e).filter(bool)
+    ))
+    assert_same_map(_derived(f.affine_conjugate, scale), _derived(checked_conjugate, f, scale))
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps().filter(lambda f: not f.is_translation()), st.integers(1, 4))
+def test_trusted_tiled(f, k):
+    assert_same_map(f._tiled(k), checked_tiled(f, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trusted_translation(data):
+    e = data.draw(st.sampled_from(FIELDS))
+    t = data.draw(qnums(e) | st.fractions(max_denominator=50))
+    period = data.draw(periods(data.draw(st.sampled_from(FIELDS))))
+    if data.draw(st.booleans()):
+        period = -period if data.draw(st.booleans()) else period * 0
+    assert_same_map(
+        _derived(PLMap.translation, t, period), _derived(checked_translation, t, period)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trusted_compose_with_a_translation(data):
+    """Both translation branches of ``compose``: a translation whose period
+    differs from the other map's, in the map's field or another, so the
+    field rule may re-field a rational period or raise."""
+    g = data.draw(maps())
+    e = data.draw(st.sampled_from((g.period.d, 2, 3, 5)))
+    t = PLMap.translation(data.draw(qnums(e)), data.draw(periods(e)))
+    # compose compares the periods first, which raises for two irrational
+    # periods from different fields before either branch is reached.
+    assume(isinstance(_derived(t.period.__eq__, g.period), bool))
+    if t.period == g.period:
+        t = PLMap.translation(t.displacement, t.period * 2)
+    c = t.displacement
+    assert_same_map(_derived(t.compose, g), _derived(checked_translate_after, c, g))
+    if g.is_translation():
+        want = _derived(checked_translate_after, g.displacement, t)
+    else:
+        want = _derived(checked_translate_before, g, c)
+    assert_same_map(_derived(g.compose, t), want)
+
+
+def test_trusted_translation_keeps_the_period_check():
+    for period in (0, -1, -sqrt_of(2)):
+        with pytest.raises(PreconditionError, match="period must be positive"):
+            PLMap.translation(1, period)

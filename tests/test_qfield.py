@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -127,6 +128,60 @@ def test_parse_rejects_zero_denominator_and_non_text():
 def test_round_trip_property(a, b):
     x = QNum(a, b, 2)
     assert QNum.parse(str(x)) == x
+
+
+def reference_parse(text, d=None):
+    """QNum.parse as it read each matched rational with Fraction(str)."""
+    m = re.fullmatch(r"(-?\d+(?:/\d+)?)(?:\s*([+-])\s*(\d+(?:/\d+)?)\*sqrt\((\d+)\))?", text.strip())
+    if m is None:
+        raise ParseError(f"not a valid number: {text!r}")
+    try:
+        a = Fraction(m.group(1))
+        b = Fraction(m.group(3) or 0)
+        dd = int(m.group(4) or 2)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not a valid number: {text!r} ({exc})") from None
+    if m.group(2) is None:
+        return QNum(a, 0, d if d is not None else 2)
+    if m.group(2) == "-":
+        b = -b
+    if d is not None and dd != d and b != 0:
+        raise FieldMismatchError(f"expected sqrt({d}), got sqrt({dd})")
+    return QNum(a, b, dd)
+
+
+# Digit strings with leading zeros, zeros, non-ASCII decimal digits (which
+# \d and int() accept) and lengths on both sides of int()'s 4300-digit limit.
+_digits = st.text("0123456789", min_size=1, max_size=8) | st.sampled_from(
+    ["0", "00", "007", "\u0663", "\uff10", "\uff17", "9" * 4300, "1" * 4301]
+)
+_ws = st.sampled_from(["", " ", "  ", "\t"])
+_rat = st.builds(
+    lambda num, den: num + ("" if den is None else "/" + den), _digits, st.none() | _digits
+)
+_sqrt_part = st.builds(
+    lambda w1, sign, rat, w2, dd: f"{w1}{sign}{w2}{rat}*sqrt({dd})",
+    _ws, st.sampled_from("+-"), _rat, _ws,
+    _digits | st.sampled_from(["2", "3", "4", "5", "12", "1"]),
+)
+_numbers = st.builds(
+    lambda pad, minus, rat, tail: f"{pad}{minus}{rat}{tail}{pad}",
+    _ws, st.sampled_from(["", "-"]), _rat, st.just("") | _sqrt_part,
+)
+
+
+def _parsed(parse, text, d):
+    try:
+        x = parse(text, d)
+    except (ParseError, FieldMismatchError, PreconditionError) as exc:
+        return type(exc), str(exc)
+    return x._n, x._m, x._q, x.d
+
+
+@settings(max_examples=500, deadline=None)
+@given(_numbers, st.none() | st.sampled_from([2, 3, 4, 5]))
+def test_parse_matches_fraction_reference(text, d):
+    assert _parsed(QNum.parse, text, d) == _parsed(reference_parse, text, d)
 
 
 def test_field_axioms(rng):
