@@ -2,16 +2,27 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_6.json --base b43ce31 --repeats 7
+    python3 bench/run.py --out BENCH_7.json --base f015f73 --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
 is the median over the repeats of its per-run time.  Within a run a row is
 timed with ``timeit``: the loop count is grown until one loop takes at
-least 0.2 s, and the best of three such loops gives the µs/op.  The base
+least 0.2 s, and the best of three such loops gives the raw µs/op.  The base
 revision is exported with ``git archive`` into a temporary directory.
 Without ``--base`` only the working tree is measured.  Standard library
 only; the process pins itself to one CPU, as leafbench does.
+
+The host switches between a fast and a slow state, often within one row,
+so a raw time says as much about the host as about the code.  Each row is
+therefore reported in reference-host time, as leafbench reports its
+end-to-end metrics: a fixed stdlib-only loop that shares no code with
+leafspace is timed just before and just after each of the three timed
+loops, each loop's µs/op is scaled by HOST_REF_S / (mean of those two
+timings), and the best scaled loop is the row's figure.  Scaling the best
+raw loop by timings taken around the whole row instead widened the spread
+between runs, because the state often flips between them.  The raw figures
+stay in the JSON as ``<side>_raw`` and ``<side>_raw_runs``.
 """
 
 from __future__ import annotations
@@ -65,14 +76,48 @@ ROWS = {
     "qfield.parse.sqrt2_literal": 'QNum.parse("1/3+2/7*sqrt(2)")',
     "action.load_action_config.flagship": "load_action_config(flagship_config)",
     "action.orbit_density.flagship_L5": "orbit_density(flagship, 0, 5, (0, 1))",
+    # beta.pow(8) is built inside the statement (four composes), then
+    # composed with beta; beta^8 has 9 breakpoints and the result 10.
+    "plmap.compose.rational_16_breakpoints": "beta.pow(8).compose(beta)",
+    "plmap.pow.sqrt2_8": "g_r2.pow(8)",
+    "plmap.translation_number.exact_search_max_denom_16":
+        "translation_number(rot, F(1, 100), max_denom=16)",
 }
 
 WORKER = """\
-import json, sys, timeit
+import json, sys, time, timeit
+from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 CONFIG = open(sys.argv[2]).read()
 setup = sys.argv[3]
 rows = json.loads(sys.argv[4])
+# Time of one reference loop on the quiet host of leafbench/README.md, as in
+# leafbench/run.py; a constant, so it cancels when two runs are compared.
+HOST_REF_S = 0.0015
+
+
+def reference_work():
+    # A fixed stdlib-only loop (Fraction arithmetic, string formatting and
+    # parsing, dict updates), the same as leafbench's: its time follows the
+    # host's speed, not the program's.
+    acc, seen = Fraction(0), {}
+    for j in range(120):
+        q = Fraction(j % 13 + 1, j % 7 + 2)
+        acc = (acc + q) * q % 7
+        text = f"{acc.numerator}/{acc.denominator}"
+        seen[text] = seen.get(text, 0) + len(text.split("/"))
+        acc = Fraction(text) - Fraction(j % 5, 3)
+
+
+def host_seconds():
+    times = []
+    for _ in range(5):  # the fastest drops a preempted one
+        t0 = time.perf_counter()
+        reference_work()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
 env = {"json": json, "CONFIG": CONFIG}
 exec(setup, env)
 out = {}
@@ -81,12 +126,19 @@ for name, stmt in rows.items():
     number = 1
     while timer.timeit(number) < 0.2:
         number *= 2
-    out[name] = min(timer.repeat(3, number)) / number * 1e6
+    raw, scaled = [], []
+    for _ in range(3):
+        before = host_seconds()
+        t = timer.timeit(number) / number * 1e6
+        after = host_seconds()
+        raw.append(t)
+        scaled.append(t * HOST_REF_S / ((before + after) / 2))
+    out[name] = {"raw": min(raw), "scaled": min(scaled)}
 print(json.dumps(out))
 """
 
 
-def _run_side(src: Path) -> dict[str, float]:
+def _run_side(src: Path) -> dict[str, dict[str, float]]:
     config = ROOT / "src" / "leafspace" / "configs" / "flagship.json"
     res = subprocess.run(
         [sys.executable, "-c", WORKER, str(src), str(config), SETUP, json.dumps(ROWS)],
@@ -120,7 +172,7 @@ def main() -> None:
         sides = {"change": ROOT / "src"}
         if args.base:
             sides = {"parent": _export(args.base, Path(tmp)), **sides}
-        runs: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
+        runs: dict[str, list[dict[str, dict[str, float]]]] = {side: [] for side in sides}
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
             for side in order:
@@ -129,15 +181,16 @@ def main() -> None:
 
     rows = []
     for name in ROWS:
-        row = {"name": name, "unit": "us/op"}
+        row = {"name": name, "unit": "us/op, reference-host"}
         for side, results in runs.items():
-            values = [res[name] for res in results]
-            row[side] = round(statistics.median(values), 3)
-            row[f"{side}_runs"] = [round(v, 3) for v in values]
+            for key, suffix in (("scaled", ""), ("raw", "_raw")):
+                values = [res[name][key] for res in results]
+                row[f"{side}{suffix}"] = round(statistics.median(values), 3)
+                row[f"{side}{suffix}_runs"] = [round(v, 3) for v in values]
         if "parent" in row:
             row["ratio_change_to_parent"] = round(row["change"] / row["parent"], 4)
         rows.append(row)
-        print(name, " ".join(f"{side} {row[side]:.3f}" for side in runs), "us/op")
+        print(name, " ".join(f"{side} {row[side]:.3f}" for side in runs), "us/op (reference-host)")
     report = {
         "command": " ".join(["python3", "bench/run.py", *sys.argv[1:]]),
         "base": args.base,

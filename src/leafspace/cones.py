@@ -206,18 +206,20 @@ def adversarial_stall(T, r, crossings: int = 1000) -> StallTrace | None:
     r = as_qnum(r)
     if T.sign() <= 0 or r.sign() < 0:
         raise PreconditionError("T must be positive and r nonnegative")
-    values = []
+    if crossings <= 1:
+        return StallTrace((T,))
+    # Greedy: each new crossing adds T and two re-measurements, each
+    # distorted by the worst case -r, so the last value is
+    # T + (crossings - 1)*step and exceeds T exactly when step > 0.
+    step = T - 2 * r
+    if step.sign() > 0:
+        return None
+    values = [T]
     value = T
-    values.append(value)
-    for m in range(2, crossings + 1):
-        # Greedy: each new crossing adds T and two re-measurements, each
-        # distorted by the worst case -r.
-        value = value + T - 2 * r
+    for _ in range(crossings - 1):
+        value = value + step
         values.append(value)
-    trace = StallTrace(tuple(values))
-    if values[-1] <= values[0]:
-        return trace
-    return None
+    return StallTrace(tuple(values))
 
 
 def build_chain_from_action(spec, pattern: str, seed: int = 0) -> MetricChain:

@@ -9,9 +9,11 @@ All arithmetic is exact over a quadratic field.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .errors import FieldMismatchError, ParseError, PeriodMismatchError, PreconditionError
 from .qfield import QNum, _make, _sign, as_qnum, ratio_is_rational
@@ -91,6 +93,18 @@ def _kernel_table(p: QNum, pts, slopes):
     return d, _ints(pts[0][0]), (inn, inm * rd, inm, inq), (pn, pm, pq), xs, tuple(segs)
 
 
+def _mixed_fields(f, g, df: int, dg: int) -> FieldMismatchError:
+    """The error of composing f after g, of one rational period, when f is
+    irrational in Q(sqrt df) and g in Q(sqrt dg).  An irrational x of f
+    cannot be pulled back through g; else an irrational value of g cannot
+    be fed to f; else the composite has breakpoints in both fields."""
+    if any(x._m for x, _ in f._pts):
+        return FieldMismatchError(f"mixed fields: sqrt({df}) vs sqrt({dg})")
+    if any(y._m for _, y in g._pts):
+        return FieldMismatchError(f"mixed fields: sqrt({dg}) vs sqrt({df})")
+    return FieldMismatchError(f"breakpoints in several fields: {sorted((df, dg))}")
+
+
 class PLMap:
     """Periodic piecewise-linear homeomorphism of the real line.
 
@@ -122,7 +136,7 @@ class PLMap:
         if not pts[0][1] + p > pts[-1][1]:
             raise PreconditionError("map is not monotone across the wrap segment")
         self._p = p
-        self._pts, self._slopes = self._canonicalize(p, pts)
+        self._pts, self._slopes = self._drop_collinear(pts, self._segment_slopes(p, pts))
         self._table = _kernel_table(p, self._pts, self._slopes)
 
     @classmethod
@@ -146,12 +160,11 @@ class PLMap:
         )
 
     @staticmethod
-    def _canonicalize(p, pts):
+    def _drop_collinear(pts, slopes):
         """The breakpoints that are not collinear with their neighbours, and
-        the slope of the segment leaving each.  Dropping a collinear point
-        merges two segments of equal slope, so a kept point's slope is the
-        one computed for it here."""
-        slopes = PLMap._segment_slopes(p, pts)
+        the slope of the segment leaving each, given that slope for every
+        point.  Dropping a collinear point merges two segments of equal
+        slope, so a kept point's slope is the one given for it."""
         keep = [i for i in range(len(pts)) if slopes[i - 1] != slopes[i]]
         if not keep:
             # Constant slope around the cycle forces slope 1: a translation.
@@ -306,15 +319,69 @@ class PLMap:
         return PLMap._trusted(self._p * k, pts, self._slopes * k)
 
     def _compose_equal_period(self, g: "PLMap") -> "PLMap":
-        p = self._p
-        ginv = g.inverse()
-        xs = {x for x, _ in g._pts}
-        for x, _ in self._pts:
-            z = ginv(x)
-            m = (z / p).floor()
-            xs.add(z - m * p)
-        xs = sorted(xs)
-        return PLMap(p, [(x, self(g(x))) for x in xs])
+        """self after g, both of period p, in one sweep over w = g(x).
+
+        g maps [x_0, x_0 + p) onto [y_0, y_0 + p).  The breakpoints of the
+        composite there are g's, at w = y_i, and the pull-backs of f's,
+        moved by multiples of p into [y_0, y_0 + p); the two lists are
+        merged in order of w, a pair with equal w making one event.  An f
+        breakpoint (u, v) pulls back through g's current segment to
+        x = x_i + (u - y_i)/s_i with value v; a g breakpoint takes the
+        value f(y_i).  Each event's outgoing slope is the product of the
+        current slopes of f and g.  Points at or beyond p move down by p
+        to the front, and points whose slope equals the previous one
+        (cyclically) are dropped, which gives the canonical form directly.
+        """
+        f = self
+        df, dg = f._table[0], g._table[0]
+        if df is not None and dg is not None and df != dg:
+            raise _mixed_fields(f, g, df, dg)
+        p = f._p
+        y0 = g._pts[0][1]
+        # Moved by c*p, f's breakpoints before index `split` land in
+        # [y_0, y_0 + p) and the rest at or above y_0 + p, so those move by
+        # (c - 1)*p instead; starting at `split`, the moved list is in order.
+        fpts, fs = f._pts, f._slopes
+        c = -((fpts[0][0] - y0) / p).floor()
+        cp = c * p
+        split = bisect_left(fpts, y0 + p - cp, key=itemgetter(0))
+        low = cp - p
+        fev = [(u + low, v + low, s) for (u, v), s in zip(fpts[split:], fs[split:])]
+        fev += [(u + cp, v + cp, s) for (u, v), s in zip(fpts[:split], fs[:split])]
+
+        pts, slopes = [], []
+        sf = fev[-1][2]  # f's slope on [y_0, first moved breakpoint)
+        j, nf = 0, len(fev)
+        for (x, y), sg in zip(g._pts, g._slopes):
+            # f breakpoints on g's previous segment (x_i, y_i, s_i); none
+            # lie below y_0.
+            while j < nf and fev[j][0] < y:
+                w, v, sf = fev[j]
+                pts.append((xi + (w - yi) / si, v))
+                slopes.append(sf * si)
+                j += 1
+            if j < nf and fev[j][0] == y:
+                _, v, sf = fev[j]
+                j += 1
+            else:
+                v = f(y)
+            pts.append((x, v))
+            slopes.append(sf * sg)
+            xi, yi, si = x, y, sg
+        last_g = len(pts)
+        for w, v, sf in fev[j:]:
+            pts.append((xi + (w - yi) / si, v))
+            slopes.append(sf * si)
+        # Only pull-backs on g's last segment, [x_{k-1}, x_0 + p), can
+        # reach p.
+        for i in range(last_g, len(pts)):
+            if pts[i][0] >= p:
+                pts = [(x - p, y - p) for x, y in pts[i:]] + pts[:i]
+                slopes = slopes[i:] + slopes[:i]
+                break
+
+        p, pts = _coerce_points(p, pts)
+        return PLMap._trusted(p, *PLMap._drop_collinear(pts, slopes))
 
     def pow(self, n: int) -> "PLMap":
         if n < 0:

@@ -7,6 +7,7 @@ import pytest
 from leafspace.action import build_glued_action
 from leafspace.cones import (
     MetricChain,
+    StallTrace,
     adversarial_stall,
     build_chain_from_action,
     metric_gap_check,
@@ -14,7 +15,7 @@ from leafspace.cones import (
 )
 from leafspace.errors import PreconditionError
 from leafspace.plmap import PLMap
-from leafspace.qfield import sqrt_of
+from leafspace.qfield import as_qnum, sqrt_of
 
 R2 = sqrt_of(2)
 FLAGSHIP = build_glued_action(1 + R2, R2)
@@ -123,6 +124,37 @@ class TestStallSearch:
         trace = adversarial_stall(1, 1, crossings=10)
         for a, b in zip(trace.values, trace.values[1:]):
             assert b == a - 1  # T - 2r = -1 per crossing
+
+    @staticmethod
+    def reference_stall(T, r, crossings):
+        """The search as a loop over every crossing, then one comparison."""
+        T, r = as_qnum(T), as_qnum(r)
+        values = [T]
+        value = T
+        for _ in range(2, crossings + 1):
+            value = value + T - 2 * r
+            values.append(value)
+        return StallTrace(tuple(values)) if values[-1] <= values[0] else None
+
+    @pytest.mark.parametrize("crossings", [0, 1, 2, 50, 1000])
+    @pytest.mark.parametrize("T, r", [
+        (1, 1),  # T < 2r
+        (2, 1),  # T = 2r
+        (Fraction(7, 3), Fraction(1, 2)),  # T > 2r
+        (1, 0),
+        (R2, 1),  # T < 2r over Q(sqrt 2)
+        (2 * R2, R2),  # T = 2r
+        (1 + R2, Fraction(1, 2)),  # T > 2r
+        (Fraction(3, 2), sqrt_of(5) / 4),  # T > 2r, r in Q(sqrt 5)
+        (sqrt_of(3), sqrt_of(3) / 2),  # T = 2r over Q(sqrt 3)
+    ])
+    def test_matches_the_loop_over_every_crossing(self, T, r, crossings):
+        got, want = adversarial_stall(T, r, crossings), self.reference_stall(T, r, crossings)
+        if want is None:
+            assert got is None
+            return
+        assert got == want
+        assert [(str(v), v.d) for v in got.values] == [(str(v), v.d) for v in want.values]
 
 
 class TestBuildChain:

@@ -70,13 +70,15 @@ def periods(draw, d):
 
 
 @st.composite
-def maps(draw):
+def maps(draw, p=None):
     """A PL map with breakpoints x_i = u_i*p/D, y_i = v_i*p/D for sorted
     distinct integers u_i in [0, D) and v_i in [v_0, v_0 + D), so the map
     is monotone across the wrap segment; optionally conjugated by a shift
-    into the field, which moves x_0 off 0."""
-    d = draw(st.sampled_from(FIELDS))
-    p = draw(periods(d))
+    into the field, which moves x_0 off 0.  The period p is drawn unless
+    given, and then its ``d`` is the field of the shift."""
+    if p is None:
+        p = draw(periods(draw(st.sampled_from(FIELDS))))
+    d = p.d
     k = draw(st.integers(1, 6))
     den = draw(st.integers(k + 1, BIG) | st.integers(k + 1, 40))
     if draw(st.booleans()):  # x_0 = 0, so floors of x/p meet exact integers
@@ -333,3 +335,137 @@ def test_trusted_translation_keeps_the_period_check():
     for period in (0, -1, -sqrt_of(2)):
         with pytest.raises(PreconditionError, match="period must be positive"):
             PLMap.translation(1, period)
+
+
+# -- compose by one merge sweep ----------------------------------------------
+
+
+def checked_compose(f, g):
+    """f after g for maps of one period, composed the checked way: every
+    breakpoint of g and every pull-back of one of f's through g's inverse,
+    reduced mod p and sorted, with its value f(g(x)), through PLMap(p, pts)."""
+    p = f.period
+    ginv = g.inverse()
+    xs = {x for x, _ in g.breakpoints}
+    for x, _ in f.breakpoints:
+        z = ginv(x)
+        m = (z / p).floor()
+        xs.add(z - m * p)
+    return PLMap(p, [(x, f(g(x))) for x in sorted(xs)])
+
+
+def moved_by(f, c):
+    """x -> f(x - c) + c, built the checked way: f's graph moved by (c, c)."""
+    return checked_translate_before(checked_translate_after(c, f), -c)
+
+
+# Ways to make a map irrational through an irrational c: through its
+# values, its points or both.
+MOVES = {
+    "unchanged": lambda h, c: h,
+    "values": lambda h, c: checked_translate_after(c, h),
+    "points": lambda h, c: checked_translate_before(h, c),
+    "both": moved_by,
+}
+
+
+@st.composite
+def compose_pairs(draw):
+    """(f, g, tiles): maps of one period, or of commensurable periods that
+    ``compose`` tiles to the common period as ``tiles`` says."""
+    kind = draw(st.sampled_from(
+        ["same", "translation", "inverse", "tie", "shifted", "commensurable", "fields"]
+    ))
+    if kind == "fields":
+        # One rational period carried in two fields; each map is moved in
+        # its field, or left as drawn.
+        r = draw(st.fractions(min_value=Fraction(1, 50), max_value=50))
+        pair = []
+        for _ in range(2):
+            h = draw(maps(QNum(r, 0, draw(st.sampled_from(FIELDS)))))
+            c = draw(qnums(h.period.d).filter(lambda v: not v.is_rational()))
+            pair.append(MOVES[draw(st.sampled_from(sorted(MOVES)))](h, c))
+        return pair[0], pair[1], None
+    p = draw(periods(draw(st.sampled_from(FIELDS))))
+    f, g = draw(maps(p)), draw(maps(p))
+    if kind == "translation":
+        side = draw(st.sampled_from(["left", "right", "both"]))
+        if side != "right":
+            f = PLMap.translation(draw(qnums(p.d)), p)
+        if side != "left":
+            g = PLMap.translation(draw(qnums(p.d)), p)
+    elif kind == "inverse":
+        g = f.inverse()
+        if draw(st.booleans()):
+            f, g = g, f
+    elif kind == "tie":
+        # Move f so that one of its breakpoints lands on g's image of one
+        # of g's breakpoints, mod p.
+        assume(not f.is_translation())
+        u = draw(st.sampled_from([u for u, _ in f.breakpoints]))
+        y = draw(st.sampled_from([y for _, y in g.breakpoints]))
+        f = moved_by(f, y - u + draw(st.integers(-3, 3)) * p)
+    elif kind == "shifted":
+        # g's y_0 far above p or below 0.
+        m = draw(st.integers(1, 2**70) | st.integers(1, 5)) * draw(st.sampled_from([-1, 1]))
+        g = checked_translate_after(m * p, g)
+    elif kind == "commensurable":
+        assume(not f.is_translation())
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        assume(a != b)
+        g = draw(maps(p * Fraction(a, b)).filter(lambda h: not h.is_translation()))
+        q = Fraction(b, a)  # f's period over g's
+        return f, g, (q.denominator, q.numerator)
+    if draw(st.booleans()):
+        # Irrational periods through affine_conjugate.
+        scale = draw(st.sampled_from([1 + sqrt_of(p.d), sqrt_of(p.d)]) | qnums(p.d).filter(bool).map(abs))
+        f, g = f.affine_conjugate(scale), g.affine_conjugate(scale)
+    return f, g, None
+
+
+@settings(max_examples=500, deadline=None)
+@given(compose_pairs())
+def test_compose_matches_the_checked_compose(pair):
+    f, g, tiles = pair
+    if tiles is None:
+        want = _derived(checked_compose, f, g)
+    else:
+        want = _derived(checked_compose, f._tiled(tiles[0]), g._tiled(tiles[1]))
+    assert_same_map(_derived(f.compose, g), want)
+
+
+@pytest.mark.parametrize("f_move", MOVES)
+@pytest.mark.parametrize("g_move", MOVES)
+@pytest.mark.parametrize("fields", [(2, 3), (3, 2), (5, 5)])
+def test_compose_across_fields(f_move, g_move, fields):
+    """Rational maps of period 1 made irrational through their values,
+    their points or both, in two fields or one: every error the checked
+    compose raises, in both orders."""
+    h = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4)), (Fraction(2, 3), Fraction(5, 6))])
+    f = MOVES[f_move](h, sqrt_of(fields[0]) / 7)
+    g = MOVES[g_move](h.inverse(), sqrt_of(fields[1]) / 10)
+    for a, b in ((f, g), (g, f)):
+        assert_same_map(_derived(a.compose, b), _derived(checked_compose, a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps())
+def test_compose_with_the_inverse_is_the_identity(f):
+    for h in (f.compose(f.inverse()), f.inverse().compose(f)):
+        assert h.breakpoints == ((0, 0),) and h._slopes == (1,)
+        assert_same_map(h, PLMap.identity(f.period))
+
+
+def test_compose_builds_no_checked_map(monkeypatch):
+    r2 = sqrt_of(2)
+    f = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
+    g = PLMap(1, [(0, r2 / 10), (Fraction(1, 3), Fraction(1, 2))])
+    want = checked_compose(f, g)
+
+    def refuse(*args):
+        raise AssertionError("compose built a checked map or an inverse")
+
+    monkeypatch.setattr(PLMap, "__init__", refuse)
+    monkeypatch.setattr(PLMap, "inverse", refuse)
+    assert_same_map(f.compose(g), want)
+    assert_same_map(f.compose(f).compose(g).compose(g), f.pow(2).compose(g.pow(2)))
