@@ -123,6 +123,12 @@ def test_fuzz_number_options(a, b, c, e):
         (["incompressible", "--config", "flagship", "--interval", "0,1/2,1"], "", 2),
         # an exact value too large for a float report field
         (["shear-holonomy", "--lam", "2", "--n", "3", "--eps", "1" + "0" * 400], "", 3),
+        # each shear-holonomy precondition on its own
+        (["shear-holonomy", "--lam", "1", "--n", "3"], "", 3),
+        (["shear-holonomy", "--lam", "2", "--n", "3", "--eps", "0"], "", 3),
+        (["shear-holonomy", "--lam", "2", "--n", "3", "--delta=-1/10"], "", 3),
+        (["shear-holonomy", "--lam", "2", "--n", "3", "--delta", "1"], "", 3),
+        (["shear-holonomy", "--lam", "2", "--n", "0"], "", 3),
     ],
 )
 def test_boundary_cases(argv, stdin, code):
