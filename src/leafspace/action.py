@@ -157,13 +157,6 @@ class ComposedMap:
     def __repr__(self) -> str:
         return f"ComposedMap({len(self.factors)} factors)"
 
-    def difference_witness(self, other, probes) -> QNum | None:
-        """A probe point where the two maps disagree, or None."""
-        for x in probes:
-            if self(x) != other(x):
-                return as_qnum(x)
-        return None
-
 
 def _validate_word(spec: ActionSpec, word) -> list[tuple[str, int]]:
     out = []

@@ -28,7 +28,7 @@ from .errors import ParseError, PreconditionError
 from .plmap import Bracket, Exact, PLMap, translation_number
 from .qfield import QNum
 from .selftest import run_selftest
-from .shear import ShearModel, holonomy_domain_trace, shadow_length
+from .shear import holonomy_domain_trace, shadow_length
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -229,9 +229,12 @@ def cmd_stall_search(args) -> int:
 
 
 def cmd_shear_shadow(args) -> int:
+    t, lam = QNum.parse(args.t), QNum.parse(args.lam)
+    if args.n < 1:
+        raise PreconditionError("n must be >= 1")
     lines = ["level,curve_length,shadow_length,limit"]
     for level in range(1, args.n + 1):
-        rep = shadow_length(QNum.parse(args.t), QNum.parse(args.lam), level)
+        rep = shadow_length(t, lam, level)
         lines.append(
             f"{level},{rep.curve_length},{rep.shadow},{rep.limit}"
         )
@@ -241,8 +244,13 @@ def cmd_shear_shadow(args) -> int:
 
 
 def cmd_shear_holonomy(args) -> int:
-    model = ShearModel.build(QNum.parse(args.lam), _parse_rat(args.eps), _parse_rat(args.delta))
-    trace = holonomy_domain_trace(model, args.n, _parse_rat(args.threshold))
+    trace = holonomy_domain_trace(
+        QNum.parse(args.lam),
+        _parse_rat(args.eps),
+        _parse_rat(args.delta),
+        args.n,
+        _parse_rat(args.threshold),
+    )
     lines = ["level,domain_length"]
     for level, length in enumerate(trace.lengths):
         lines.append(f"{level},{_f17(length)}")

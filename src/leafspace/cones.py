@@ -134,7 +134,6 @@ class LedgerRun:
     rows: tuple
     verdict: str  # REGULATING or NOT_CERTIFIED
     final_bound: QNum
-    final_value: QNum
 
 
 def run_progress_ledger(T, r, n: int, policy: str = "adversarial", seed: int = 0) -> LedgerRun:
@@ -182,8 +181,7 @@ def run_progress_ledger(T, r, n: int, policy: str = "adversarial", seed: int = 0
         rows.append(LedgerRow(m, p_m, delta, bound, simulated))
         forward_sum = forward_sum + delta
     verdict = "REGULATING" if T > 2 * r else "NOT_CERTIFIED"
-    last = rows[-1]
-    return LedgerRun(tuple(rows), verdict, last.certified_lower_bound, last.simulated_d1)
+    return LedgerRun(tuple(rows), verdict, rows[-1].certified_lower_bound)
 
 
 @dataclass(frozen=True)

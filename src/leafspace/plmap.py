@@ -93,18 +93,6 @@ def _kernel_table(p: QNum, pts, slopes):
     return d, _ints(pts[0][0]), (inn, inm * rd, inm, inq), (pn, pm, pq), xs, tuple(segs)
 
 
-def _mixed_fields(f, g, df: int, dg: int) -> FieldMismatchError:
-    """The error of composing f after g, of one rational period, when f is
-    irrational in Q(sqrt df) and g in Q(sqrt dg).  An irrational x of f
-    cannot be pulled back through g; else an irrational value of g cannot
-    be fed to f; else the composite has breakpoints in both fields."""
-    if any(x._m for x, _ in f._pts):
-        return FieldMismatchError(f"mixed fields: sqrt({df}) vs sqrt({dg})")
-    if any(y._m for _, y in g._pts):
-        return FieldMismatchError(f"mixed fields: sqrt({dg}) vs sqrt({df})")
-    return FieldMismatchError(f"breakpoints in several fields: {sorted((df, dg))}")
-
-
 class PLMap:
     """Periodic piecewise-linear homeomorphism of the real line.
 
@@ -335,7 +323,8 @@ class PLMap:
         f = self
         df, dg = f._table[0], g._table[0]
         if df is not None and dg is not None and df != dg:
-            raise _mixed_fields(f, g, df, dg)
+            a, b = sorted((df, dg))
+            raise FieldMismatchError(f"mixed fields: sqrt({a}) vs sqrt({b})")
         p = f._p
         y0 = g._pts[0][1]
         # Moved by c*p, f's breakpoints before index `split` land in

@@ -311,12 +311,6 @@ class QNum:
         # int / int is correctly rounded, so this equals float(a) + float(b)*sqrt(d).
         return self._n / self._q + self._m / self._q * math.sqrt(self._d)
 
-    def approx(self, bits: int = 128) -> Fraction:
-        """Rational approximation accurate to 2^-bits."""
-        scale = 1 << bits
-        root = isqrt(self._d * scale * scale)
-        return Fraction(self._n * scale + self._m * root, self._q * scale)
-
     def floor(self) -> int:
         n, m, q = self._n, self._m, self._q
         if not m:

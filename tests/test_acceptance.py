@@ -2,7 +2,9 @@
 
 Each test prints a single PASS line (bypassing pytest capture) when its
 criterion holds; a missing line plus a pytest failure marks the criterion
-red.  All randomized checks are seeded, so the suite is reproducible.
+red.  All randomized checks are seeded, so the suite is reproducible.  The
+checks that ``leafspace selftest`` also makes come from its catalogue,
+``leafspace.selftest``, run here with this suite's seeds and sample counts.
 """
 
 import io
@@ -10,12 +12,21 @@ import random
 import time
 from fractions import Fraction
 
-from leafspace.action import build_glued_action, certify_nonuniform
-from leafspace.cones import adversarial_stall, build_chain_from_action, run_progress_ledger
+from leafspace.action import build_glued_action
+from leafspace.cones import build_chain_from_action, metric_gap_check
 from leafspace.plmap import Bracket, Exact, PLMap, translation_number
 from leafspace.qfield import sqrt_of
-from leafspace.selftest import random_plmap, random_qnum, run_selftest
-from leafspace.shear import shadow_length
+from leafspace.selftest import (
+    check_certificates,
+    check_group_axioms,
+    check_ledger,
+    check_period_groups,
+    check_shadow_series,
+    check_translation_numbers,
+    random_plmap,
+    random_qnum,
+    run_selftest,
+)
 
 R2 = sqrt_of(2)
 
@@ -37,17 +48,7 @@ def periodic_orbit_map(points, m, period=1):
 
 def test_criterion_1_nonuniformity_certificate(capsys):
     t0 = time.time()
-    flagship = certify_nonuniform(build_glued_action(1 + R2, R2))
-    assert flagship.verdict == "NO_COMMON_TRANSLATION"
-    assert flagship.quotient == 2 - R2
-    assert flagship.quotient.b != 0  # nonzero sqrt(2)-coefficient, exactly
-
-    spec = build_glued_action(2 * R2, R2)
-    comm = certify_nonuniform(spec)
-    assert comm.verdict == "COMMON_TRANSLATION"
-    witness = PLMap.translation(comm.common_translation, 1)
-    assert witness.commutes(spec.generator("beta_l"))
-    assert witness.commutes(spec.generator("beta_r"))
+    assert check_certificates() == 0
     elapsed = time.time() - t0
     assert elapsed < 1.0
     report(
@@ -71,14 +72,11 @@ def test_criterion_2_metric_comparison(capsys):
         for _ in range(500):
             i = rng.randint(0, len(chain.phis) - 2)
             j = rng.randint(i + 1, len(chain.phis) - 1)
-            lam = Fraction(rng.randint(-300, 300), 7)
-            mu = Fraction(rng.randint(-300, 300), 11)
-            gap = abs(chain.metric(i, lam, mu) - chain.metric(j, lam, mu))
-            bound = chain.r_max * (max(j - i - 1, 0) + 1)
-            if gap > bound:
-                violations += 1
-            worst = max(worst, float(gap) / float(bound))
-            samples += 1
+            pair = (Fraction(rng.randint(-300, 300), 7), Fraction(rng.randint(-300, 300), 11))
+            rep = metric_gap_check(chain, i, j, [pair])
+            violations += rep.violations
+            worst = max(worst, rep.max_ratio)
+            samples += rep.samples
     elapsed = time.time() - t0
     assert samples == 10**4
     assert violations == 0
@@ -92,17 +90,7 @@ def test_criterion_2_metric_comparison(capsys):
 
 def test_criterion_3_progress_induction(capsys):
     t0 = time.time()
-    r = Fraction(1, 10)
-    for seed in range(10**4):
-        run = run_progress_ledger(1, r, 10, policy="random", seed=seed)
-        assert run.rows[-1].simulated_d1 >= 8
-        for row in run.rows:
-            assert row.certified_lower_bound == row.index * 1 - 2 * row.index * r
-            assert row.simulated_d1 >= row.certified_lower_bound
-    trace = adversarial_stall(1, 1)
-    assert trace is not None and trace.bounded()
-    for a, b in zip(trace.values, trace.values[1:]):
-        assert b == a - 1  # each crossing: +T, twice distorted by -r
+    assert check_ledger(range(10**4)) == 0
     elapsed = time.time() - t0
     assert elapsed < 10.0
     report(
@@ -115,30 +103,11 @@ def test_criterion_3_progress_induction(capsys):
 def test_criterion_4_pl_algebra(capsys):
     t0 = time.time()
     rng = random.Random(40)
-    checks = 0
-
-    # Group axioms and eval-composition coherence.
-    for _ in range(900):
-        f, g, h = (random_plmap(rng, max_breaks=2) for _ in range(3))
-        assert f.compose(g).compose(h) == f.compose(g.compose(h))
-        assert f.compose(f.inverse()) == PLMap.identity(1)
-        x = random_qnum(rng)
-        assert f.compose(g)(x) == f(g(x))
-        assert f(x + 1) == f(x) + 1
-        checks += 4
-
-    # Period-group soundness: the reported step commutes, half of it never
-    # does (the search returns the maximal k, so p/k is the minimal step).
-    for _ in range(400):
-        f = random_plmap(rng, max_breaks=3)
-        pg = f.period_group()
-        if pg.all_reals:
-            assert f.is_translation()
-            checks += 1
-            continue
-        assert f.commutes(PLMap.translation(pg.step, 1))
-        assert not f.commutes(PLMap.translation(pg.step / 2, 1))
-        checks += 2
+    violations, checks = check_group_axioms(rng, 900, max_breaks=2)
+    assert violations == 0
+    violations, count = check_period_groups(rng, 400, max_breaks=3)
+    assert violations == 0
+    checks += count
 
     # Equivariance at many probe points per map.
     maps = [random_plmap(rng, max_breaks=3) for _ in range(60)]
@@ -162,10 +131,7 @@ def test_criterion_5_translation_numbers(capsys):
     rng = random.Random(50)
 
     # Translations: Exact(t) for 100 random t.
-    for _ in range(100):
-        t = random_qnum(rng)
-        res = translation_number(PLMap.translation(t, 1))
-        assert isinstance(res, Exact) and res.value == t
+    assert check_translation_numbers(rng, 100) == 0
 
     # Forced periodic orbits: f^q(x) = x + m*p gives Exact(m*p/q).
     exact_cases = []
@@ -202,14 +168,7 @@ def test_criterion_5_translation_numbers(capsys):
 
 def test_criterion_6_shear_model(capsys):
     t0 = time.time()
-    for n in range(1, 61):
-        rep = shadow_length(1, 2, n)
-        assert rep.shadow == 1 - Fraction(1, 2**n)
-        assert rep.limit == 1
-        assert rep.curve_length == n  # unbounded while the shadow stays < 1
-        assert rep.shadow < rep.limit
-    rep = shadow_length(R2, 1 + R2, 10)
-    assert rep.limit == R2 / ((1 + R2) - 1) == 1
+    assert check_shadow_series(range(1, 61)) == 0
     elapsed = time.time() - t0
     assert elapsed < 1.0
     report(

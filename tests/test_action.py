@@ -137,7 +137,7 @@ class TestWords:
         lr = evaluate_word(FLAGSHIP, [("beta_l", 1), ("beta_r", 1)])
         rl = evaluate_word(FLAGSHIP, [("beta_r", 1), ("beta_l", 1)])
         probes = [Fraction(i, 7) for i in range(7)]
-        assert lr.difference_witness(rl, probes) is not None
+        assert any(lr(x) != rl(x) for x in probes)
 
     def test_alpha_words_commute_across_sides(self):
         lr = evaluate_word(FLAGSHIP, [("alpha_l", 1), ("alpha_r", 1)])

@@ -129,6 +129,10 @@ def test_fuzz_number_options(a, b, c, e):
         (["shear-holonomy", "--lam", "2", "--n", "3", "--delta=-1/10"], "", 3),
         (["shear-holonomy", "--lam", "2", "--n", "3", "--delta", "1"], "", 3),
         (["shear-holonomy", "--lam", "2", "--n", "0"], "", 3),
+        # shear-shadow checks its numbers and n even when no level is printed
+        (["shear-shadow", "--lam", "2", "--n", "0"], "", 3),
+        (["shear-shadow", "--lam", "garbage", "--n", "0"], "", 2),
+        (["shear-shadow", "--lam", "1/2", "--n", "-3"], "", 3),
     ],
 )
 def test_boundary_cases(argv, stdin, code):

@@ -84,7 +84,7 @@ class TestProgressLedger:
         run = run_progress_ledger(1, Fraction(1, 10), 10)
         assert run.verdict == "REGULATING"
         assert run.final_bound == 8
-        assert run.final_value == Fraction(41, 5)
+        assert run.rows[-1].simulated_d1 == Fraction(41, 5)
         for row in run.rows:
             assert row.certified_lower_bound == row.index - Fraction(row.index, 5)
             assert row.simulated_d1 >= row.certified_lower_bound
