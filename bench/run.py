@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_7.json --base f015f73 --repeats 7
+    python3 bench/run.py --out BENCH_9.json --base a5a193b --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
@@ -47,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SETUP = """\
 from fractions import Fraction as F
 from leafspace.action import load_action_config, orbit_density
+from leafspace.cones import adversarial_stall
 from leafspace.plmap import PLMap, translation_number
 from leafspace.qfield import QNum, sqrt_of
 r2 = sqrt_of(2)
@@ -59,7 +60,8 @@ pts_r2 = [(x / (1 + r2), y / (1 + r2)) for x, y in
           [(0, 0), (F(1, 4), F(1, 8)), (F(1, 2), F(3, 4)), (F(3, 4), F(7, 8))]]
 period_r2 = (1 + r2).inverse()
 g_r2 = PLMap(period_r2, pts_r2)
-rot = beta.compose(PLMap.translation(r2 / 10, 1)).compose(beta.inverse())
+shift = PLMap.translation(r2 / 10, 1)
+rot = beta.compose(shift).compose(beta.inverse())
 flagship_config = json.loads(CONFIG)
 flagship = load_action_config(flagship_config)
 """
@@ -82,6 +84,13 @@ ROWS = {
     "plmap.pow.sqrt2_8": "g_r2.pow(8)",
     "plmap.translation_number.exact_search_max_denom_16":
         "translation_number(rot, F(1, 100), max_denom=16)",
+    "plmap.fixed_points.sqrt2_4_breakpoints": "g_r2.fixed_points()",
+    # A translation of period 1 and a map of period 1/(1 + sqrt 2), in
+    # both orders.
+    "plmap.compose.translation_after_other_period": "shift.compose(g_r2)",
+    "plmap.compose.translation_before_other_period": "g_r2.compose(shift)",
+    # T = r = 1: the search stalls and returns its trace of 1000 crossings.
+    "cones.adversarial_stall.stall_T1_r1": "adversarial_stall(1, 1)",
 }
 
 WORKER = """\

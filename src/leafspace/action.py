@@ -22,7 +22,6 @@ __all__ = [
     "ActionSpec",
     "Certificate",
     "ComposedMap",
-    "DensityParams",
     "standard_beta",
     "build_glued_action",
     "evaluate_word",
@@ -201,13 +200,6 @@ def side_translation_subgroup(spec: ActionSpec, side: str) -> PeriodGroup:
 
 
 @dataclass(frozen=True)
-class DensityParams:
-    x0: QNum | int = 0
-    max_word_len: int = 5
-    window: tuple = (0, 1)
-
-
-@dataclass(frozen=True)
 class Certificate:
     """Decision on whether any translation commutes with both sides."""
 
@@ -235,14 +227,13 @@ class Certificate:
         return obj
 
 
-def certify_nonuniform(
-    spec: ActionSpec, density_params: DensityParams | None = None
-) -> Certificate:
+def certify_nonuniform(spec: ActionSpec, density_word_len: int | None = None) -> Certificate:
     """Decide, exactly, whether a common commuting translation exists.
 
     The verdict NO_COMMON_TRANSLATION is the algebraic certificate that no
     slithering is compatible with both sides; it is conditional on
-    minimality of the orbits, for which the attached gap report is numeric
+    minimality of the orbits, for which the gap report of the orbit of 0
+    in [0, 1), attached when ``density_word_len`` is given, is numeric
     evidence rather than proof.
     """
     c_l = side_translation_subgroup(spec, "left").step
@@ -256,13 +247,8 @@ def certify_nonuniform(
     else:
         verdict = "NO_COMMON_TRANSLATION"
     report = None
-    if density_params is not None:
-        report = orbit_density(
-            spec,
-            density_params.x0,
-            density_params.max_word_len,
-            density_params.window,
-        )
+    if density_word_len is not None:
+        report = orbit_density(spec, 0, density_word_len, (0, 1))
     return Certificate(verdict, c_l, c_r, rational, quotient, common, report)
 
 
@@ -284,21 +270,19 @@ class OrbitGapReport:
         }
 
 
-def _generator_moves(spec: ActionSpec, names=None):
+def _generator_moves(spec: ActionSpec):
     """(letter, map) for each generator and its inverse, in order, without
     a map equal to an earlier one: its images would repeat the earlier
     map's, so a search skips them all, and the first letter wins."""
     moves = {}
-    for name in names or spec.generators:
+    for name in spec.generators:
         g = spec.generator(name)
         moves.setdefault(g, (name, 1))
         moves.setdefault(g.inverse(), (name, -1))
     return [(letter, m) for m, letter in moves.items()]
 
 
-def orbit_density(
-    spec: ActionSpec, x0, max_word_len: int, window, generator_names=None
-) -> OrbitGapReport:
+def orbit_density(spec: ActionSpec, x0, max_word_len: int, window) -> OrbitGapReport:
     """Largest gap the orbit of x0 leaves in the window.
 
     Breadth-first over all words up to the length bound (generators and
@@ -311,7 +295,7 @@ def orbit_density(
     hi = as_qnum(window[1], spec.d)
     if not lo < hi:
         raise PreconditionError("window must be nondegenerate")
-    moves = [m for _, m in _generator_moves(spec, generator_names)]
+    moves = [m for _, m in _generator_moves(spec)]
     reach = qnum(0, 0, spec.d)
     for m in moves:
         for disp in m.displacement_range():

@@ -16,7 +16,6 @@ from importlib import resources
 
 from .action import (
     LONGITUDE,
-    DensityParams,
     certify_nonuniform,
     evaluate_word,
     incompressible_interval_search,
@@ -158,8 +157,7 @@ def cmd_eval_word(args) -> int:
 
 def cmd_certify(args) -> int:
     spec = _load_spec(args)
-    density = DensityParams(max_word_len=args.density_word_len)
-    cert = certify_nonuniform(spec, density)
+    cert = certify_nonuniform(spec, args.density_word_len)
     _emit(cert.to_json(), args)
     return EXIT_OK if cert.verdict == "NO_COMMON_TRANSLATION" else EXIT_COMMON_TRANSLATION
 
@@ -219,9 +217,9 @@ def cmd_stall_search(args) -> int:
         _emit(
             {
                 "result": "STALL",
-                "crossings": len(trace.values),
-                "first_values": [str(v) for v in trace.values[:10]],
-                "final_value": str(trace.values[-1]),
+                "crossings": trace.crossings,
+                "first_values": [str(trace.value(i)) for i in range(min(10, trace.crossings))],
+                "final_value": str(trace.value(trace.crossings - 1)),
             },
             args,
         )
@@ -356,11 +354,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: argparse.ArgumentParser | None = None
 
 
+def _join_negative_values(argv: list) -> list:
+    """Each value that starts with '-' and a digit joined to the option
+    before it, as ``--opt=value``: argparse would take '-1/10' for a flag."""
+    out = []
+    for arg in argv:
+        negative = arg[:1] == "-" and arg[1:2].isdecimal()
+        if negative and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -57,9 +57,8 @@ class MetricChain:
                 raise PreconditionError(
                     f"perturbation displacement exceeds half-period clamp {half}"
                 )
-        self.perturbations = tuple(perturbations)
-        phis = [PLMap.identity(self.perturbations[0].period)]
-        for psi in self.perturbations:
+        phis = [PLMap.identity(perturbations[0].period)]
+        for psi in perturbations:
             phis.append(psi.compose(phis[-1]))
         self.phis = tuple(phis)
 
@@ -186,10 +185,21 @@ def run_progress_ledger(T, r, n: int, policy: str = "adversarial", seed: int = 0
 
 @dataclass(frozen=True)
 class StallTrace:
-    values: tuple  # d_1 value after each crossing, all distortions -r
+    """The d_1 value after each of ``crossings`` crossings with every
+    distortion -r: it starts at T and moves by T - 2r per crossing."""
+
+    start: QNum
+    step: QNum
+    crossings: int
+
+    def value(self, i: int) -> QNum:
+        """The value after crossing i + 1, for 0 <= i < crossings."""
+        return self.start + self.step * i
 
     def bounded(self) -> bool:
-        return max(self.values) <= self.values[0]
+        # The values are linear in i, so the last one is the largest or
+        # the first one is.
+        return self.value(self.crossings - 1) <= self.start
 
 
 def adversarial_stall(T, r, crossings: int = 1000) -> StallTrace | None:
@@ -204,20 +214,15 @@ def adversarial_stall(T, r, crossings: int = 1000) -> StallTrace | None:
     r = as_qnum(r)
     if T.sign() <= 0 or r.sign() < 0:
         raise PreconditionError("T must be positive and r nonnegative")
-    if crossings <= 1:
-        return StallTrace((T,))
     # Greedy: each new crossing adds T and two re-measurements, each
     # distorted by the worst case -r, so the last value is
     # T + (crossings - 1)*step and exceeds T exactly when step > 0.
     step = T - 2 * r
+    if crossings <= 1:
+        return StallTrace(T, step, 1)
     if step.sign() > 0:
         return None
-    values = [T]
-    value = T
-    for _ in range(crossings - 1):
-        value = value + step
-        values.append(value)
-    return StallTrace(tuple(values))
+    return StallTrace(T, step, crossings)
 
 
 def build_chain_from_action(spec, pattern: str, seed: int = 0) -> MetricChain:

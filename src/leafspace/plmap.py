@@ -265,36 +265,28 @@ class PLMap:
         return PLMap._trusted(p, [(x, y) for x, y, _ in triples], [s for _, _, s in triples])
 
     def compose(self, other: "PLMap") -> "PLMap":
-        """self after other: x -> self(other(x))."""
+        """self after other: x -> self(other(x)).  Maps of two periods are
+        first carried at one: a translation at the other map's period, two
+        other maps at a common multiple of theirs."""
         f, g = self, other
-        if f._p == g._p:
-            return f._compose_equal_period(g)
-        # A translation moves the graph of the other map without changing
-        # its slopes; _coerce_points applies the field rule to the moved
-        # breakpoints.
-        if f.is_translation():
-            t = f.displacement
-            p, pts = _coerce_points(g._p, [(x, y + t) for x, y in g._pts])
-            return PLMap._trusted(p, pts, g._slopes)
-        if g.is_translation():
-            t = g.displacement
-            triples = []
-            for (x, y), s in zip(f._pts, f._slopes):
-                xs = x - t
-                m = (xs / f._p).floor()
-                triples.append((xs - m * f._p, y - m * f._p, s))
-            triples.sort(key=lambda q: q[0])
-            p, pts = _coerce_points(f._p, [(x, y) for x, y, _ in triples])
-            return PLMap._trusted(p, pts, [s for _, _, s in triples])
-        rational, q = ratio_is_rational(f._p, g._p)
-        if not rational:
-            raise PeriodMismatchError(
-                f"periods {f._p} and {g._p} are incommensurable"
-            )
-        frac = q.as_fraction()
-        return f._tiled(frac.denominator)._compose_equal_period(
-            g._tiled(frac.numerator)
-        )
+        df, dg = f._table[0], g._table[0]
+        if df is not None and dg is not None and df != dg:
+            a, b = sorted((df, dg))
+            raise FieldMismatchError(f"mixed fields: sqrt({a}) vs sqrt({b})")
+        if f._p != g._p:
+            if f.is_translation():
+                f = PLMap.translation(f.displacement, g._p)
+            elif g.is_translation():
+                g = PLMap.translation(g.displacement, f._p)
+            else:
+                rational, q = ratio_is_rational(f._p, g._p)
+                if not rational:
+                    raise PeriodMismatchError(
+                        f"periods {f._p} and {g._p} are incommensurable"
+                    )
+                frac = q.as_fraction()
+                f, g = f._tiled(frac.denominator), g._tiled(frac.numerator)
+        return f._compose_equal_period(g)
 
     def _tiled(self, k: int) -> "PLMap":
         """The same homeomorphism represented with period k*p; only called
@@ -321,10 +313,6 @@ class PLMap:
         (cyclically) are dropped, which gives the canonical form directly.
         """
         f = self
-        df, dg = f._table[0], g._table[0]
-        if df is not None and dg is not None and df != dg:
-            a, b = sorted((df, dg))
-            raise FieldMismatchError(f"mixed fields: sqrt({a}) vs sqrt({b})")
         p = f._p
         y0 = g._pts[0][1]
         # Moved by c*p, f's breakpoints before index `split` land in
@@ -375,11 +363,13 @@ class PLMap:
     def pow(self, n: int) -> "PLMap":
         if n < 0:
             return self.inverse().pow(-n)
-        result = PLMap.identity(self._p)
+        if n == 0:
+            return PLMap.identity(self._p)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result.compose(base)
+                result = base if result is None else result.compose(base)
             base = base.compose(base) if n > 1 else base
             n >>= 1
         return result
@@ -441,43 +431,41 @@ class PLMap:
     # -- structure --------------------------------------------------------
 
     def fixed_points(self) -> "FixedPoints":
-        """Exact solutions of f(x) = x within [0, p)."""
+        """Exact solutions of f(x) = x within [0, p), in one pass over the
+        stored segments.  On segment i, from x_i to x_{i+1} (to x_0 + p for
+        the last), f(x) - x runs linearly from d_i = y_i - x_i to d_{i+1}
+        (d_0 for the last).  A segment with s_i = 1 and d_i = 0 is an
+        interval; any other holds a point where d_i = 0 or where the
+        displacement changes sign inside it.  Whatever lies beyond p, on
+        the last segment, moves down by p to the front."""
         if self.is_translation():
             if not self.displacement:
                 return FixedPoints("all", (), ())
             return FixedPoints("none", (), ())
-        p = self._p
-        zero = p * 0
-        ext = [(x - p, y - p) for x, y in self._pts] + list(self._pts)
-        ext.append((self._pts[0][0] + p, self._pts[0][1] + p))
+        p, pts = self._p, self._pts
+        disps = [y - x for x, y in pts]
+        ends = [x for x, _ in pts[1:]] + [p]
         points: list[QNum] = []
         intervals: list[tuple[QNum, QNum]] = []
-        for (u1, v1), (u2, v2) in zip(ext, ext[1:]):
-            if not u2 > zero or not u1 < p:
-                continue
-            s = (v2 - v1) / (u2 - u1)
+        for (u, _), end, s, d, d_end in zip(pts, ends, self._slopes, disps, disps[1:] + disps[:1]):
             if s == 1:
-                if v1 == u1:
-                    lo = u1 if u1 > zero else zero
-                    hi = u2 if u2 < p else p
-                    intervals.append((lo, hi))
-                continue
-            xstar = (v1 - s * u1) / (1 - s)
-            if u1 <= xstar <= u2 and zero <= xstar < p:
-                points.append(xstar)
-        points = sorted(set(points))
-        merged: list[tuple[QNum, QNum]] = []
-        for lo, hi in intervals:
-            if merged and merged[-1][1] == lo:
-                merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        points = [
-            x for x in points if not any(lo <= x <= hi for lo, hi in merged)
-        ]
-        if not points and not merged:
+                if not d:
+                    intervals.append((u, end))
+            elif not d:
+                points.append(u)
+            elif d.sign() == -d_end.sign():
+                x = u - d / (s - 1)
+                if x < p:
+                    points.append(x)
+                else:
+                    points.insert(0, x - p)
+        if pts[0][0] and intervals and intervals[-1][1] == p:
+            intervals.insert(0, (p * 0, pts[0][0]))  # the last diagonal beyond p
+        # A zero at a diagonal's end is reported with the interval.
+        points = [x for x in points if not any(lo <= x <= hi for lo, hi in intervals)]
+        if not points and not intervals:
             return FixedPoints("none", (), ())
-        return FixedPoints("some", tuple(points), tuple(merged))
+        return FixedPoints("some", tuple(points), tuple(intervals))
 
     def period_group(self) -> "PeriodGroup":
         """The group of translations commuting with f.

@@ -10,7 +10,6 @@ from leafspace.action import (
     _check_beta,
     _generator_moves,
     ComposedMap,
-    DensityParams,
     build_glued_action,
     certify_nonuniform,
     evaluate_word,
@@ -195,14 +194,16 @@ class TestCertificate:
         assert obj["common_translation"] is None
 
     def test_density_evidence_attached(self):
-        cert = certify_nonuniform(FLAGSHIP, DensityParams(max_word_len=3))
+        cert = certify_nonuniform(FLAGSHIP, density_word_len=3)
         assert cert.density_report is not None
         assert cert.to_json()["density_evidence"]["max_word_len"] == 3
 
 
 class TestOrbitDensity:
     def test_translation_only_orbit_leaves_full_gap(self):
-        rep = orbit_density(FLAGSHIP, 0, 3, (0, 1), generator_names=("alpha_l",))
+        alphas = {name: FLAGSHIP.generator(name) for name in ("alpha_l", "alpha_r")}
+        spec = ActionSpec(FLAGSHIP.d, FLAGSHIP.t, FLAGSHIP.s, alphas)
+        rep = orbit_density(spec, 0, 3, (0, 1))
         assert rep.max_gap == 1.0
         assert rep.points_in_window == 1  # just the base point
 

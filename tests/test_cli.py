@@ -225,6 +225,20 @@ class TestActionCommands:
         assert code == EXIT_OK
         assert json.loads(out)["result"] == "COMPRESSED_BY"
 
+    @pytest.mark.parametrize("argv", [
+        ["orbit-gap", "--config", "flagship", "--max-word-len", "2", "--x0", "-1/2"],
+        ["orbit-gap", "--config", "flagship", "--max-word-len", "2", "--x0", "-1+1/3*sqrt(2)"],
+        ["orbit-gap", "--config", "flagship", "--max-word-len", "2", "--window", "-1/3,1/3"],
+        ["incompressible", "--config", "flagship", "--max-word-len", "2", "--interval", "-1/2,1/2"],
+    ])
+    def test_negative_value_as_its_own_argument(self, capsys, argv):
+        """A value starting with '-' and a digit reads the same given as its
+        own argument as in the --opt=value form."""
+        code, out, _ = run(capsys, *argv)
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        assert (code, out) == run(capsys, *joined)[:2]
+        assert code == EXIT_OK and out
+
     def test_metric_lemma(self, capsys):
         code, out, _ = run(
             capsys,

@@ -133,6 +133,10 @@ def test_fuzz_number_options(a, b, c, e):
         (["shear-shadow", "--lam", "2", "--n", "0"], "", 3),
         (["shear-shadow", "--lam", "garbage", "--n", "0"], "", 2),
         (["shear-shadow", "--lam", "1/2", "--n", "-3"], "", 3),
+        # a negative fraction given as its own argument is a value, not a flag
+        (["shear-holonomy", "--lam", "2", "--n", "3", "--delta", "-1/10"], "", 3),
+        (["cone-progress", "--T", "1", "--r", "-1/10", "--n", "3"], "", 3),
+        (["stall-search", "--T", "1", "--r", "-1/10"], "", 3),
     ],
 )
 def test_boundary_cases(argv, stdin, code):

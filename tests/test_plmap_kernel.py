@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from leafspace.errors import FieldMismatchError, PreconditionError
-from leafspace.plmap import PLMap, _coerce_points
+from leafspace.plmap import FixedPoints, PLMap, _coerce_points
 from leafspace.qfield import QNum, as_qnum, sqrt_of
 
 FIELDS = (2, 3, 5)
@@ -311,15 +311,19 @@ def test_trusted_translation(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_trusted_compose_with_a_translation(data):
-    """Both translation branches of ``compose``: a translation whose period
-    differs from the other map's, in the map's field or another, so the
-    field rule may re-field a rational period or raise."""
+    """A translation whose period differs from the other map's, in the
+    map's field or another, so the field rule may re-field a rational
+    period or raise.  Maps irrational in two fields, a translation at an
+    irrational period among them, raise the one mixed-fields message."""
     g = data.draw(maps())
     e = data.draw(st.sampled_from((g.period.d, 2, 3, 5)))
     t = PLMap.translation(data.draw(qnums(e)), data.draw(periods(e)))
-    # compose compares the periods first, which raises for two irrational
-    # periods from different fields before either branch is reached.
-    assume(isinstance(_derived(t.period.__eq__, g.period), bool))
+    fields = {t._table[0], g._table[0]} - {None}
+    if len(fields) == 2:
+        a, b = sorted(fields)
+        message = (FieldMismatchError, f"mixed fields: sqrt({a}) vs sqrt({b})")
+        assert _derived(t.compose, g) == message and _derived(g.compose, t) == message
+        return
     if t.period == g.period:
         t = PLMap.translation(t.displacement, t.period * 2)
     c = t.displacement
@@ -369,13 +373,31 @@ MOVES = {
 }
 
 
+def at_one_period(f, g):
+    """(f, g) for the checked compose when their periods differ and one is
+    a translation: the translation rebuilt at the other map's period
+    through ``PLMap(p, [(0, t)])``, or the error that raises."""
+    if f.is_translation():
+        return _derived(PLMap, g.period, [(0, f.displacement)]), g
+    return f, _derived(PLMap, f.period, [(0, g.displacement)])
+
+
+def checked_compose_of(same):
+    """The checked compose of a pair of one period, or the error that
+    building the pair raised."""
+    failed = [h for h in same if isinstance(h, tuple)]
+    return failed[0] if failed else _derived(checked_compose, *same)
+
+
 @st.composite
 def compose_pairs(draw):
-    """(f, g, tiles): maps of one period, or of commensurable periods that
-    ``compose`` tiles to the common period as ``tiles`` says."""
-    kind = draw(st.sampled_from(
-        ["same", "translation", "inverse", "tie", "shifted", "commensurable", "fields"]
-    ))
+    """(f, g, same): maps to compose, and the maps of one period that the
+    checked compose takes for them: f and g themselves, both tiled to a
+    common period, or a translation rebuilt at the other map's period."""
+    kind = draw(st.sampled_from([
+        "same", "translation", "inverse", "tie", "shifted", "commensurable", "fields",
+        "other period",
+    ]))
     if kind == "fields":
         # One rational period carried in two fields; each map is moved in
         # its field, or left as drawn.
@@ -385,9 +407,21 @@ def compose_pairs(draw):
             h = draw(maps(QNum(r, 0, draw(st.sampled_from(FIELDS)))))
             c = draw(qnums(h.period.d).filter(lambda v: not v.is_rational()))
             pair.append(MOVES[draw(st.sampled_from(sorted(MOVES)))](h, c))
-        return pair[0], pair[1], None
+        return pair[0], pair[1], pair
     p = draw(periods(draw(st.sampled_from(FIELDS))))
     f, g = draw(maps(p)), draw(maps(p))
+    if kind == "other period":
+        # A translation in g's field or another, carried at another period
+        # than g's: one in g's field, or a rational one in its own field.
+        e = draw(st.sampled_from((p.d, 2, 3, 5)))
+        if e == p.d:
+            q = draw(periods(e))
+        else:
+            q = QNum(draw(st.fractions(min_value=Fraction(1, 50), max_value=50)), 0, e)
+        assume(q != p)
+        t = PLMap.translation(draw(qnums(e)), q)
+        f, g = (t, g) if draw(st.booleans()) else (g, t)
+        return f, g, at_one_period(f, g)
     if kind == "translation":
         side = draw(st.sampled_from(["left", "right", "both"]))
         if side != "right":
@@ -415,12 +449,12 @@ def compose_pairs(draw):
         assume(a != b)
         g = draw(maps(p * Fraction(a, b)).filter(lambda h: not h.is_translation()))
         q = Fraction(b, a)  # f's period over g's
-        return f, g, (q.denominator, q.numerator)
+        return f, g, (f._tiled(q.denominator), g._tiled(q.numerator))
     if draw(st.booleans()):
         # Irrational periods through affine_conjugate.
         scale = draw(st.sampled_from([1 + sqrt_of(p.d), sqrt_of(p.d)]) | qnums(p.d).filter(bool).map(abs))
         f, g = f.affine_conjugate(scale), g.affine_conjugate(scale)
-    return f, g, None
+    return f, g, (f, g)
 
 
 def assert_compose_matches(f, g, want):
@@ -443,12 +477,8 @@ def assert_compose_matches(f, g, want):
 @settings(max_examples=500, deadline=None)
 @given(compose_pairs())
 def test_compose_matches_the_checked_compose(pair):
-    f, g, tiles = pair
-    if tiles is None:
-        want = _derived(checked_compose, f, g)
-    else:
-        want = _derived(checked_compose, f._tiled(tiles[0]), g._tiled(tiles[1]))
-    assert_compose_matches(f, g, want)
+    f, g, same = pair
+    assert_compose_matches(f, g, checked_compose_of(same))
 
 
 @pytest.mark.parametrize("f_move", MOVES)
@@ -462,6 +492,12 @@ def test_compose_across_fields(f_move, g_move, fields):
     g = MOVES[g_move](h.inverse(), sqrt_of(fields[1]) / 10)
     for a, b in ((f, g), (g, f)):
         assert_compose_matches(a, b, _derived(checked_compose, a, b))
+    # Across two periods: f carried at the irrational period 1/(1 + sqrt a),
+    # and a translation of period 1 in the second field.
+    f = f.affine_conjugate(1 + sqrt_of(fields[0]))
+    t = PLMap.translation(sqrt_of(fields[1]) / 5, 1)
+    for a, b in ((f, t), (t, f)):
+        assert_compose_matches(a, b, checked_compose_of(at_one_period(a, b)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -485,3 +521,92 @@ def test_compose_builds_no_checked_map(monkeypatch):
     monkeypatch.setattr(PLMap, "inverse", refuse)
     assert_same_map(f.compose(g), want)
     assert_same_map(f.compose(f).compose(g).compose(g), f.pow(2).compose(g.pow(2)))
+
+
+# -- fixed points from the stored segments -----------------------------------
+
+
+def reference_fixed_points(f):
+    """f.fixed_points() as computed before it read the stored segments: every
+    segment of a 2k+1-point list (the breakpoints moved down by p, then as
+    stored, then the first moved up by p) that meets (0, p), its slope
+    divided out afresh, then a merge of touching intervals."""
+    if f.is_translation():
+        return FixedPoints("all" if not f.displacement else "none", (), ())
+    p, pts = f.period, f.breakpoints
+    zero = p * 0
+    ext = [(x - p, y - p) for x, y in pts] + list(pts)
+    ext.append((pts[0][0] + p, pts[0][1] + p))
+    points, intervals = [], []
+    for (u1, v1), (u2, v2) in zip(ext, ext[1:]):
+        if not u2 > zero or not u1 < p:
+            continue
+        s = (v2 - v1) / (u2 - u1)
+        if s == 1:
+            if v1 == u1:
+                intervals.append((u1 if u1 > zero else zero, u2 if u2 < p else p))
+            continue
+        xstar = (v1 - s * u1) / (1 - s)
+        if u1 <= xstar <= u2 and zero <= xstar < p:
+            points.append(xstar)
+    points = sorted(set(points))
+    merged = []
+    for lo, hi in intervals:
+        if merged and merged[-1][1] == lo:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    points = [x for x in points if not any(lo <= x <= hi for lo, hi in merged)]
+    if not points and not merged:
+        return FixedPoints("none", (), ())
+    return FixedPoints("some", tuple(points), tuple(merged))
+
+
+@st.composite
+def maps_with_fixed_points(draw):
+    """A map whose displacement at each breakpoint is -1, 0 or 1 grid steps
+    of p/D, so that runs of zeros give diagonal segments and sign changes
+    give isolated fixed points; moved by (c, c) for a c on the grid or in
+    the field, which gives x_0 > 0 and diagonals across the wrap."""
+    p = draw(periods(draw(st.sampled_from(FIELDS))))
+    k = draw(st.integers(1, 6))
+    cells = draw(st.integers(k, k + 12))
+    den = 3 * cells
+    us = sorted(draw(st.sets(st.integers(0, cells - 1), min_size=k, max_size=k)))
+    es = draw(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=k, max_size=k))
+    f = PLMap(p, [(p * Fraction(3 * u, den), p * Fraction(3 * u + e, den)) for u, e in zip(us, es)])
+    c = draw(
+        st.integers(-den, 2 * den).map(lambda j: p * Fraction(j, den))
+        | qnums(p.d)
+        | st.just(p * 0)
+    )
+    return moved_by(f, c) if c else f
+
+
+def _text(fp):
+    return fp.kind, [str(x) for x in fp.points], [(str(a), str(b)) for a, b in fp.intervals]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(maps_with_fixed_points() | maps())
+def test_fixed_points_match_the_reference(f):
+    got, want = f.fixed_points(), reference_fixed_points(f)
+    assert got == want and _text(got) == _text(want)
+
+
+@pytest.mark.parametrize("c, n", [
+    (Fraction(0), 2),  # a diagonal ends at p, and 0 is an isolated point
+    (Fraction(1, 12), 3),  # a diagonal across the wrap
+    (Fraction(1, 4), 2),  # a diagonal starts at 0
+    (Fraction(5, 12), 2),
+])
+def test_fixed_points_with_a_diagonal_across_the_wrap(c, n):
+    """f(x) = x at 0 and on [1/4, 1/2] and [3/4, 1], moved by (c, c)."""
+    f = PLMap(1, [
+        (0, 0), (Fraction(1, 8), Fraction(3, 16)), (Fraction(1, 4), Fraction(1, 4)),
+        (Fraction(1, 2), Fraction(1, 2)), (Fraction(5, 8), Fraction(9, 16)),
+        (Fraction(3, 4), Fraction(3, 4)),
+    ])
+    g = moved_by(f, c) if c else f
+    assert g.fixed_points() == reference_fixed_points(g)
+    assert len(g.fixed_points().intervals) == n
