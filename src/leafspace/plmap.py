@@ -269,11 +269,15 @@ class PLMap:
         first carried at one: a translation at the other map's period, two
         other maps at a common multiple of theirs."""
         f, g = self, other
-        df, dg = f._table[0], g._table[0]
+        df, dg = f._field(), g._field()
         if df is not None and dg is not None and df != dg:
             a, b = sorted((df, dg))
             raise FieldMismatchError(f"mixed fields: sqrt({a}) vs sqrt({b})")
-        if f._p != g._p:
+        # Past the field check, irrational periods of two fields can only
+        # belong to a translation and another map; they differ, though ==
+        # cannot compare them.
+        pf, pg = f._p, g._p
+        if (pf.d != pg.d and not pf.is_rational() and not pg.is_rational()) or pf != pg:
             if f.is_translation():
                 f = PLMap.translation(f.displacement, g._p)
             elif g.is_translation():
@@ -287,6 +291,14 @@ class PLMap:
                 frac = q.as_fraction()
                 f, g = f._tiled(frac.denominator), g._tiled(frac.numerator)
         return f._compose_equal_period(g)
+
+    def _field(self):
+        """The field this map is irrational in, or None.  A translation is
+        the same map at any period, so its displacement alone decides."""
+        if self.is_translation():
+            t = self.displacement
+            return None if t.is_rational() else t.d
+        return self._table[0]
 
     def _tiled(self, k: int) -> "PLMap":
         """The same homeomorphism represented with period k*p; only called

@@ -308,23 +308,43 @@ def test_trusted_translation(data):
     )
 
 
+def field_of(h):
+    """The field h is irrational in, or None.  A translation is the same map
+    at any period, so its displacement alone decides."""
+    if h.is_translation():
+        values = [h.displacement]
+    else:
+        values = [h.period, *(v for pt in h.breakpoints for v in pt)]
+    return next((v.d for v in values if not v.is_rational()), None)
+
+
+def mixed_fields(f, g):
+    """The one error for maps irrational in two fields, else None."""
+    fields = {field_of(f), field_of(g)} - {None}
+    if len(fields) < 2:
+        return None
+    a, b = sorted(fields)
+    return FieldMismatchError, f"mixed fields: sqrt({a}) vs sqrt({b})"
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_trusted_compose_with_a_translation(data):
     """A translation whose period differs from the other map's, in the
     map's field or another, so the field rule may re-field a rational
-    period or raise.  Maps irrational in two fields, a translation at an
-    irrational period among them, raise the one mixed-fields message."""
+    period or raise.  Maps irrational in two fields raise the one
+    mixed-fields message; an irrational period alone does not make a
+    translation irrational."""
     g = data.draw(maps())
     e = data.draw(st.sampled_from((g.period.d, 2, 3, 5)))
     t = PLMap.translation(data.draw(qnums(e)), data.draw(periods(e)))
-    fields = {t._table[0], g._table[0]} - {None}
-    if len(fields) == 2:
-        a, b = sorted(fields)
-        message = (FieldMismatchError, f"mixed fields: sqrt({a}) vs sqrt({b})")
+    message = mixed_fields(t, g)
+    if message:
         assert _derived(t.compose, g) == message and _derived(g.compose, t) == message
         return
-    if t.period == g.period:
+    # == raises for two irrational periods of different fields, which are
+    # different periods.
+    if _derived(t.period.__eq__, g.period) is True:
         t = PLMap.translation(t.displacement, t.period * 2)
     c = t.displacement
     assert_same_map(_derived(t.compose, g), _derived(checked_translate_after, c, g))
@@ -333,6 +353,20 @@ def test_trusted_compose_with_a_translation(data):
     else:
         want = _derived(checked_translate_before, g, c)
     assert_same_map(_derived(g.compose, t), want)
+
+
+@pytest.mark.parametrize("e", [2, 5])
+def test_translation_at_an_irrational_period_in_another_field(e):
+    """A translation by a rational amount, or an identity, carried at a
+    period irrational in Q(sqrt e), composes with maps irrational in
+    Q(sqrt 3) of a rational period or of an irrational one."""
+    h = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
+    unit = (1 + sqrt_of(e)).inverse()
+    for t in (PLMap.translation(Fraction(1, 3), unit), PLMap.translation(Fraction(1, 3), unit).pow(0)):
+        for g in (moved_by(h, sqrt_of(3) / 10), h.affine_conjugate(1 + sqrt_of(3))):
+            c = t.displacement
+            assert_same_map(t.compose(g), checked_translate_after(c, g))
+            assert_same_map(g.compose(t), checked_translate_before(g, c))
 
 
 def test_trusted_translation_keeps_the_period_check():
@@ -412,13 +446,10 @@ def compose_pairs(draw):
     f, g = draw(maps(p)), draw(maps(p))
     if kind == "other period":
         # A translation in g's field or another, carried at another period
-        # than g's: one in g's field, or a rational one in its own field.
+        # than g's; two irrational periods of different fields make == raise.
         e = draw(st.sampled_from((p.d, 2, 3, 5)))
-        if e == p.d:
-            q = draw(periods(e))
-        else:
-            q = QNum(draw(st.fractions(min_value=Fraction(1, 50), max_value=50)), 0, e)
-        assume(q != p)
+        q = draw(periods(e))
+        assume(_derived(q.__eq__, p) is not True)
         t = PLMap.translation(draw(qnums(e)), q)
         f, g = (t, g) if draw(st.booleans()) else (g, t)
         return f, g, at_one_period(f, g)
@@ -463,10 +494,9 @@ def assert_compose_matches(f, g, want):
     the checked compose raises the same type; else the results are equal,
     or the errors are of one type."""
     got = _derived(f.compose, g)
-    fields = {f._table[0], g._table[0]} - {None}  # the field of each irrational map
-    if len(fields) == 2:
-        a, b = sorted(fields)
-        assert got == (FieldMismatchError, f"mixed fields: sqrt({a}) vs sqrt({b})")
+    message = mixed_fields(f, g)
+    if message:
+        assert got == message
         assert want[0] is FieldMismatchError
     elif isinstance(want, tuple):
         assert isinstance(got, tuple) and got[0] is want[0]
