@@ -1,7 +1,8 @@
 """Command-line driver with deterministic, machine-readable output.
 
 Exit codes: 0 success (and NO_COMMON_TRANSLATION for `certify`),
-10 COMMON_TRANSLATION, 2 malformed input, 3 precondition violation.
+10 COMMON_TRANSLATION, 1 a failed `selftest` check, 2 malformed input,
+3 precondition violation.
 Exact values are printed in the canonical number grammar; floats carry 17
 significant digits.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -22,7 +24,8 @@ from .action import (
     load_action_config,
     orbit_density,
 )
-from .cones import adversarial_stall, build_chain_from_action, metric_gap_check, run_progress_ledger
+from .cones import (CROSSINGS, adversarial_stall, build_chain_from_action, metric_gap_check,
+                    run_progress_ledger, sample_leaf_pairs)
 from .errors import ParseError, PreconditionError
 from .plmap import Bracket, Exact, PLMap, translation_number
 from .qfield import QNum
@@ -179,15 +182,9 @@ def cmd_incompressible(args) -> int:
 
 
 def cmd_metric_lemma(args) -> int:
-    import random
-
     spec = _load_spec(args)
     chain = build_chain_from_action(spec, args.pattern, seed=args.seed)
-    rng = random.Random(args.seed)
-    pairs = [
-        (Fraction(rng.randint(-60, 60), 7), Fraction(rng.randint(-60, 60), 11))
-        for _ in range(args.samples)
-    ]
+    pairs = sample_leaf_pairs(random.Random(args.seed), args.samples)
     rep = metric_gap_check(chain, 0, len(chain), pairs)
     _emit(rep.to_json(), args)
     return EXIT_OK
@@ -217,9 +214,9 @@ def cmd_stall_search(args) -> int:
         _emit(
             {
                 "result": "STALL",
-                "crossings": trace.crossings,
-                "first_values": [str(trace.value(i)) for i in range(min(10, trace.crossings))],
-                "final_value": str(trace.value(trace.crossings - 1)),
+                "crossings": CROSSINGS,
+                "first_values": [str(trace.value(i)) for i in range(10)],
+                "final_value": str(trace.value(CROSSINGS - 1)),
             },
             args,
         )
@@ -250,8 +247,8 @@ def cmd_shear_holonomy(args) -> int:
         _parse_rat(args.threshold),
     )
     lines = ["level,domain_length"]
-    for level, length in enumerate(trace.lengths):
-        lines.append(f"{level},{_f17(length)}")
+    width = _f17(trace.width)
+    lines += [f"{level},{width}" for level in range(trace.levels)]
     lines.append(f"# flag: {trace.flag}")
     lines.append("# label: EXPLORATORY")
     _write("\n".join(lines) + "\n", args)

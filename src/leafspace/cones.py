@@ -24,7 +24,9 @@ __all__ = [
     "LedgerRun",
     "StallTrace",
     "run_progress_ledger",
+    "CROSSINGS",
     "adversarial_stall",
+    "sample_leaf_pairs",
     "metric_gap_check",
     "build_chain_from_action",
 ]
@@ -92,6 +94,15 @@ class GapReport:
             "violations": self.violations,
             "samples": self.samples,
         }
+
+
+def sample_leaf_pairs(rng: random.Random, samples: int) -> list:
+    """``samples`` leaf pairs (lam, mu), lam in (1/7)Z and mu in (1/11)Z,
+    both within 60/7 of 0, drawn from ``rng`` in that order."""
+    return [
+        (Fraction(rng.randint(-60, 60), 7), Fraction(rng.randint(-60, 60), 11))
+        for _ in range(samples)
+    ]
 
 
 def metric_gap_check(chain: MetricChain, i: int, j: int, samples) -> GapReport:
@@ -183,32 +194,33 @@ def run_progress_ledger(T, r, n: int, policy: str = "adversarial", seed: int = 0
     return LedgerRun(tuple(rows), verdict, rows[-1].certified_lower_bound)
 
 
+CROSSINGS = 1000  # crossings the stall search follows
+
+
 @dataclass(frozen=True)
 class StallTrace:
-    """The d_1 value after each of ``crossings`` crossings with every
+    """The d_1 value after each of ``CROSSINGS`` crossings with every
     distortion -r: it starts at T and moves by T - 2r per crossing."""
 
     start: QNum
     step: QNum
-    crossings: int
 
     def value(self, i: int) -> QNum:
-        """The value after crossing i + 1, for 0 <= i < crossings."""
+        """The value after crossing i + 1, for 0 <= i < CROSSINGS."""
         return self.start + self.step * i
 
     def bounded(self) -> bool:
         # The values are linear in i, so the last one is the largest or
         # the first one is.
-        return self.value(self.crossings - 1) <= self.start
+        return self.value(CROSSINGS - 1) <= self.start
 
 
-def adversarial_stall(T, r, crossings: int = 1000) -> StallTrace | None:
-    """Search for a distortion sequence whose d_1 progress stays bounded.
-
-    The d_1 value after m crossings is linear in the distortions, so the
-    greedy all-minus sequence is the exact minimizer; it stalls precisely
-    when T <= 2r.  Returns the verified trace, or None when every sequence
-    diverges.
+def adversarial_stall(T, r) -> StallTrace | None:
+    """Search for a distortion sequence whose d_1 progress stays bounded
+    over ``CROSSINGS`` crossings.  The d_1 value after m crossings is
+    linear in the distortions, so the greedy all-minus sequence is the
+    exact minimizer; it stalls precisely when T <= 2r.  Returns the
+    verified trace, or None when every sequence diverges.
     """
     T = as_qnum(T)
     r = as_qnum(r)
@@ -216,13 +228,11 @@ def adversarial_stall(T, r, crossings: int = 1000) -> StallTrace | None:
         raise PreconditionError("T must be positive and r nonnegative")
     # Greedy: each new crossing adds T and two re-measurements, each
     # distorted by the worst case -r, so the last value is
-    # T + (crossings - 1)*step and exceeds T exactly when step > 0.
+    # T + (CROSSINGS - 1)*step and exceeds T exactly when step > 0.
     step = T - 2 * r
-    if crossings <= 1:
-        return StallTrace(T, step, 1)
     if step.sign() > 0:
         return None
-    return StallTrace(T, step, crossings)
+    return StallTrace(T, step)
 
 
 def build_chain_from_action(spec, pattern: str, seed: int = 0) -> MetricChain:

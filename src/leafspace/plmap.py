@@ -57,10 +57,12 @@ def _ints(x: QNum) -> tuple[int, int, int]:
 def _kernel_table(p: QNum, pts, slopes):
     """The integer data ``PLMap.__call__`` reads, built once per map.
 
-    ``(d, x0, ip, p, xs, segs)``: ``d`` is the field of an irrational map
-    and None for a rational one, whose values take the field of x.  ``x0``
-    and ``p`` are (n, m, q) triples, ``ip`` is 1/p as (n, m*d, m, q), and
-    ``xs`` holds the breakpoint x triples.  Segment i maps x to
+    ``(d, x0, ip, p, xs, segs)``: ``d``, the one field decision that
+    evaluation and ``compose`` read, is the field the map is irrational in,
+    or None when its values take the field of x; a translation x -> x + t
+    is the same map at any period, so t alone decides.  ``x0`` and ``p``
+    are (n, m, q) triples, ``ip`` is 1/p as (n, m*d, m, q), and ``xs``
+    holds the breakpoint x triples.  Segment i maps x to
     s_i*(x - k*p) + b_i + k*p with b_i = y_i - s_i*x_i; for
     x - k*p = (rn + rm*sqrt(d))/rq that is (N + M*sqrt(d))/Q with
 
@@ -70,15 +72,13 @@ def _kernel_table(p: QNum, pts, slopes):
 
     where ``segs[i]`` = (a1, a2, a3, b1, c1, b2, c2, f) puts s_i, b_i and p
     over one denominator.  A translation has ``xs`` None and ``segs`` the
-    triple of its displacement.
+    triple of t.
     """
-    irrational = not p.is_rational() or any(
-        not v.is_rational() for pt in pts for v in pt
-    )
-    d = p.d if irrational else None
     if len(pts) == 1:
-        x, y = pts[0]
-        return d, None, None, None, None, _ints(y - x)
+        t = pts[0][1] - pts[0][0]
+        return (None if t.is_rational() else t.d), None, None, None, None, _ints(t)
+    irrational = not p.is_rational() or any(not v.is_rational() for pt in pts for v in pt)
+    d = p.d if irrational else None
     rd = p.d if irrational else 0  # a rational map has no sqrt parts
     pn, pm, pq = _ints(p)
     segs = []
@@ -265,40 +265,34 @@ class PLMap:
         return PLMap._trusted(p, [(x, y) for x, y, _ in triples], [s for _, _, s in triples])
 
     def compose(self, other: "PLMap") -> "PLMap":
-        """self after other: x -> self(other(x)).  Maps of two periods are
-        first carried at one: a translation at the other map's period, two
-        other maps at a common multiple of theirs."""
+        """self after other: x -> self(other(x)).  Two translations give the
+        translation by the sum.  Otherwise maps of two periods are first
+        carried at one: a translation at the other map's period, two other
+        maps at a common multiple of theirs."""
         f, g = self, other
-        df, dg = f._field(), g._field()
+        df, dg = f._table[0], g._table[0]
         if df is not None and dg is not None and df != dg:
             a, b = sorted((df, dg))
             raise FieldMismatchError(f"mixed fields: sqrt({a}) vs sqrt({b})")
-        # Past the field check, irrational periods of two fields can only
-        # belong to a translation and another map; they differ, though ==
-        # cannot compare them.
         pf, pg = f._p, g._p
-        if (pf.d != pg.d and not pf.is_rational() and not pg.is_rational()) or pf != pg:
+        if f.is_translation() and g.is_translation():
+            # At g's period, as a rebuilt f would be; at f's when they are
+            # equal or g's is irrational in a field other than the sum's.
+            t = f.displacement + g.displacement
+            foreign = t._m and pg._m and pg._d != t._d
+            return PLMap.translation(t, pf if foreign or pf == pg else pg)
+        if pf != pg:
             if f.is_translation():
-                f = PLMap.translation(f.displacement, g._p)
+                f = PLMap.translation(f.displacement, pg)
             elif g.is_translation():
-                g = PLMap.translation(g.displacement, f._p)
+                g = PLMap.translation(g.displacement, pf)
             else:
-                rational, q = ratio_is_rational(f._p, g._p)
+                rational, q = ratio_is_rational(pf, pg)
                 if not rational:
-                    raise PeriodMismatchError(
-                        f"periods {f._p} and {g._p} are incommensurable"
-                    )
+                    raise PeriodMismatchError(f"periods {pf} and {pg} are incommensurable")
                 frac = q.as_fraction()
                 f, g = f._tiled(frac.denominator), g._tiled(frac.numerator)
         return f._compose_equal_period(g)
-
-    def _field(self):
-        """The field this map is irrational in, or None.  A translation is
-        the same map at any period, so its displacement alone decides."""
-        if self.is_translation():
-            t = self.displacement
-            return None if t.is_rational() else t.d
-        return self._table[0]
 
     def _tiled(self, k: int) -> "PLMap":
         """The same homeomorphism represented with period k*p; only called
@@ -425,16 +419,12 @@ class PLMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PLMap):
             return NotImplemented
-        if self.is_translation() and other.is_translation():
-            # A translation is the same map of the line whatever period it
-            # happens to carry.
-            return self.displacement == other.displacement
-        return self._p == other._p and self._pts == other._pts
+        # A translation, stored as (0, t), is the same map of the line
+        # whatever period it happens to carry.
+        return self._pts == other._pts and (self.is_translation() or self._p == other._p)
 
     def __hash__(self) -> int:
-        if self.is_translation():
-            return hash(("translation", self.displacement))
-        return hash((self._p, self._pts))
+        return hash(self._pts if self.is_translation() else (self._p, self._pts))
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({x}, {y})" for x, y in self._pts)

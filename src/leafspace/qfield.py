@@ -124,10 +124,11 @@ class QNum:
 
     Immutable.  Stored as ints (n, m, q, d) with a = n/q, b = m/q, q > 0
     and gcd(n, m, q) = 1; that form is canonical, so equality is equality
-    of (n, m, q).  ``.a`` and ``.b`` build the reduced ``Fraction``s on
-    demand.  Rational values (b = 0) mix freely with any d; two numbers
-    with nonzero sqrt coefficients must share d or arithmetic raises
-    ``FieldMismatchError``.
+    of (n, m, q), and of d for irrational values: 1, sqrt(d) and sqrt(e)
+    are linearly independent over Q.  ``.a`` and ``.b`` build the reduced
+    ``Fraction``s on demand.  Rational values (b = 0) mix freely with any
+    d; arithmetic and ordering on irrational values of two fields raise
+    ``FieldMismatchError``, and ``==`` never raises.
     """
 
     __slots__ = ("_n", "_m", "_q", "_d")
@@ -273,6 +274,9 @@ class QNum:
         return _sign(self._n * q - n * self._q, self._m * q - m * self._q, d)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, QNum):
+            same = self._n == other._n and self._m == other._m and self._q == other._q
+            return same and (not self._m or self._d == other._d)
         o = self._operand(other)
         if o is None:
             return NotImplemented

@@ -15,7 +15,8 @@ import random
 from fractions import Fraction
 
 from .action import build_glued_action, certify_nonuniform
-from .cones import adversarial_stall, build_chain_from_action, metric_gap_check, run_progress_ledger
+from .cones import (adversarial_stall, build_chain_from_action, metric_gap_check,
+                    run_progress_ledger, sample_leaf_pairs)
 from .plmap import Exact, PLMap, translation_number
 from .qfield import QNum, ratio_is_rational, sqrt_of
 from .shear import disjointness_check, shadow_length
@@ -142,11 +143,7 @@ def check_metric_lemma(rng: random.Random, samples: int) -> int:
     r2 = sqrt_of(2)
     spec = build_glued_action(1 + r2, r2)
     chain = build_chain_from_action(spec, "LRLRL", seed=rng.randint(0, 10**6))
-    pairs = [
-        (Fraction(rng.randint(-60, 60), 7), Fraction(rng.randint(-60, 60), 11))
-        for _ in range(samples)
-    ]
-    rep = metric_gap_check(chain, 0, len(chain), pairs)
+    rep = metric_gap_check(chain, 0, len(chain), sample_leaf_pairs(rng, samples))
     return rep.violations
 
 

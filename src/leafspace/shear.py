@@ -53,9 +53,10 @@ def shadow_length(t, multiplier, n: int) -> ShadowReport:
 
 @dataclass(frozen=True)
 class HolonomyTrace:
-    """Per-level surviving transverse domain."""
+    """The surviving transverse domain: ``width`` at levels 0 to ``levels`` - 1."""
 
-    lengths: tuple  # domain length after each level, starting at level 0
+    width: QNum
+    levels: int
     flag: str  # PERSISTS or SHRINKS_TO_POINT
 
 
@@ -85,8 +86,8 @@ def holonomy_domain_trace(multiplier, eps, delta, n: int, threshold=Fraction(1, 
         raise PreconditionError("n must be >= 1")
     width = as_qnum(1 + 2 * eps)
     if width < as_qnum(threshold):
-        return HolonomyTrace((width,), "SHRINKS_TO_POINT")
-    return HolonomyTrace((width,) * (n + 1), "PERSISTS")
+        return HolonomyTrace(width, 1, "SHRINKS_TO_POINT")
+    return HolonomyTrace(width, n + 1, "PERSISTS")
 
 
 def disjointness_check(support, shift) -> bool:

@@ -28,22 +28,14 @@ from leafspace.selftest import (
     run_selftest,
 )
 
+from conftest import periodic_orbit_map
+
 R2 = sqrt_of(2)
 
 
 def report(capsys, line: str) -> None:
     with capsys.disabled():
         print(line, flush=True)
-
-
-def periodic_orbit_map(points, m, period=1):
-    pts = sorted(Fraction(p) for p in points)
-    q = len(pts)
-    bps = []
-    for j, x in enumerate(pts):
-        tgt = pts[(j + m) % q] + period * ((j + m) // q)
-        bps.append((x, tgt))
-    return PLMap(period, bps)
 
 
 def test_criterion_1_nonuniformity_certificate(capsys):

@@ -132,6 +132,18 @@ class TestWords:
         assert isinstance(g, ComposedMap)
         assert len(g.factors) == 2
 
+    def test_cross_side_word_evaluates_its_factors_in_turn(self):
+        word = [("beta_l", 2), ("alpha_r", 1), ("beta_r", -1), ("alpha_l", -1)]
+        g = evaluate_word(FLAGSHIP, word)
+        assert isinstance(g, ComposedMap) and len(g.factors) == len(word)
+        for x in (R2 / 3, Fraction(5, 7) - 2 * R2, qnum(0), 1 + R2):
+            want = x
+            for name, exp in reversed(word):
+                h = FLAGSHIP.generator(name)
+                for _ in range(abs(exp)):
+                    want = h(want) if exp > 0 else h.inverse()(want)
+            assert g(x) == want and str(g(x)) == str(want)
+
     def test_cross_side_words_do_not_commute(self):
         lr = evaluate_word(FLAGSHIP, [("beta_l", 1), ("beta_r", 1)])
         rl = evaluate_word(FLAGSHIP, [("beta_r", 1), ("beta_l", 1)])

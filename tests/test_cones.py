@@ -6,6 +6,7 @@ import pytest
 
 from leafspace.action import build_glued_action
 from leafspace.cones import (
+    CROSSINGS,
     MetricChain,
     adversarial_stall,
     build_chain_from_action,
@@ -110,33 +111,33 @@ class TestProgressLedger:
 
 class TestStallSearch:
     def test_stall_exists_at_critical_distortion(self):
-        trace = adversarial_stall(1, 1, crossings=50)
+        trace = adversarial_stall(1, 1)
         assert trace is not None
         assert trace.bounded()
-        assert trace.crossings == 50
+        assert CROSSINGS == 1000 and trace.value(CROSSINGS - 1) == -998
 
     def test_no_stall_when_progress_dominates(self):
-        assert adversarial_stall(3, 1, crossings=50) is None
-        assert adversarial_stall(1, 0, crossings=50) is None
+        assert adversarial_stall(3, 1) is None
+        assert adversarial_stall(1, 0) is None
 
     def test_stall_values_match_recurrence(self):
-        trace = adversarial_stall(1, 1, crossings=10)
+        trace = adversarial_stall(1, 1)
         for i in range(9):
             assert trace.value(i + 1) == trace.value(i) - 1  # T - 2r = -1 per crossing
 
     @staticmethod
-    def reference_stall(T, r, crossings):
+    def reference_stall(T, r):
         """The search as a loop over every crossing, then one comparison:
         the values, or None."""
         T, r = as_qnum(T), as_qnum(r)
         values = [T]
         value = T
-        for _ in range(2, crossings + 1):
+        for _ in range(2, CROSSINGS + 1):
             value = value + T - 2 * r
             values.append(value)
         return values if values[-1] <= values[0] else None
 
-    @pytest.mark.parametrize("crossings", [0, 1, 2, 50, 1000])
+    @pytest.mark.parametrize("shown", [0, 1, 2, 50, 1000])
     @pytest.mark.parametrize("T, r", [
         (1, 1),  # T < 2r
         (2, 1),  # T = 2r
@@ -148,15 +149,16 @@ class TestStallSearch:
         (Fraction(3, 2), sqrt_of(5) / 4),  # T > 2r, r in Q(sqrt 5)
         (sqrt_of(3), sqrt_of(3) / 2),  # T = 2r over Q(sqrt 3)
     ])
-    def test_matches_the_loop_over_every_crossing(self, T, r, crossings):
-        got, want = adversarial_stall(T, r, crossings), self.reference_stall(T, r, crossings)
+    def test_matches_the_loop_over_every_crossing(self, T, r, shown):
+        """The verdict, and the first ``shown`` values of a stalling trace."""
+        got, want = adversarial_stall(T, r), self.reference_stall(T, r)
         if want is None:
             assert got is None
             return
-        assert got.crossings == len(want) and got.bounded()
-        values = [got.value(i) for i in range(got.crossings)]
-        assert values == want
-        assert [(str(v), v.d) for v in values] == [(str(v), v.d) for v in want]
+        assert len(want) == CROSSINGS and got.bounded()
+        values = [got.value(i) for i in range(shown)]
+        assert values == want[:shown]
+        assert [(str(v), v.d) for v in values] == [(str(v), v.d) for v in want[:shown]]
 
 
 class TestBuildChain:

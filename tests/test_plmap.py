@@ -7,19 +7,10 @@ from leafspace.plmap import Bracket, Exact, PLMap, translation_number
 from leafspace.qfield import qnum, sqrt_of
 from leafspace.selftest import random_plmap, random_qnum
 
+from conftest import periodic_orbit_map
+
 R2 = sqrt_of(2)
 BETA = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
-
-
-def periodic_orbit_map(points, m, period=1):
-    """PL map cyclically permuting the given points, shifted m periods."""
-    pts = sorted(Fraction(p) for p in points)
-    q = len(pts)
-    bps = []
-    for j, x in enumerate(pts):
-        tgt = pts[(j + m) % q] + period * ((j + m) // q)
-        bps.append((x, tgt))
-    return PLMap(period, bps)
 
 
 class TestConstruction:
@@ -64,6 +55,39 @@ class TestConstruction:
         # x in Q(sqrt 2) and y in Q(sqrt 3): every slope lies in Q(sqrt 2).
         with pytest.raises(FieldMismatchError, match="several fields"):
             PLMap(1, [(0, sqrt_of(3) / 10), (R2 / 4, sqrt_of(3) / 10 + Fraction(1, 2))])
+
+
+class TestOneFieldRule:
+    """A translation is x -> x + t at any period, so t alone decides its
+    field; maps irrational in two fields are unequal."""
+
+    T = PLMap.translation(Fraction(1, 3), (1 + sqrt_of(5)).inverse())
+
+    def test_translation_at_an_irrational_period_takes_every_field(self):
+        assert self.T(R2) == R2 + Fraction(1, 3)
+        for g in (BETA.affine_conjugate(1 + R2), PLMap(1, [(0, R2 / 10), (Fraction(1, 3), Fraction(1, 2))]),
+                  PLMap.translation(R2, 1)):
+            for x in (R2 / 7, Fraction(2, 5) - R2, qnum(3)):
+                assert self.T.compose(g)(x) == self.T(g(x))
+                assert g.compose(self.T)(x) == g(self.T(x))
+
+    def test_translations_compose_to_the_sum_in_either_order(self):
+        a = PLMap.translation(sqrt_of(5), 1)
+        b = PLMap.translation(Fraction(1, 3), (1 + R2).inverse())
+        for h in (a.compose(b), b.compose(a)):
+            assert repr(h) == "PLMap(period=1, breakpoints=[(0, 1/3+1*sqrt(5))])"
+            for x in (sqrt_of(5) / 3, Fraction(1, 7)):
+                assert h(x) == a(b(x)) == b(a(x))
+        assert self.T.compose(b) == PLMap.translation(Fraction(2, 3), 1)
+
+    def test_maps_irrational_in_two_fields_are_unequal(self):
+        f = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(1, 2) + R2 / 10)])
+        g = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(1, 2) + sqrt_of(3) / 10)])
+        assert not f == g and f != g
+        assert PLMap.translation(R2) != PLMap.translation(sqrt_of(3))
+        assert f.affine_conjugate(1 + R2) != g.affine_conjugate(1 + sqrt_of(3))
+        with pytest.raises(FieldMismatchError, match=r"mixed fields: sqrt\(2\) vs sqrt\(3\)"):
+            f.compose(g)
 
 
 class TestEval:

@@ -150,21 +150,33 @@ def _outcome(fn, *args):
         return FieldMismatchError
 
 
+def field_of(h):
+    """The field h is irrational in, or None.  A translation is the same map
+    at any period, so its displacement alone decides."""
+    if h.is_translation():
+        values = [h.displacement]
+    else:
+        values = [h.period, *(v for pt in h.breakpoints for v in pt)]
+    return next((v.d for v in values if not v.is_rational()), None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_field_mismatch_parity(data):
     """Wherever the reference formula mixes two fields, the kernel raises
-    FieldMismatchError too; elsewhere both give the same value.  The kernel
-    raises exactly when an irrational x meets a map that is irrational in
-    another field."""
+    FieldMismatchError too, except at a translation, which is x -> x + t at
+    any period; elsewhere both give the same value.  The kernel raises
+    exactly when an irrational x meets a map irrational in another field."""
     f = data.draw(maps())
     e = data.draw(st.sampled_from([d for d in (2, 3, 5, 7) if d != f.period.d]))
     x = data.draw(qnums(e) | points(f))
-    got, want = _outcome(f, x), _outcome(reference_call, f, x)
-    irrational_map = any(
-        not v.is_rational() for v in (f.period, *[c for pt in f.breakpoints for c in pt])
-    )
-    assert (got is FieldMismatchError) == (irrational_map and not x.is_rational() and x.d != f.period.d)
+    got = _outcome(f, x)
+    if f.is_translation():
+        want = _outcome(x.__add__, f.displacement)
+    else:
+        want = _outcome(reference_call, f, x)
+    field = field_of(f)
+    assert (got is FieldMismatchError) == (field is not None and not x.is_rational() and x.d != field)
     if want is FieldMismatchError:
         assert got is FieldMismatchError
     elif got is not FieldMismatchError:
@@ -175,7 +187,8 @@ def test_field_mismatch_on_a_rational_segment_of_an_irrational_map():
     # Segment [0, 1/4) is the identity with rational ends; the map is
     # irrational through its last breakpoint.  The reference touches no
     # irrational coefficient for x in that segment and returns x; the
-    # kernel decides by the fields alone.
+    # kernel decides by the fields alone.  A translation by a rational
+    # amount is rational at any period, so it takes every field.
     r2, r3 = sqrt_of(2), sqrt_of(3)
     f = PLMap(1, [(0, 0), (Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 2) + r2 / 10)])
     assert reference_call(f, r3 / 100) == r3 / 100
@@ -183,8 +196,8 @@ def test_field_mismatch_on_a_rational_segment_of_an_irrational_map():
         f(r3 / 100)
     with pytest.raises(FieldMismatchError):
         PLMap.translation(r2)(r3)
-    with pytest.raises(FieldMismatchError):
-        PLMap.translation(1, (1 + r2).inverse())(r3)  # irrational through its period only
+    x = PLMap.translation(1, (1 + r2).inverse())(r3)  # irrational through its period only
+    assert x == r3 + 1 and x.d == 3
 
 
 @pytest.mark.parametrize("pts, kept", [
@@ -308,16 +321,6 @@ def test_trusted_translation(data):
     )
 
 
-def field_of(h):
-    """The field h is irrational in, or None.  A translation is the same map
-    at any period, so its displacement alone decides."""
-    if h.is_translation():
-        values = [h.displacement]
-    else:
-        values = [h.period, *(v for pt in h.breakpoints for v in pt)]
-    return next((v.d for v in values if not v.is_rational()), None)
-
-
 def mixed_fields(f, g):
     """The one error for maps irrational in two fields, else None."""
     fields = {field_of(f), field_of(g)} - {None}
@@ -327,6 +330,15 @@ def mixed_fields(f, g):
     return FieldMismatchError, f"mixed fields: sqrt({a}) vs sqrt({b})"
 
 
+def summed_translation(f, g):
+    """f after g for two translations, built the checked way: the
+    translation by the sum at g's period, or at f's where g's is irrational
+    in another field than the sum's."""
+    t = f.displacement + g.displacement
+    want = _derived(checked_translation, t, g.period)
+    return want if isinstance(want, PLMap) else checked_translation(t, f.period)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_trusted_compose_with_a_translation(data):
@@ -334,7 +346,8 @@ def test_trusted_compose_with_a_translation(data):
     map's field or another, so the field rule may re-field a rational
     period or raise.  Maps irrational in two fields raise the one
     mixed-fields message; an irrational period alone does not make a
-    translation irrational."""
+    translation irrational, and two translations compose to the one by
+    the sum."""
     g = data.draw(maps())
     e = data.draw(st.sampled_from((g.period.d, 2, 3, 5)))
     t = PLMap.translation(data.draw(qnums(e)), data.draw(periods(e)))
@@ -342,17 +355,15 @@ def test_trusted_compose_with_a_translation(data):
     if message:
         assert _derived(t.compose, g) == message and _derived(g.compose, t) == message
         return
-    # == raises for two irrational periods of different fields, which are
-    # different periods.
-    if _derived(t.period.__eq__, g.period) is True:
+    if t.period == g.period:
         t = PLMap.translation(t.displacement, t.period * 2)
+    if g.is_translation():
+        assert_same_map(t.compose(g), summed_translation(t, g))
+        assert_same_map(g.compose(t), summed_translation(g, t))
+        return
     c = t.displacement
     assert_same_map(_derived(t.compose, g), _derived(checked_translate_after, c, g))
-    if g.is_translation():
-        want = _derived(checked_translate_after, g.displacement, t)
-    else:
-        want = _derived(checked_translate_before, g, c)
-    assert_same_map(_derived(g.compose, t), want)
+    assert_same_map(_derived(g.compose, t), _derived(checked_translate_before, g, c))
 
 
 @pytest.mark.parametrize("e", [2, 5])
@@ -410,9 +421,12 @@ MOVES = {
 def at_one_period(f, g):
     """(f, g) for the checked compose when their periods differ and one is
     a translation: the translation rebuilt at the other map's period
-    through ``PLMap(p, [(0, t)])``, or the error that raises."""
+    through ``PLMap(p, [(0, t)])``, or the error that raises.  Of two
+    translations, f is rebuilt, or g where g's period cannot carry f."""
     if f.is_translation():
-        return _derived(PLMap, g.period, [(0, f.displacement)]), g
+        moved = _derived(PLMap, g.period, [(0, f.displacement)])
+        if isinstance(moved, PLMap) or not g.is_translation():
+            return moved, g
     return f, _derived(PLMap, f.period, [(0, g.displacement)])
 
 
@@ -446,10 +460,10 @@ def compose_pairs(draw):
     f, g = draw(maps(p)), draw(maps(p))
     if kind == "other period":
         # A translation in g's field or another, carried at another period
-        # than g's; two irrational periods of different fields make == raise.
+        # than g's.
         e = draw(st.sampled_from((p.d, 2, 3, 5)))
         q = draw(periods(e))
-        assume(_derived(q.__eq__, p) is not True)
+        assume(q != p)
         t = PLMap.translation(draw(qnums(e)), q)
         f, g = (t, g) if draw(st.booleans()) else (g, t)
         return f, g, at_one_period(f, g)

@@ -75,6 +75,16 @@ def test_mixed_fields_rejected():
     assert qnum(1, 0, 3) + sqrt_of(2) == 1 + R2
 
 
+def test_equality_across_fields_never_raises():
+    # 1, sqrt(d) and sqrt(e) are linearly independent over Q.
+    r5 = sqrt_of(5)
+    assert not sqrt_of(2) == r5 and sqrt_of(2) != r5
+    assert qnum(1, 3, 2) != qnum(1, 3, 5) and R2 / 7 != r5 / 7
+    assert qnum(Fraction(1, 2), 0, 3) == qnum(Fraction(1, 2), 0, 5) == Fraction(1, 2)
+    assert R2 != 1 and R2 != Fraction(1, 2) and R2 == sqrt_of(2)
+    assert len({R2, r5, qnum(0, 1, 3)}) == 3
+
+
 def test_d_must_be_square_free():
     for bad in (0, 1, 4, 12, -2, 10**18 + 3):
         with pytest.raises(PreconditionError):

@@ -46,18 +46,17 @@ class TestShadowLength:
 class TestHolonomyTrace:
     def test_identity_shear_persists(self):
         trace = holonomy_domain_trace(2, Fraction(1, 8), 0, 5)
-        assert trace.flag == "PERSISTS"
-        assert all(v == trace.lengths[0] for v in trace.lengths)
+        assert (trace.width, trace.levels, trace.flag) == (Fraction(5, 4), 6, "PERSISTS")
 
     def test_lengths_never_increase(self):
+        # One width at every level: the whole collar window survives.
         trace = holonomy_domain_trace(2, Fraction(1, 8), Fraction(1, 4), 6)
-        for a, b in zip(trace.lengths, trace.lengths[1:]):
-            assert b <= a
+        assert (trace.width, trace.levels, trace.flag) == (Fraction(5, 4), 7, "PERSISTS")
 
     def test_coarse_threshold_reports_shrinkage(self):
         trace = holonomy_domain_trace(2, Fraction(1, 8), Fraction(1, 4), 6, threshold=2)
         assert trace.flag == "SHRINKS_TO_POINT"
-        assert trace.lengths == (Fraction(5, 4),)
+        assert (trace.width, trace.levels) == (Fraction(5, 4), 1)
 
     def test_input_validation(self):
         with pytest.raises(PreconditionError):
@@ -96,9 +95,9 @@ class TestHolonomyTrace:
             for threshold in (Fraction(1, 10**6), width, width + Fraction(1, 10**9), 2 * width):
                 trace = holonomy_domain_trace(lam, eps, delta, n, threshold)
                 if width < threshold:
-                    assert (trace.lengths, trace.flag) == ((width,), "SHRINKS_TO_POINT")
+                    assert (trace.width, trace.levels, trace.flag) == (width, 1, "SHRINKS_TO_POINT")
                 else:
-                    assert (trace.lengths, trace.flag) == ((width,) * (n + 1), "PERSISTS")
+                    assert (trace.width, trace.levels, trace.flag) == (width, n + 1, "PERSISTS")
 
 
 class TestDisjointness:
