@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_9.json --base a5a193b --repeats 7
+    python3 bench/run.py --out BENCH_11.json --base a7bbcfd --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
@@ -62,6 +62,7 @@ period_r2 = (1 + r2).inverse()
 g_r2 = PLMap(period_r2, pts_r2)
 shift = PLMap.translation(r2 / 10, 1)
 rot = beta.compose(shift).compose(beta.inverse())
+golden = PLMap(1, [(0, F(1, 2)), (F(1, 4), F(5, 8)), (F(1, 2), 1)])
 flagship_config = json.loads(CONFIG)
 flagship = load_action_config(flagship_config)
 """
@@ -73,6 +74,10 @@ ROWS = {
     "plmap.compose.sqrt2": "g_r2.compose(beta2)",
     "plmap.translation_number.forced_bracket_eps_1e-3":
         "translation_number(rot, F(1, 1000), force_bracket=True)",
+    # tests/golden/map.json: tau = 1/2, so the orbit of 0 closes at j = 2,
+    # and n = 2001 is odd.
+    "plmap.translation_number.forced_bracket_closes_eps_1e-3":
+        "translation_number(golden, F(1, 1000), force_bracket=True)",
     "plmap.inverse.sqrt2_4_breakpoints": "g_r2.inverse()",
     "plmap.affine_conjugate.sqrt2_4_breakpoints": "g_r2.affine_conjugate(1 + r2)",
     "qfield.parse.sqrt2_literal": 'QNum.parse("1/3+2/7*sqrt(2)")',

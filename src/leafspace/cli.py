@@ -287,35 +287,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("periods", cmd_periods, "commuting-translation subgroup of a PL map")
     p.add_argument("--map", required=True)
 
-    for name, fn, help_ in [
-        ("build-action", cmd_build_action, "normalize a two-piece action spec"),
-        ("certify", cmd_certify, "decide the common-translation question"),
-        ("eval-word", cmd_eval_word, "image of a word under the action"),
-        ("orbit-gap", cmd_orbit_gap, "largest orbit gap in a window"),
-        ("incompressible", cmd_incompressible, "bounded incompressibility search"),
-        ("metric-lemma", cmd_metric_lemma, "sample the metric comparison bound"),
-    ]:
+    def add_action(name, fn, help_):
         p = add(name, fn, help_)
         p.add_argument(
             "--config",
             required=True,
             help=f"action config JSON path, '-', or one of {', '.join(BUILTIN_CONFIGS)}",
         )
-        if name == "certify":
-            p.add_argument("--density-word-len", type=int, default=4)
-        if name == "eval-word":
-            p.add_argument("--word", required=True, help='JSON list, e.g. [["alpha_l",1]]')
-        if name == "orbit-gap":
-            p.add_argument("--x0", default="0")
-            p.add_argument("--max-word-len", type=int, default=5)
-            p.add_argument("--window", default="0,1", help="lo,hi in the number grammar")
-        if name == "incompressible":
-            p.add_argument("--interval", required=True, help="a,b in the number grammar")
-            p.add_argument("--max-word-len", type=int, default=4)
-        if name == "metric-lemma":
-            p.add_argument("--pattern", default="LRLR")
-            p.add_argument("--samples", type=int, default=1000)
-            p.add_argument("--seed", type=int, default=0)
+        return p
+
+    add_action("build-action", cmd_build_action, "normalize a two-piece action spec")
+    p = add_action("certify", cmd_certify, "decide the common-translation question")
+    p.add_argument("--density-word-len", type=int, default=4)
+    p = add_action("eval-word", cmd_eval_word, "image of a word under the action")
+    p.add_argument("--word", required=True, help='JSON list, e.g. [["alpha_l",1]]')
+    p = add_action("orbit-gap", cmd_orbit_gap, "largest orbit gap in a window")
+    p.add_argument("--x0", default="0")
+    p.add_argument("--max-word-len", type=int, default=5)
+    p.add_argument("--window", default="0,1", help="lo,hi in the number grammar")
+    p = add_action("incompressible", cmd_incompressible, "bounded incompressibility search")
+    p.add_argument("--interval", required=True, help="a,b in the number grammar")
+    p.add_argument("--max-word-len", type=int, default=4)
+    p = add_action("metric-lemma", cmd_metric_lemma, "sample the metric comparison bound")
+    p.add_argument("--pattern", default="LRLR")
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
 
     p = add("cone-progress", cmd_cone_progress, "run the progress-ledger induction")
     p.add_argument("--T", required=True, help="per-crossing progress")

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .action import side_translation_subgroup
 from .errors import PreconditionError
 from .plmap import PLMap
 from .qfield import QNum, as_qnum, qnum
@@ -99,6 +100,8 @@ class GapReport:
 def sample_leaf_pairs(rng: random.Random, samples: int) -> list:
     """``samples`` leaf pairs (lam, mu), lam in (1/7)Z and mu in (1/11)Z,
     both within 60/7 of 0, drawn from ``rng`` in that order."""
+    if samples < 1:
+        raise PreconditionError("samples must be >= 1")
     return [
         (Fraction(rng.randint(-60, 60), 7), Fraction(rng.randint(-60, 60), 11))
         for _ in range(samples)
@@ -241,8 +244,6 @@ def build_chain_from_action(spec, pattern: str, seed: int = 0) -> MetricChain:
     ``pattern`` is a string over {L, R}; perturbations are bump maps derived
     from the standard beta shape, scaled to respect the half-period clamp.
     """
-    from .action import side_translation_subgroup
-
     if not pattern or any(c not in "LR" for c in pattern):
         raise PreconditionError("pattern must be a nonempty string over {L, R}")
     step_l = side_translation_subgroup(spec, "left").step

@@ -202,8 +202,12 @@ class PLMap:
     def __call__(self, x) -> QNum:
         """f(x), exact: with k = floor((x - x_0)/p) and x - k*p in segment
         i, f(x) = s_i*(x - k*p) + b_i + k*p, computed on the ints of
-        ``_kernel_table`` with one reduction at the end."""
+        ``_kernel_table`` with one reduction at the end.  Text is read in
+        its own sqrt(e); a rational value, like an int or a Fraction, takes
+        the period's field."""
         if type(x) is not QNum:
+            if isinstance(x, str) and (x := QNum.parse(x)).is_rational():
+                x = x.a
             x = as_qnum(x, self._p.d)
         n, m, q = x._n, x._m, x._q
         d, x0, ip, p, xs, segs = self._table
@@ -559,56 +563,48 @@ def translation_number(
     Returns ``Exact`` when f is a translation or some iterate f^q equals a
     translation by m*p at some point (then the value is m*p/q); otherwise an
     enclosing rational ``Bracket`` of width <= eps obtained from the orbit
-    of 0: tau lies in [(f^n(0) - p)/n, (f^n(0) + p)/n].
+    of 0: tau lies in [(f^n(0) - p)/n, (f^n(0) + p)/n].  The orbit is
+    walked one point at a time, so memory does not grow with n.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
+    if max_denom < 0:
+        raise PreconditionError("max_denom must be >= 0")
     p = f.period
+    n = (2 * p / eps).floor() + 1
     if f.is_translation():
-        t = f.displacement
-        if force_bracket:
-            n = _bracket_steps(p, eps)
-            xn = t * n
-            return Bracket((xn - p) / n, (xn + p) / n)
-        return Exact(t)
-    if not force_bracket:
-        g = f
-        for q in range(1, max_denom + 1):
-            if g.is_translation():
-                return Exact(g.displacement / q)
-            # The displacement of g is continuous and periodic, so it attains
-            # every value between its extremes; g has a point displaced by
-            # exactly m*p iff m*p lies in that range.
-            lo, hi = g.displacement_range()
-            m = -((-lo / p).floor())
-            if m * p <= hi:
-                return Exact(p * Fraction(m, q))
-            g = g.compose(f)
-    # Orbit of 0, exploiting closure when the orbit is periodic.
-    n = _bracket_steps(p, eps)
-    orbit = [as_qnum(0, p.d)]
-    closure = None
-    # x/p = (N + M*sqrt(d))/Q with N, M, Q below, unreduced, so x is an
-    # integer multiple of p iff M == 0 and Q divides N.
-    inn, inm, inq = _ints(p.inverse())
-    inm_d = inm * p.d
-    for j in range(1, n + 1):
-        x = f(orbit[-1])
-        if not x._n * inm + x._m * inn:
-            k, r = divmod(x._n * inn + x._m * inm_d, x._q * inq)
-            if not r:
-                closure = (j, k)
-                break
-        orbit.append(x)
-    if closure is not None:
-        q, m = closure
         if not force_bracket:
-            return Exact(p * Fraction(m, q))
-        xn = orbit[n % q] + (n // q) * m * p
+            return Exact(f.displacement)
+        x = f.displacement * n
     else:
-        xn = orbit[n]
-    return Bracket((xn - p) / n, (xn + p) / n)
-
-
-def _bracket_steps(p: QNum, eps: Fraction) -> int:
-    return (2 * p / eps).floor() + 1
+        if not force_bracket:
+            g = f
+            for q in range(1, max_denom + 1):
+                if g.is_translation():
+                    return Exact(g.displacement / q)
+                # The displacement of g is continuous and periodic, so it
+                # attains every value between its extremes; g has a point
+                # displaced by exactly m*p iff m*p lies in that range.
+                lo, hi = g.displacement_range()
+                m = -((-lo / p).floor())
+                if m * p <= hi:
+                    return Exact(p * Fraction(m, q))
+                if q < max_denom:
+                    g = g.compose(f)
+        # x/p = (N + M*sqrt(d))/Q with N, M, Q below, unreduced, so x is an
+        # integer multiple of p iff M == 0 and Q divides N.
+        inn, inm, inq = _ints(p.inverse())
+        inm_d = inm * p.d
+        x, j = as_qnum(0, p.d), 0
+        while j < n:
+            x, j = f(x), j + 1
+            if not x._n * inm + x._m * inn:
+                k, r = divmod(x._n * inn + x._m * inm_d, x._q * inq)
+                if not r:
+                    if not force_bracket:
+                        return Exact(p * Fraction(k, j))
+                    # f^j(0) = k*p and f commutes with x -> x + p, so
+                    # f^n(0) = f^(n mod j)((n // j)*k*p); no later point of
+                    # that walk is a multiple of p, j being the least.
+                    x, j = (n // j) * k * p, n - n % j
+    return Bracket((x - p) / n, (x + p) / n)

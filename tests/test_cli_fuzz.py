@@ -137,6 +137,11 @@ def test_fuzz_number_options(a, b, c, e):
         (["shear-holonomy", "--lam", "2", "--n", "3", "--delta", "-1/10"], "", 3),
         (["cone-progress", "--T", "1", "--r", "-1/10", "--n", "3"], "", 3),
         (["stall-search", "--T", "1", "--r", "-1/10"], "", 3),
+        # a count below its least value, not a vacuous or silently clamped run
+        (["metric-lemma", "--config", "flagship", "--samples", "-5"], "", 3),
+        (["rotnum", "--map", "-", "--max-denom", "-3"],
+         json.dumps({"period": "1", "breakpoints": [{"x": "0", "y": "1/2"}, {"x": "1/4", "y": "5/8"},
+                                                    {"x": "1/2", "y": "1"}]}), 3),
     ],
 )
 def test_boundary_cases(argv, stdin, code):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,13 @@ class TestOneFieldRule:
         assert f.affine_conjugate(1 + R2) != g.affine_conjugate(1 + sqrt_of(3))
         with pytest.raises(FieldMismatchError, match=r"mixed fields: sqrt\(2\) vs sqrt\(3\)"):
             f.compose(g)
+
+    def test_text_points_are_read_in_their_own_field(self):
+        # Text goes through the same rule as a QNum; rational text, like an
+        # int or a Fraction, takes the period's field.
+        assert BETA("0+1*sqrt(3)") == BETA(sqrt_of(3)) == 1 + sqrt_of(3) / 2
+        assert self.T("0+1*sqrt(2)") == self.T(R2) == Fraction(1, 3) + R2
+        assert self.T("1/3+0*sqrt(7)") == Fraction(2, 3) and self.T("1/3").d == 5
 
 
 class TestEval:
@@ -247,25 +255,56 @@ class TestTranslationNumber:
         return Bracket((xn - p) / n, (xn + p) / n)
 
     def test_orbit_closure_matches_fraction_test(self, rng):
-        maps = [
+        periodic = [
             periodic_orbit_map([0, Fraction(3, 5)], 1),
             periodic_orbit_map([0, Fraction(1, 5), Fraction(2, 5)], 2, period=Fraction(3, 2)),
             periodic_orbit_map([0, Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)], -1),
         ]
-        maps += [random_plmap(rng, max_breaks=3) for _ in range(8)]
-        maps += [f.affine_conjugate(1 + R2) for f in maps[:6]]  # irrational periods
+        periodic += [f.affine_conjugate(1 + sqrt_of(e)) for e in (2, 3, 5) for f in periodic]
+        randoms = [random_plmap(rng, max_breaks=3) for _ in range(8)]
+        maps = periodic + randoms + [f.affine_conjugate(1 + R2) for f in randoms[:3]]
         # f(0) = -1 + sqrt 2: integer coefficients, yet not a multiple of p
         maps.append(PLMap(1, [(0, R2 - 1), (Fraction(1, 2), R2 - Fraction(3, 4))]))
+        # eps 2/7 gives n = 8 on period 1, where the orbits of period 2 and 4
+        # close with n mod j = 0; eps 3/8 gives n = 9 on period 3/2, where
+        # the orbit of period 3 does.  At eps 1/1000 (n = 2001 on period 1)
+        # only orbits that close are walked, since the others take seconds.
         kinds = set()
-        for f in maps:
-            if f.is_translation():
-                continue
-            for force in (False, True):
-                # max_denom=0 skips the compose search, so the orbit decides.
-                got = translation_number(f, Fraction(1, 50), max_denom=0, force_bracket=force)
-                assert got == self._reference_orbit(f, Fraction(1, 50), force)
-                kinds.add(type(got))
+        for eps, fs in [(Fraction(1, 50), maps), (Fraction(2, 7), maps),
+                        (Fraction(3, 8), maps), (Fraction(1, 1000), periodic)]:
+            for f in fs:
+                if f.is_translation():
+                    continue
+                for force in (False, True):
+                    # max_denom=0 skips the compose search, so the orbit decides.
+                    got = translation_number(f, eps, max_denom=0, force_bracket=force)
+                    assert got == self._reference_orbit(f, eps, force)
+                    kinds.add(type(got))
         assert kinds == {Exact, Bracket}
+
+    def test_bracket_memory_does_not_grow_with_the_orbit(self):
+        # No short periodic orbit, so the walk runs all n = 2001 steps; the
+        # coefficients of f^j(0) grow with j, so a stored orbit takes MBs.
+        f = PLMap(1, [(0, Fraction(1, 5)), (Fraction(1, 2), Fraction(3, 5))])
+        tracemalloc.start()
+        try:
+            res = translation_number(f, Fraction(1, 1000), force_bracket=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(res, Bracket) and res.hi - res.lo <= Fraction(1, 1000)
+        assert peak < 0.25 * 2**20
+
+    def test_exact_search_composes_only_what_it_tests(self, monkeypatch):
+        # No q <= 16 hits, so g = f^q is tested for q = 1..16 and built by
+        # 15 composes; f^17 would be read by nothing.
+        shift = PLMap.translation(R2 / 10, 1)
+        rot = BETA.compose(shift).compose(BETA.inverse())
+        calls = []
+        compose = PLMap.compose
+        monkeypatch.setattr(PLMap, "compose", lambda f, g: calls.append(1) or compose(f, g))
+        res = translation_number(rot, Fraction(1, 100), max_denom=16)
+        assert isinstance(res, Bracket) and len(calls) == 15
 
     def test_doubling(self, rng):
         for _ in range(10):
