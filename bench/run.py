@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_11.json --base a7bbcfd --repeats 7
+    python3 bench/run.py --out BENCH_12.json --base ad3de14 --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
@@ -46,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # the same rows run on older revisions.
 SETUP = """\
 from fractions import Fraction as F
-from leafspace.action import load_action_config, orbit_density
+from leafspace.action import incompressible_interval_search, load_action_config, orbit_density
 from leafspace.cones import adversarial_stall
 from leafspace.plmap import PLMap, translation_number
 from leafspace.qfield import QNum, sqrt_of
@@ -83,6 +83,9 @@ ROWS = {
     "qfield.parse.sqrt2_literal": 'QNum.parse("1/3+2/7*sqrt(2)")',
     "action.load_action_config.flagship": "load_action_config(flagship_config)",
     "action.orbit_density.flagship_L5": "orbit_density(flagship, 0, 5, (0, 1))",
+    # The witness has length 3, so the search stops early on level 3.
+    "action.incompressible_interval_search.flagship_L4":
+        "incompressible_interval_search(flagship, (F(1, 3), F(1, 2)), 4)",
     # beta.pow(8) is built inside the statement (four composes), then
     # composed with beta; beta^8 has 9 breakpoints and the result 10.
     "plmap.compose.rational_16_breakpoints": "beta.pow(8).compose(beta)",

@@ -282,6 +282,35 @@ def _generator_moves(spec: ActionSpec):
     return [(letter, m) for m, letter in moves.items()]
 
 
+def _word_search(moves, start, max_word_len: int, keep=None, stop=None):
+    """Breadth-first over the words of length 1 to max_word_len; a move maps
+    a word's state to that of the word with its letter applied last.  New
+    states are deduplicated exactly and dropped unless ``keep(state, j)``
+    for a word of length j.  Returns ``(word, seen)``: the first word whose
+    state satisfies ``stop``, else None, and a dict of the states reached."""
+    if max_word_len < 1:
+        raise PreconditionError("max_word_len must be >= 1")
+    seen = {start: None}
+    frontier = [start]
+    for j in range(1, max_word_len + 1):
+        nxt = []
+        for x in frontier:
+            for letter, move in moves:
+                y = move(x)
+                if y in seen or keep is not None and not keep(y, j):
+                    continue
+                seen[y] = x, letter
+                if stop is not None and stop(y):
+                    word = []
+                    while seen[y] is not None:
+                        y, letter = seen[y]
+                        word.append(letter)
+                    return tuple(reversed(word)), seen
+                nxt.append(y)
+        frontier = nxt
+    return None, seen
+
+
 def orbit_density(spec: ActionSpec, x0, max_word_len: int, window) -> OrbitGapReport:
     """Largest gap the orbit of x0 leaves in the window.
 
@@ -289,39 +318,22 @@ def orbit_density(spec: ActionSpec, x0, max_word_len: int, window) -> OrbitGapRe
     inverses), with exact point deduplication; the gap is measured in
     floating point against the window edges.
     """
+    # Checked here too, so that it comes before the window's checks.
     if max_word_len < 1:
         raise PreconditionError("max_word_len must be >= 1")
-    lo = as_qnum(window[0], spec.d)
-    hi = as_qnum(window[1], spec.d)
+    lo, hi = as_qnum(window[0], spec.d), as_qnum(window[1], spec.d)
     if not lo < hi:
         raise PreconditionError("window must be nondegenerate")
-    moves = [m for _, m in _generator_moves(spec)]
-    reach = qnum(0, 0, spec.d)
-    for m in moves:
-        for disp in m.displacement_range():
-            if abs(disp) > reach:
-                reach = abs(disp)
+    moves = _generator_moves(spec)
+    reach = max((abs(d) for _, m in moves for d in m.displacement_range()), default=0)
     margin = reach * max_word_len + 1
     low, high = lo - margin, hi + margin
     x0 = as_qnum(x0, spec.d)
-    seen = {x0}
-    frontier = [x0]
-    for j in range(1, max_word_len + 1):
-        # A point found at level j lies within reach*j of x0, so the margin
-        # test can only drop one when that neighbourhood leaves [low, high].
-        spread = reach * j
-        clip = x0 - spread < low or x0 + spread > high
-        nxt = []
-        for x in frontier:
-            for m in moves:
-                y = m(x)
-                if y in seen:
-                    continue
-                if clip and (y < low or y > high):
-                    continue
-                seen.add(y)
-                nxt.append(y)
-        frontier = nxt
+    # A point of word length j lies within reach*j of x0, so the margin test
+    # drops none before the first j at which that leaves [low, high].
+    first = next((j for j in range(1, max_word_len + 1)
+                  if x0 - reach * j < low or x0 + reach * j > high), max_word_len + 1)
+    _, seen = _word_search(moves, x0, max_word_len, lambda y, j: j < first or low <= y <= high)
     inside = sorted(float(x) for x in seen if lo <= x < hi)
     seq = [float(lo)] + inside + [float(hi)]
     gap = max(b - a for a, b in zip(seq, seq[1:]))
@@ -349,32 +361,14 @@ def incompressible_interval_search(
     some image g(I) is a proper subset or superset of I.  The negative
     answer is only a bounded-search report, not a proof.
     """
-    a = as_qnum(interval[0], spec.d)
-    b = as_qnum(interval[1], spec.d)
+    a, b = as_qnum(interval[0], spec.d), as_qnum(interval[1], spec.d)
     if not a < b:
         raise PreconditionError("interval must be nondegenerate")
-    if max_word_len < 1:
-        raise PreconditionError("max_word_len must be >= 1")
-    moves = _generator_moves(spec)
-    # A word acts on I through its endpoint images only, so states are
-    # deduplicated by exact endpoint pairs.
-    start = (a, b)
-    seen = {start}
-    frontier = [(start, ())]
-    for _ in range(max_word_len):
-        nxt = []
-        for (u, v), word in frontier:
-            for letter, m in moves:
-                uu, vv = m(u), m(v)
-                state = (uu, vv)
-                if state in seen:
-                    continue
-                seen.add(state)
-                new_word = word + (letter,)
-                subset = a <= uu and vv <= b
-                superset = uu <= a and b <= vv
-                if (subset or superset) and state != start:
-                    return CompressionResult("COMPRESSED_BY", new_word)
-                nxt.append((state, new_word))
-        frontier = nxt
-    return CompressionResult("INCOMPRESSIBLE_UP_TO_BOUND", None)
+    # A word acts on I through its endpoint images, so its state is the exact
+    # pair; (a, b) is seen before any word, so a stopping state nests I properly.
+    moves = [(letter, lambda st, m=m: (m(st[0]), m(st[1])))
+             for letter, m in _generator_moves(spec)]
+    word, _ = _word_search(moves, (a, b), max_word_len, stop=lambda st: (
+        (a <= st[0] and st[1] <= b) or (st[0] <= a and b <= st[1])))
+    kind = "INCOMPRESSIBLE_UP_TO_BOUND" if word is None else "COMPRESSED_BY"
+    return CompressionResult(kind, word)

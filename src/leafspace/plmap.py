@@ -28,6 +28,14 @@ __all__ = [
 ]
 
 
+def _read(value):
+    """Text as the number it names: a QNum in its own sqrt(e), or a Fraction
+    when rational, which takes a field as an int does; others unchanged."""
+    if isinstance(value, str) and (value := QNum.parse(value)).is_rational():
+        return value.a
+    return value
+
+
 def _coerce_points(period, breakpoints):
     """Coerce inputs to QNums sharing one field.
 
@@ -108,7 +116,8 @@ class PLMap:
     __slots__ = ("_p", "_pts", "_slopes", "_table")
 
     def __init__(self, period, breakpoints) -> None:
-        p, pts = _coerce_points(period, breakpoints)
+        # Text is read first, so that it counts in the field as the number it names.
+        p, pts = _coerce_points(_read(period), [(_read(x), _read(y)) for x, y in breakpoints])
         if p.sign() <= 0:
             raise PreconditionError("period must be positive")
         if not pts:
@@ -188,7 +197,7 @@ class PLMap:
     @classmethod
     def translation(cls, t, period=1) -> "PLMap":
         """The map x -> x + t, carried at the given period."""
-        p, [(_, t)] = _coerce_points(period, [(0, t)])
+        p, [(_, t)] = _coerce_points(_read(period), [(0, _read(t))])
         if p.sign() <= 0:
             raise PreconditionError("period must be positive")
         return cls._trusted(p, [(as_qnum(0, t.d), t)], [_make(1, 0, 1, p.d)])
@@ -206,9 +215,7 @@ class PLMap:
         its own sqrt(e); a rational value, like an int or a Fraction, takes
         the period's field."""
         if type(x) is not QNum:
-            if isinstance(x, str) and (x := QNum.parse(x)).is_rational():
-                x = x.a
-            x = as_qnum(x, self._p.d)
+            x = as_qnum(_read(x), self._p.d)
         n, m, q = x._n, x._m, x._q
         d, x0, ip, p, xs, segs = self._table
         if d is None:
@@ -409,7 +416,7 @@ class PLMap:
 
     def affine_conjugate(self, scale) -> "PLMap":
         """h o f o h^-1 for h(x) = x/scale; rescales the coordinate system."""
-        scale = as_qnum(scale, self._p.d)
+        scale = as_qnum(_read(scale), self._p.d)
         if scale.sign() <= 0:
             raise PreconditionError("scale must be positive")
         # Scaling both coordinates keeps the order, the slopes and the field

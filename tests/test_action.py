@@ -218,6 +218,10 @@ class TestOrbitDensity:
         rep = orbit_density(spec, 0, 3, (0, 1))
         assert rep.max_gap == 1.0
         assert rep.points_in_window == 1  # just the base point
+        # With no generators at all, the orbit is the base point alone.
+        empty = ActionSpec(FLAGSHIP.d, FLAGSHIP.t, FLAGSHIP.s, {})
+        rep = orbit_density(empty, 0, 3, (0, 1))
+        assert (rep.max_gap, rep.points_in_window, rep.orbit_size) == (1.0, 1, 1)
 
     def test_gap_shrinks_with_word_length(self):
         g3 = orbit_density(FLAGSHIP, 0, 3, (0, 1)).max_gap
@@ -229,6 +233,9 @@ class TestOrbitDensity:
             orbit_density(FLAGSHIP, 0, 3, (1, 1))
         with pytest.raises(PreconditionError):
             orbit_density(FLAGSHIP, 0, 0, (0, 1))
+        # The word length is checked before the window.
+        with pytest.raises(PreconditionError, match="max_word_len must be >= 1"):
+            orbit_density(FLAGSHIP, 0, 0, (1, 1))
 
 
 class TestIncompressible:
@@ -256,6 +263,15 @@ class TestIncompressible:
         res = incompressible_interval_search(spec, (0, Fraction(1, 4)), 3)
         assert res.kind == "INCOMPRESSIBLE_UP_TO_BOUND"
         assert res.word is None
+
+    def test_rejects_degenerate_interval_and_word_length(self):
+        # The interval is checked before the word length.
+        with pytest.raises(PreconditionError, match="interval must be nondegenerate"):
+            incompressible_interval_search(FLAGSHIP, (1, 1), 0)
+        with pytest.raises(PreconditionError, match="interval must be nondegenerate"):
+            incompressible_interval_search(FLAGSHIP, (Fraction(1, 2), 0), 3)
+        with pytest.raises(PreconditionError, match="max_word_len must be >= 1"):
+            incompressible_interval_search(FLAGSHIP, (0, 1), 0)
 
 
 def reference_orbit_density(spec, x0, max_word_len, window):
@@ -372,7 +388,7 @@ class TestRepeatedMoves:
         for interval in [(0, Fraction(1, 4)), (0, Fraction(1, 3)), (Fraction(1, 5), Fraction(2, 3)),
                          (Fraction(-3, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 2)),
                          (Fraction(15, 16), Fraction(17, 16))]:
-            for length in (1, 3):
+            for length in (1, 2, 3, 4):
                 res = incompressible_interval_search(spec, interval, length)
                 want = reference_incompressible(spec, interval, length)
                 assert res.word == want

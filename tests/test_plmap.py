@@ -97,6 +97,19 @@ class TestOneFieldRule:
         assert self.T("0+1*sqrt(2)") == self.T(R2) == Fraction(1, 3) + R2
         assert self.T("1/3+0*sqrt(7)") == Fraction(2, 3) and self.T("1/3").d == 5
 
+    def test_text_inputs_are_read_in_their_own_field(self):
+        # Breakpoints, translation lengths and scales are read like points:
+        # text in its own sqrt(e), before the map's field is decided.
+        r3 = sqrt_of(3)
+        f = PLMap(1, [(0, 0), (Fraction(1, 2), "1/2+1/10*sqrt(3)")])
+        assert f == PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(1, 2) + r3 / 10)])
+        assert repr(f) == "PLMap(period=1, breakpoints=[(0, 0), (1/2, 1/2+1/10*sqrt(3))])"
+        g = BETA.affine_conjugate("1+1*sqrt(6)")
+        assert g == BETA.affine_conjugate(1 + sqrt_of(6))
+        assert str(g.period) == "-1/5+1/5*sqrt(6)"
+        assert PLMap.translation("0+1*sqrt(3)", 1) == PLMap.translation(r3, 1)
+        assert PLMap("1", [(0, "1/3")]) == PLMap.translation(Fraction(1, 3), 1)
+
 
 class TestEval:
     def test_identity(self, rng):
