@@ -31,7 +31,7 @@ __all__ = [
     "incompressible_interval_search",
 ]
 
-SIDES = {"left": ("alpha_l", "beta_l"), "right": ("alpha_r", "beta_r")}
+SIDES = {"left": "beta_l", "right": "beta_r"}
 # The glued longitude, a unit translation in the common coordinates.
 LONGITUDE = "alpha_l"
 
@@ -82,18 +82,19 @@ def _check_beta(beta: PLMap, label: str) -> None:
 
 
 def build_glued_action(
-    t, s, beta_l: PLMap | None = None, beta_r: PLMap | None = None, d: int = 2
+    t, s, beta_l: PLMap | None = None, beta_r: PLMap | None = None
 ) -> ActionSpec:
     """Assemble the two-piece action for translation lengths t and s.
 
     Each side is conjugated by the coordinate rescaling that turns its
     alpha generator into a unit translation, so both sides act in the same
-    longitude-unit coordinates on the leaf space.
+    longitude-unit coordinates on the leaf space.  The action's field is
+    that of an irrational length, or else the field s was read in.
     """
-    t = as_qnum(t, d)
-    s = as_qnum(s, d)
+    t, s = as_qnum(t), as_qnum(s)
     if t.sign() <= 0 or s.sign() <= 0:
         raise PreconditionError("t and s must be positive")
+    d = (s if t.is_rational() else t).d
     if beta_l is None:
         beta_l = standard_beta(d)
     if beta_r is None:
@@ -131,7 +132,7 @@ def load_action_config(config: dict) -> ActionSpec:
         beta_l = PLMap.from_json(config["beta_l"], d)
     if "beta_r" in config:
         beta_r = PLMap.from_json(config["beta_r"], d)
-    return build_glued_action(t, s, beta_l, beta_r, d=d)
+    return build_glued_action(t, s, beta_l, beta_r)
 
 
 class ComposedMap:
@@ -157,14 +158,14 @@ class ComposedMap:
         return f"ComposedMap({len(self.factors)} factors)"
 
 
-def _validate_word(spec: ActionSpec, word) -> list[tuple[str, int]]:
+def _validate_word(spec: ActionSpec, word) -> list[tuple[PLMap, int]]:
+    """(generator, exponent) for each letter, every letter checked in turn."""
     out = []
     for name, exp in word:
-        if name not in spec.generators:
-            raise PreconditionError(f"unknown generator {name!r}")
+        g = spec.generator(name)
         if type(exp) is not int or exp == 0:
             raise PreconditionError(f"exponent for {name} must be a nonzero integer")
-        out.append((name, exp))
+        out.append((g, exp))
     return out
 
 
@@ -174,8 +175,7 @@ def evaluate_word(spec: ActionSpec, word):
     Falls back to a ComposedMap when the word mixes non-translation
     generators from both sides (incommensurable periods).
     """
-    word = _validate_word(spec, word)
-    factors = [spec.generator(name).pow(exp) for name, exp in word]
+    factors = [g.pow(exp) for g, exp in _validate_word(spec, word)]
     if not factors:
         return PLMap.identity(spec.generator(LONGITUDE).period)
     try:
@@ -190,7 +190,7 @@ def evaluate_word(spec: ActionSpec, word):
 def side_translation_subgroup(spec: ActionSpec, side: str) -> PeriodGroup:
     """The translations commuting with one side, via its beta generator."""
     try:
-        _, beta_name = SIDES[side]
+        beta_name = SIDES[side]
     except KeyError:
         raise PreconditionError(f"side must be 'left' or 'right', got {side!r}") from None
     beta = spec.generator(beta_name)

@@ -45,13 +45,16 @@ def _f17(x) -> str:
 
 
 def _load_json(path: str) -> dict:
-    if path in BUILTIN_CONFIGS:
-        text = resources.files("leafspace.configs").joinpath(f"{path}.json").read_text()
-    elif path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    try:
+        if path in BUILTIN_CONFIGS:
+            text = resources.files("leafspace.configs").joinpath(f"{path}.json").read_text()
+        elif path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc)) from exc
     return _parse_json(text)
 
 
@@ -370,7 +373,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     # OverflowError: an exact value too large for a float report field.

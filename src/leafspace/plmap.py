@@ -28,34 +28,24 @@ __all__ = [
 ]
 
 
-def _read(value):
-    """Text as the number it names: a QNum in its own sqrt(e), or a Fraction
-    when rational, which takes a field as an int does; others unchanged."""
-    if isinstance(value, str) and (value := QNum.parse(value)).is_rational():
-        return value.a
-    return value
-
-
 def _coerce_points(period, breakpoints):
-    """Coerce inputs to QNums sharing one field.
+    """Read the inputs with ``as_qnum`` and give them one field.
 
     The field is that of the irrational inputs, which must agree; with none,
-    the period's (Q(sqrt 2) for a plain int or Fraction).  A rational period
-    is given that field, since ``period.d`` names the field of the map.
+    the period's (Q(sqrt 2) for an int, a Fraction or rational text).  The
+    rational values are given that field, since ``period.d`` names the
+    field of the map.
     """
-    fields = {
-        v.d
-        for v in [period, *[c for pt in breakpoints for c in pt]]
-        if isinstance(v, QNum) and not v.is_rational()
-    }
+    p = as_qnum(period)
+    pts = [(as_qnum(x), as_qnum(y)) for x, y in breakpoints]
+    fields = {v._d for v in [p, *[c for pt in pts for c in pt]] if v._m}
     if len(fields) > 1:
         raise FieldMismatchError(f"breakpoints in several fields: {sorted(fields)}")
-    d = fields.pop() if fields else period.d if isinstance(period, QNum) else 2
-    p = as_qnum(period, d)
-    if p.d != d:
-        p = QNum(p.a, 0, d)
-    pts = [(as_qnum(x, d), as_qnum(y, d)) for x, y in breakpoints]
-    return p, pts
+    d = fields.pop() if fields else p._d
+
+    def field(v):
+        return v if v._m or v._d == d else _make(v._n, 0, v._q, d)
+    return field(p), [(field(x), field(y)) for x, y in pts]
 
 
 def _ints(x: QNum) -> tuple[int, int, int]:
@@ -116,8 +106,7 @@ class PLMap:
     __slots__ = ("_p", "_pts", "_slopes", "_table")
 
     def __init__(self, period, breakpoints) -> None:
-        # Text is read first, so that it counts in the field as the number it names.
-        p, pts = _coerce_points(_read(period), [(_read(x), _read(y)) for x, y in breakpoints])
+        p, pts = _coerce_points(period, breakpoints)
         if p.sign() <= 0:
             raise PreconditionError("period must be positive")
         if not pts:
@@ -197,7 +186,7 @@ class PLMap:
     @classmethod
     def translation(cls, t, period=1) -> "PLMap":
         """The map x -> x + t, carried at the given period."""
-        p, [(_, t)] = _coerce_points(_read(period), [(0, _read(t))])
+        p, [(_, t)] = _coerce_points(period, [(0, t)])
         if p.sign() <= 0:
             raise PreconditionError("period must be positive")
         return cls._trusted(p, [(as_qnum(0, t.d), t)], [_make(1, 0, 1, p.d)])
@@ -211,11 +200,10 @@ class PLMap:
     def __call__(self, x) -> QNum:
         """f(x), exact: with k = floor((x - x_0)/p) and x - k*p in segment
         i, f(x) = s_i*(x - k*p) + b_i + k*p, computed on the ints of
-        ``_kernel_table`` with one reduction at the end.  Text is read in
-        its own sqrt(e); a rational value, like an int or a Fraction, takes
-        the period's field."""
+        ``_kernel_table`` with one reduction at the end.  Any other x is
+        read with ``as_qnum`` in the period's field."""
         if type(x) is not QNum:
-            x = as_qnum(_read(x), self._p.d)
+            x = as_qnum(x, self._p.d)
         n, m, q = x._n, x._m, x._q
         d, x0, ip, p, xs, segs = self._table
         if d is None:
@@ -374,7 +362,10 @@ class PLMap:
                 slopes = slopes[i:] + slopes[:i]
                 break
 
-        p, pts = _coerce_points(p, pts)
+        # The two periods are equal; g's names the field when only g is
+        # irrational.
+        if f._table[0] is None and g._table[0] is not None:
+            p = g._p
         return PLMap._trusted(p, *PLMap._drop_collinear(pts, slopes))
 
     def pow(self, n: int) -> "PLMap":
@@ -416,7 +407,7 @@ class PLMap:
 
     def affine_conjugate(self, scale) -> "PLMap":
         """h o f o h^-1 for h(x) = x/scale; rescales the coordinate system."""
-        scale = as_qnum(_read(scale), self._p.d)
+        scale = as_qnum(scale, self._p.d)
         if scale.sign() <= 0:
             raise PreconditionError("scale must be positive")
         # Scaling both coordinates keeps the order, the slopes and the field

@@ -397,12 +397,17 @@ def sqrt_of(d: int) -> QNum:
 
 
 def as_qnum(value, d: int = 2) -> QNum:
+    """``value`` as the number it names: a QNum as it is, irrational text in
+    its own sqrt(e), and rational text, an int or a Fraction in Q(sqrt d)."""
     if isinstance(value, QNum):
         return value
+    if isinstance(value, str):
+        value = QNum.parse(value)
+        if value._m:
+            return value
+        value = value.a
     if isinstance(value, (int, Fraction)):
         return QNum(value, 0, d)
-    if isinstance(value, str):
-        return QNum.parse(value, d)
     raise ParseError(f"cannot interpret {value!r} as an exact number")
 
 

@@ -328,7 +328,7 @@ def reference_incompressible(spec, interval, max_word_len):
 SPECS = {
     "flagship": FLAGSHIP,
     "commensurable": COMMENSURABLE,
-    "sqrt5": build_glued_action(qnum(Fraction(1, 2), 1, 5), qnum(3, Fraction(-1, 3), 5), d=5),
+    "sqrt5": build_glued_action(qnum(Fraction(1, 2), 1, 5), qnum(3, Fraction(-1, 3), 5)),
     # beta has period 2 and attracts only at even integers, so an interval
     # around 1 is compressed first by a word through the unit translation.
     "period-2": ActionSpec(d=2, t=qnum(1), s=qnum(1), generators={

@@ -55,18 +55,21 @@ FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCh
 
 
 def run(argv, stdin=""):
-    """Exit code and stderr of one in-process call; an escaped exception
-    fails the test."""
-    saved, err = sys.stdin, io.StringIO()
-    sys.stdin = io.StringIO(stdin)
+    """Exit code, stderr and stdout of one in-process call; an escaped
+    exception fails the test.  Bytes on stdin are decoded as UTF-8, strictly."""
+    saved, err, out = sys.stdin, io.StringIO(), io.StringIO()
+    if isinstance(stdin, bytes):
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    else:
+        sys.stdin = io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
     finally:
         sys.stdin = saved
-    return code, err.getvalue()
+    return code, err.getvalue(), out.getvalue()
 
 
 @FUZZ
@@ -142,9 +145,26 @@ def test_fuzz_number_options(a, b, c, e):
         (["rotnum", "--map", "-", "--max-denom", "-3"],
          json.dumps({"period": "1", "breakpoints": [{"x": "0", "y": "1/2"}, {"x": "1/4", "y": "5/8"},
                                                     {"x": "1/2", "y": "1"}]}), 3),
+        # a length outside the field the config declares
+        (["build-action", "--config", "-"], '{"d": 3, "t": "1+1*sqrt(5)", "s": "1"}', 3),
+        # a path that names a directory, and bytes that are not UTF-8 text
+        (["certify", "--config", "/"], "", 2),
+        (["rotnum", "--map", "/"], "", 2),
+        (["certify", "--config", "flagship", "--output", "/"], "", 2),
+        (["certify", "--config", "-"], b"\xff\xfe{}", 2),
     ],
 )
 def test_boundary_cases(argv, stdin, code):
-    exit_code, err = run(argv, stdin)
+    exit_code, err, out = run(argv, stdin)
     assert exit_code == code
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert out == ""
+
+
+def test_config_file_that_is_not_utf8(tmp_path):
+    # A UTF-16 byte-order mark starts no UTF-8 text.
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, err, out = run(["certify", "--config", str(path)])
+    assert (code, len(err.splitlines()), out) == (2, 1, "")
+    assert err.startswith("error: malformed input:")

@@ -308,3 +308,39 @@ def test_prime_near_10_to_12_validates_fast():
     assert _is_square_free(d)
     assert time.perf_counter() - start < 1.0
     assert sqrt_of(d).d == d
+
+
+class TestOneTextRule:
+    """``as_qnum`` reads text as the number it names: irrational text in its
+    own sqrt(e), rational text in the field asked for.  So each caller that
+    takes a number gives text what it gives the equal QNum."""
+
+    R3 = sqrt_of(3)
+
+    def test_callers_read_irrational_text_in_its_own_field(self):
+        from leafspace.action import build_glued_action
+        from leafspace.cones import MetricChain, adversarial_stall, run_progress_ledger
+        from leafspace.plmap import PLMap
+        from leafspace.shear import disjointness_check, shadow_length
+
+        r3 = self.R3
+        probes = [
+            (shadow_length, ("0+1*sqrt(3)", 2, 3), (r3, 2, 3)),
+            (run_progress_ledger, ("3+1*sqrt(3)", "1/10", 2), (3 + r3, Fraction(1, 10), 2)),
+            (adversarial_stall, ("1+1*sqrt(3)", "1"), (1 + r3, 1)),
+            (disjointness_check, (("0", "0+1/10*sqrt(3)"), "1/2"), ((0, r3 / 10), Fraction(1, 2))),
+            (build_glued_action, ("1+1*sqrt(3)", "0+1*sqrt(3)"), (1 + r3, r3)),
+        ]
+        for fn, text, exact in probes:
+            assert fn(*text) == fn(*exact), fn.__name__
+        bump = [PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(5, 8))])]
+        chains = [MetricChain(["L"], [p], bump) for p in ("0+1*sqrt(3)", r3)]
+        assert chains[0].periods == chains[1].periods == (r3,)
+        assert chains[0].phis == chains[1].phis
+
+    def test_the_field_is_the_numbers_own(self):
+        from leafspace.action import build_glued_action
+        from leafspace.qfield import as_qnum
+
+        assert build_glued_action(1 + self.R3, self.R3).d == 3
+        assert as_qnum("1/2", 5).d == 5 and as_qnum("1/2", 5) == Fraction(1, 2)
