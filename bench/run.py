@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_13.json --base df398ac --repeats 7
+    python3 bench/run.py --out BENCH_14.json --base HEAD --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
@@ -74,6 +74,9 @@ ROWS = {
     "plmap.compose.sqrt2": "g_r2.compose(beta2)",
     "plmap.translation_number.forced_bracket_eps_1e-3":
         "translation_number(rot, F(1, 1000), force_bracket=True)",
+    # The default eps of rotnum: n = 2000001 steps at most.
+    "plmap.translation_number.forced_bracket_eps_1e-6":
+        "translation_number(rot, F(1, 10**6), force_bracket=True)",
     # tests/golden/map.json: tau = 1/2, so the orbit of 0 closes at j = 2,
     # and n = 2001 is odd.
     "plmap.translation_number.forced_bracket_closes_eps_1e-3":

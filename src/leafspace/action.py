@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, PeriodMismatchError, PreconditionError
+from .errors import FieldMismatchError, ParseError, PeriodMismatchError, PreconditionError
 from .plmap import PLMap, PeriodGroup
 from .qfield import QNum, as_qnum, qnum, ratio_is_rational
 
@@ -89,9 +89,14 @@ def build_glued_action(
     Each side is conjugated by the coordinate rescaling that turns its
     alpha generator into a unit translation, so both sides act in the same
     longitude-unit coordinates on the leaf space.  The action's field is
-    that of an irrational length, or else the field s was read in.
+    that of an irrational length, or else the field s was read in; lengths
+    irrational in two fields raise ``FieldMismatchError`` before any map is
+    built.
     """
     t, s = as_qnum(t), as_qnum(s)
+    if not (t.is_rational() or s.is_rational()) and t.d != s.d:
+        a, b = sorted((t.d, s.d))
+        raise FieldMismatchError(f"mixed fields: sqrt({a}) vs sqrt({b})")
     if t.sign() <= 0 or s.sign() <= 0:
         raise PreconditionError("t and s must be positive")
     d = (s if t.is_rational() else t).d

@@ -9,7 +9,7 @@ All arithmetic is exact over a quadratic field.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -550,6 +550,95 @@ class Bracket:
         return self.lo <= x <= self.hi
 
 
+# The rounded orbits of ``translation_number`` live on the grid of
+# multiples of 2^-_GRID_BITS; a restart doubles the bits.
+_GRID_BITS = 128
+
+
+def _grid_rows(g: PLMap, bits: int):
+    """The ints of one rounded step of the period-1 map g on the grid
+    2^-bits, read from ``g._table``: ``(cuts, rows)``.
+
+    A grid point X/2^bits of [0, 1) lies on row bisect_right(cuts, X), where
+    cuts[i] = ceil(x_i*2^bits) for the breakpoint x_i.  Row i + 1 is the
+    segment leaving x_i, and row 0 is [0, x_0), the last segment read one
+    period down.  On a row (A, B, C, D, F),
+
+        g(X/2^bits)*2^bits = (A*X + B + (C*X + D)*sqrt(d))/F,
+
+    which is ``_kernel_table``'s (N + M*sqrt(d))/Q*2^bits at k = 0 with
+    rn = X and rq = 2^bits; row 0 takes rn = X + 2^bits and subtracts 2^bits.
+    """
+    one = 1 << bits
+    *_, segs = g._table
+    rows = [(a1, b1 * one, a3, b2 * one, f) for a1, _, a3, b1, _, b2, _, f in segs]
+    a1, b, a3, e, f = rows[-1]
+    rows.insert(0, (a1, b + (a1 - f) * one, a3, e + a3 * one, f))
+    return [-(-x * one).floor() for x, _ in g._pts], rows
+
+
+def _grid_step(cuts, rows, d, x: int, up: int) -> int:
+    """g(x/2^bits)*2^bits rounded down (up = 0) or up (up = 1), for a grid
+    point x/2^bits of [0, 1).  t*sqrt(d) with t != 0 is irrational, so its
+    floor is isqrt(t*t*d), or one less than its negative, and its ceiling is
+    one more; ceil(N/F) is (N + F - 1)//F."""
+    a, b, c, e, f = rows[bisect_right(cuts, x)]
+    n = a * x + b
+    t = c * x + e
+    if t:
+        r = isqrt(t * t * d)
+        n += (r if t > 0 else -r - 1) + up
+    return (n + up * (f - 1)) // f
+
+
+def _rounded_bracket(f: PLMap, eps, n: int) -> Bracket:
+    """A bracket of width <= eps about tau(f), from two rounded orbits of 0.
+
+    g = f.affine_conjugate(p) has period 1 and tau(g) = tau(f)/p.  The lower
+    orbit is rounded down and the upper one up onto a grid, so g^j(0) lies
+    between them, g being increasing (Moore, *Interval Analysis*, 1966).
+    Each point is held as an integer part and a grid point of [0, 1).  If
+    g^j(0) lies in [m, m + 1), then tau(g) lies in [m/j, (m + 1)/j]; so
+    after step j, tau(g) lies in [floor(lo_j)/j, (floor(hi_j) + 1)/j], and
+    the bracket [L, H] is the intersection of these.  The walk stops once
+    p*(H - L) <= eps, or after n steps.  Orbits less than a period apart
+    make H - L <= 2/n there, and 2p/n < eps; if their integer parts ever
+    differ by two, the walk restarts from 0 with twice the bits and keeps
+    [L, H], which still holds tau(g).  L and H start as the ends -1/0 and
+    1/0 of the line, which the cross-multiplied comparisons read correctly.
+    """
+    p = f.period
+    g = f.affine_conjugate(p)
+    d = g._table[0]
+    c = as_qnum(eps, p.d) / p  # the largest width in g's units
+    cn, cm, cq, cd = c._n, c._m, c._q, c._d
+    ln, ld, hn, hd = -1, 0, 1, 0
+    bits = _GRID_BITS
+    while True:
+        cuts, rows = _grid_rows(g, bits)
+        mask = (1 << bits) - 1
+        lo = hi = lo_k = hi_k = 0
+        for j in range(1, n + 1):
+            y = _grid_step(cuts, rows, d, lo, 0)
+            lo, lo_k = y & mask, lo_k + (y >> bits)
+            y = _grid_step(cuts, rows, d, hi, 1)
+            hi, hi_k = y & mask, hi_k + (y >> bits)
+            if hi_k - lo_k > 1:
+                break
+            narrowed = False
+            if lo_k * ld > ln * j:
+                ln, ld, narrowed = lo_k, j, True
+            if (hi_k + 1) * hd < hn * j:
+                hn, hd, narrowed = hi_k + 1, j, True
+            if narrowed:
+                w = hd * ld
+                if _sign(cn * w - (hn * ld - ln * hd) * cq, cm * w, cd) >= 0:
+                    break
+        if hi_k - lo_k <= 1:
+            return Bracket(p * Fraction(ln, ld), p * Fraction(hn, hd))
+        bits *= 2
+
+
 def translation_number(
     f: PLMap,
     eps: Fraction = Fraction(1, 10**6),
@@ -558,11 +647,16 @@ def translation_number(
 ):
     """Translation number of f, exact when a periodic orbit certifies it.
 
-    Returns ``Exact`` when f is a translation or some iterate f^q equals a
-    translation by m*p at some point (then the value is m*p/q); otherwise an
-    enclosing rational ``Bracket`` of width <= eps obtained from the orbit
-    of 0: tau lies in [(f^n(0) - p)/n, (f^n(0) + p)/n].  The orbit is
-    walked one point at a time, so memory does not grow with n.
+    Returns ``Exact`` when f is a translation or some iterate f^q with
+    q <= max_denom equals a translation by m*p at some point (then the value
+    is m*p/q); otherwise an enclosing ``Bracket`` of width <= eps.  The
+    bracket comes from two orbits of 0, rounded down and up onto a fixed
+    grid, whose integer parts bound the value after every step: its ends
+    are short fractions times p, not orbit values, every step works on ints
+    of the grid's size, and the walk takes at most n = floor(2p/eps) + 1
+    steps on each grid.  A forced bracket first walks the exact orbit of 0 for up to
+    max_denom steps; if f^j(0) = k*p there, or those are all n steps, it
+    returns [(f^n(0) - p)/n, (f^n(0) + p)/n] from the exact f^n(0).
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -570,39 +664,40 @@ def translation_number(
         raise PreconditionError("max_denom must be >= 0")
     p = f.period
     n = (2 * p / eps).floor() + 1
+    x, j = as_qnum(0, p.d), 0
     if f.is_translation():
         if not force_bracket:
             return Exact(f.displacement)
-        x = f.displacement * n
+        x, j = f.displacement * n, n
+    elif not force_bracket:
+        g = f
+        for q in range(1, max_denom + 1):
+            if g.is_translation():
+                return Exact(g.displacement / q)
+            # The displacement of g is continuous and periodic, so it
+            # attains every value between its extremes; g has a point
+            # displaced by exactly m*p iff m*p lies in that range.
+            lo, hi = g.displacement_range()
+            m = -((-lo / p).floor())
+            if m * p <= hi:
+                return Exact(p * Fraction(m, q))
+            if q < max_denom:
+                g = g.compose(f)
     else:
-        if not force_bracket:
-            g = f
-            for q in range(1, max_denom + 1):
-                if g.is_translation():
-                    return Exact(g.displacement / q)
-                # The displacement of g is continuous and periodic, so it
-                # attains every value between its extremes; g has a point
-                # displaced by exactly m*p iff m*p lies in that range.
-                lo, hi = g.displacement_range()
-                m = -((-lo / p).floor())
-                if m * p <= hi:
-                    return Exact(p * Fraction(m, q))
-                if q < max_denom:
-                    g = g.compose(f)
         # x/p = (N + M*sqrt(d))/Q with N, M, Q below, unreduced, so x is an
         # integer multiple of p iff M == 0 and Q divides N.
         inn, inm, inq = _ints(p.inverse())
         inm_d = inm * p.d
-        x, j = as_qnum(0, p.d), 0
-        while j < n:
+        stop = min(n, max_denom)
+        while j < stop:
             x, j = f(x), j + 1
             if not x._n * inm + x._m * inn:
                 k, r = divmod(x._n * inn + x._m * inm_d, x._q * inq)
                 if not r:
-                    if not force_bracket:
-                        return Exact(p * Fraction(k, j))
                     # f^j(0) = k*p and f commutes with x -> x + p, so
                     # f^n(0) = f^(n mod j)((n // j)*k*p); no later point of
                     # that walk is a multiple of p, j being the least.
-                    x, j = (n // j) * k * p, n - n % j
+                    x, j, stop = (n // j) * k * p, n - n % j, n
+    if j < n:
+        return _rounded_bracket(f, eps, n)
     return Bracket((x - p) / n, (x + p) / n)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leafspace import action
 from leafspace.action import (
     ActionSpec,
     _check_beta,
@@ -19,7 +20,7 @@ from leafspace.action import (
     side_translation_subgroup,
     standard_beta,
 )
-from leafspace.errors import ParseError, PreconditionError
+from leafspace.errors import FieldMismatchError, ParseError, PreconditionError
 from leafspace.plmap import PLMap
 from leafspace.qfield import QNum, as_qnum, qnum, sqrt_of
 
@@ -44,6 +45,13 @@ class TestBuild:
             build_glued_action(0, R2)
         with pytest.raises(PreconditionError):
             build_glued_action(1 + R2, qnum(-1))
+
+    def test_rejects_lengths_irrational_in_two_fields(self, monkeypatch):
+        # Raised before any map is built: the default betas are never made.
+        monkeypatch.setattr(action, "standard_beta", lambda d: pytest.fail("built a beta"))
+        for t, s in [(1 + sqrt_of(3), sqrt_of(5)), (sqrt_of(5), 1 + sqrt_of(3))]:
+            with pytest.raises(FieldMismatchError, match=r"^mixed fields: sqrt\(3\) vs sqrt\(5\)$"):
+                build_glued_action(t, s)
 
     def test_rejects_translation_beta(self):
         with pytest.raises(PreconditionError):

@@ -2,7 +2,7 @@
 recorded files in ``tests/golden/``.
 
 Each case is one ``cli.main`` call.  ``{golden}`` in an argument stands for
-the golden directory, which also holds the committed input map.  A refactor
+the golden directory, which also holds the committed input maps.  A refactor
 must leave every file unchanged; a change that means to alter an output
 regenerates the files with ``PYTHONPATH=src python tests/test_cli_golden.py``
 and shows the diff.
@@ -36,6 +36,9 @@ for _cfg in ("flagship", "commensurable"):
 CASES.update({
     "rotnum": ["rotnum", "--map", MAP],
     "rotnum-bracket": ["rotnum", "--map", MAP, "--bracket", "--eps", "1/1000"],
+    # A map with no short periodic orbit and an irrational-looking value,
+    # bracketed by the rounded orbits at the default eps.
+    "rotnum-irrational": ["rotnum", "--map", "{golden}/map-irrational.json"],
     "periods": ["periods", "--map", MAP],
     "cone-progress-adversarial": ["cone-progress", "--T", "1", "--r", "1/10", "--n", "12"],
     "cone-progress-random": [

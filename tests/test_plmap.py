@@ -1,17 +1,39 @@
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from leafspace import plmap
 from leafspace.errors import FieldMismatchError, PeriodMismatchError, PreconditionError
 from leafspace.plmap import Bracket, Exact, PLMap, translation_number
-from leafspace.qfield import qnum, sqrt_of
+from leafspace.qfield import QNum, qnum, sqrt_of
 from leafspace.selftest import random_plmap, random_qnum
 
 from conftest import periodic_orbit_map
 
 R2 = sqrt_of(2)
 BETA = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
+# A period-1 map with no short periodic orbit; tau is about 0.14471.
+PROBE = PLMap(1, [(0, Fraction(1, 5)), (Fraction(1, 2), Fraction(3, 5))])
+
+
+@st.composite
+def conjugated_translations(draw):
+    """(f, tau): f = h o T_t o h^-1 for an irrational t of Q(sqrt e), e in
+    2, 3 and 5, and a period-1 map h with breakpoints on the grid 1/16,
+    rescaled by 1 or 1 + sqrt(e); tau(f) = t/scale."""
+    e = draw(st.sampled_from((2, 3, 5)))
+    b = Fraction(draw(st.integers(1, 8)) * draw(st.sampled_from((1, -1))), draw(st.integers(1, 9)))
+    t = QNum(Fraction(draw(st.integers(-40, 40)), 8), b, e)
+    k = draw(st.integers(1, 3))
+    xs = sorted(draw(st.lists(st.integers(0, 15), min_size=k, max_size=k, unique=True)))
+    ys = sorted(draw(st.lists(st.integers(0, 15), min_size=k, max_size=k, unique=True)))
+    h = PLMap(1, [(Fraction(x, 16), Fraction(y, 16)) for x, y in zip(xs, ys)])
+    scale = draw(st.sampled_from((1, 1 + sqrt_of(e))))
+    f = h.compose(PLMap.translation(t, 1)).compose(h.inverse()).affine_conjugate(scale)
+    return f, t / scale
 
 
 class TestConstruction:
@@ -288,20 +310,32 @@ class TestTranslationNumber:
             for f in fs:
                 if f.is_translation():
                     continue
-                for force in (False, True):
-                    # max_denom=0 skips the compose search, so the orbit decides.
+                refs = {force: self._reference_orbit(f, eps, force) for force in (False, True)}
+                closes = isinstance(refs[False], Exact)
+                for force, ref in refs.items():
+                    if closes and f in periodic:
+                        # The orbit of 0 closes within n steps: the compose
+                        # search, or a forced bracket's exact walk, gives
+                        # the same result.
+                        got = translation_number(f, eps, force_bracket=force)
+                        assert got == ref
+                        kinds.add(type(got))
+                        continue
+                    # max_denom=0 skips the compose search, so the rounded
+                    # orbits decide; both results contain tau.
                     got = translation_number(f, eps, max_denom=0, force_bracket=force)
-                    assert got == self._reference_orbit(f, eps, force)
-                    kinds.add(type(got))
+                    assert isinstance(got, Bracket) and got.hi - got.lo <= eps
+                    lo, hi = (ref.value, ref.value) if isinstance(ref, Exact) else (ref.lo, ref.hi)
+                    assert got.lo <= hi and lo <= got.hi
         assert kinds == {Exact, Bracket}
 
     def test_bracket_memory_does_not_grow_with_the_orbit(self):
-        # No short periodic orbit, so the walk runs all n = 2001 steps; the
-        # coefficients of f^j(0) grow with j, so a stored orbit takes MBs.
-        f = PLMap(1, [(0, Fraction(1, 5)), (Fraction(1, 2), Fraction(3, 5))])
+        # No short periodic orbit: the exact walk takes the first 64 steps,
+        # whose coefficients grow with j, and the rounded orbits the rest,
+        # one grid point each; a stored exact orbit of n = 2001 takes MBs.
         tracemalloc.start()
         try:
-            res = translation_number(f, Fraction(1, 1000), force_bracket=True)
+            res = translation_number(PROBE, Fraction(1, 1000), force_bracket=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -318,6 +352,42 @@ class TestTranslationNumber:
         monkeypatch.setattr(PLMap, "compose", lambda f, g: calls.append(1) or compose(f, g))
         res = translation_number(rot, Fraction(1, 100), max_denom=16)
         assert isinstance(res, Bracket) and len(calls) == 15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        conjugated_translations(),
+        st.sampled_from([Fraction(1, 100), Fraction(1, 10**4), Fraction(1, 10**6)]),
+        st.booleans(),
+    )
+    def test_bracket_contains_an_irrational_translation_number(self, case, eps, force):
+        f, tau = case
+        assume(not f.is_translation())
+        # A small max_denom keeps the compose search, which finds nothing
+        # here, short.
+        res = translation_number(f, eps, max_denom=64 if force else 4, force_bracket=force)
+        assert isinstance(res, Bracket)
+        assert res.contains(tau) and res.hi - res.lo <= eps
+
+    def test_rounded_walk_restarts_with_twice_the_bits(self, monkeypatch):
+        # On a 2^-2 grid the rounded orbits drift a period apart within a
+        # few steps, so the walk starts again from 0 on finer grids.
+        bits = []
+        grid_rows = plmap._grid_rows
+        monkeypatch.setattr(plmap, "_GRID_BITS", 2)
+        monkeypatch.setattr(plmap, "_grid_rows", lambda g, k: bits.append(k) or grid_rows(g, k))
+        rot = BETA.compose(PLMap.translation(R2 / 10, 1)).compose(BETA.inverse())
+        eps = Fraction(1, 10**4)
+        res = translation_number(rot, eps, max_denom=0)
+        assert bits[:2] == [2, 4]
+        assert res.contains(R2 / 10) and res.hi - res.lo <= eps
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_probe_map_at_the_default_eps_is_fast(self, force):
+        t0 = time.perf_counter()
+        res = translation_number(PROBE, force_bracket=force)
+        elapsed = time.perf_counter() - t0
+        assert isinstance(res, Bracket) and res.hi - res.lo <= Fraction(1, 10**6)
+        assert elapsed < 1.0
 
     def test_doubling(self, rng):
         for _ in range(10):

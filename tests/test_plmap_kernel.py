@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from leafspace.errors import FieldMismatchError, PreconditionError
-from leafspace.plmap import FixedPoints, PLMap, _coerce_points
+from leafspace.plmap import FixedPoints, PLMap, _coerce_points, _grid_rows, _grid_step
 from leafspace.qfield import QNum, as_qnum, sqrt_of
 
 FIELDS = (2, 3, 5)
@@ -127,6 +127,40 @@ def test_kernel_matches_reference(data):
     assert got == want and str(got) == str(want)
     if not want.is_rational():
         assert got.d == want.d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_grid_step_rounds_the_exact_value(data):
+    """The rounded-orbit kernel of ``translation_number``: on the period-1
+    rescaling g of a drawn map, a grid point x/2^bits of [0, 1), at a
+    breakpoint's cut, just below it or free, goes to the floor and the
+    ceiling of g(x/2^bits)*2^bits."""
+    f = data.draw(maps().filter(lambda f: not f.is_translation()))
+    g = f.affine_conjugate(f.period)
+    bits = data.draw(st.sampled_from([4, 64, 128]))
+    one = 1 << bits
+    cuts, rows = _grid_rows(g, bits)
+    cut = data.draw(st.sampled_from(cuts))
+    x = data.draw(st.sampled_from([cut, cut - 1]) | st.integers(0, one - 1))
+    x = min(max(x, 0), one - 1)
+    exact = g(Fraction(x, one)) * one
+    assert _grid_step(cuts, rows, g._table[0], x, 0) == exact.floor()
+    assert _grid_step(cuts, rows, g._table[0], x, 1) == -(-exact).floor()
+
+
+@pytest.mark.parametrize("e", FIELDS)
+def test_grid_step_at_every_point_of_a_coarse_grid(e):
+    # Irrational slopes 1 + 2c and 1 - 2c, so t in t*sqrt(d) changes with
+    # x and takes both signs, and small denominators, so that its floor
+    # often decides the rounded value by its last unit.
+    for c in (sqrt_of(e) / 10, -sqrt_of(e) / 10):
+        g = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(1, 2) + c)])
+        cuts, rows = _grid_rows(g, 6)
+        for x in range(64):
+            exact = g(Fraction(x, 64)) * 64
+            assert _grid_step(cuts, rows, e, x, 0) == exact.floor()
+            assert _grid_step(cuts, rows, e, x, 1) == -(-exact).floor()
 
 
 @settings(max_examples=200, deadline=None)
