@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_14.json --base HEAD --repeats 7
+    python3 bench/run.py --out BENCH_15.json --base HEAD --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
@@ -49,7 +49,8 @@ from fractions import Fraction as F
 from leafspace.action import incompressible_interval_search, load_action_config, orbit_density
 from leafspace.cones import adversarial_stall
 from leafspace.plmap import PLMap, translation_number
-from leafspace.qfield import QNum, sqrt_of
+from leafspace.qfield import QNum, as_qnum, sqrt_of
+from leafspace.shear import holonomy_domain_trace
 r2 = sqrt_of(2)
 beta = PLMap(1, [(0, 0), (F(1, 2), F(3, 4))])
 beta2 = beta.affine_conjugate(1 + r2)
@@ -84,6 +85,9 @@ ROWS = {
     "plmap.inverse.sqrt2_4_breakpoints": "g_r2.inverse()",
     "plmap.affine_conjugate.sqrt2_4_breakpoints": "g_r2.affine_conjugate(1 + r2)",
     "qfield.parse.sqrt2_literal": 'QNum.parse("1/3+2/7*sqrt(2)")',
+    "qfield.as_qnum.fraction": "as_qnum(F(7, 3))",
+    "qfield.construct.fraction_pair": "QNum(F(1, 3), F(2, 7), 2)",
+    "shear.holonomy_domain_trace.rational": "holonomy_domain_trace(2, F(1, 10), F(1, 10), 6)",
     "action.load_action_config.flagship": "load_action_config(flagship_config)",
     "action.orbit_density.flagship_L5": "orbit_density(flagship, 0, 5, (0, 1))",
     # The witness has length 3, so the search stops early on level 3.

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatchError, ParseError, PeriodMismatchError, PreconditionError
+from .errors import ParseError, PeriodMismatchError, PreconditionError
 from .plmap import PLMap, PeriodGroup
-from .qfield import QNum, as_qnum, qnum, ratio_is_rational
+from .qfield import QNum, _mixed_fields, as_qnum, qnum, ratio_is_rational
 
 __all__ = [
     "ActionSpec",
@@ -95,8 +95,7 @@ def build_glued_action(
     """
     t, s = as_qnum(t), as_qnum(s)
     if not (t.is_rational() or s.is_rational()) and t.d != s.d:
-        a, b = sorted((t.d, s.d))
-        raise FieldMismatchError(f"mixed fields: sqrt({a}) vs sqrt({b})")
+        raise _mixed_fields(t.d, s.d)
     if t.sign() <= 0 or s.sign() <= 0:
         raise PreconditionError("t and s must be positive")
     d = (s if t.is_rational() else t).d

@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from .action import (
@@ -83,13 +82,13 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _parse_rat(text: str) -> Fraction:
+def _parse_rat(text: str) -> QNum:
     # The canonical grammar, not Fraction's: "1e999999999" would cost time
     # and memory exponential in the length of the text.
     q = QNum.parse(text)
-    if q.b:
+    if not q.is_rational():
         raise ParseError(f"not a rational number: {text!r}")
-    return q.a
+    return q
 
 
 def _parse_pair(text: str, d: int) -> tuple:

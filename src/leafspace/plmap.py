@@ -16,7 +16,7 @@ from math import gcd, isqrt
 from operator import itemgetter
 
 from .errors import FieldMismatchError, ParseError, PeriodMismatchError, PreconditionError
-from .qfield import QNum, _make, _sign, as_qnum, ratio_is_rational
+from .qfield import QNum, _make, _mixed_fields, _sign, as_qnum, ratio_is_rational
 
 __all__ = [
     "PLMap",
@@ -209,7 +209,7 @@ class PLMap:
         if d is None:
             d = x._d
         elif m and x._d != d:
-            raise FieldMismatchError(f"mixed fields: sqrt({x._d}) vs sqrt({d})")
+            raise _mixed_fields(x._d, d)
         if xs is None:
             tn, tm, tq = segs
             return _make(n * tq + tn * q, m * tq + tm * q, q * tq, d)
@@ -271,8 +271,7 @@ class PLMap:
         f, g = self, other
         df, dg = f._table[0], g._table[0]
         if df is not None and dg is not None and df != dg:
-            a, b = sorted((df, dg))
-            raise FieldMismatchError(f"mixed fields: sqrt({a}) vs sqrt({b})")
+            raise _mixed_fields(df, dg)
         pf, pg = f._p, g._p
         if f.is_translation() and g.is_translation():
             # At g's period, as a rebuilt f would be; at f's when they are
@@ -591,7 +590,7 @@ def _grid_step(cuts, rows, d, x: int, up: int) -> int:
     return (n + up * (f - 1)) // f
 
 
-def _rounded_bracket(f: PLMap, eps, n: int) -> Bracket:
+def _rounded_bracket(f: PLMap, eps: QNum, n: int) -> Bracket:
     """A bracket of width <= eps about tau(f), from two rounded orbits of 0.
 
     g = f.affine_conjugate(p) has period 1 and tau(g) = tau(f)/p.  The lower
@@ -610,7 +609,7 @@ def _rounded_bracket(f: PLMap, eps, n: int) -> Bracket:
     p = f.period
     g = f.affine_conjugate(p)
     d = g._table[0]
-    c = as_qnum(eps, p.d) / p  # the largest width in g's units
+    c = eps / p  # the largest width in g's units
     cn, cm, cq, cd = c._n, c._m, c._q, c._d
     ln, ld, hn, hd = -1, 0, 1, 0
     bits = _GRID_BITS
@@ -658,11 +657,12 @@ def translation_number(
     max_denom steps; if f^j(0) = k*p there, or those are all n steps, it
     returns [(f^n(0) - p)/n, (f^n(0) + p)/n] from the exact f^n(0).
     """
+    p = f.period
+    eps = as_qnum(eps, p.d)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     if max_denom < 0:
         raise PreconditionError("max_denom must be >= 0")
-    p = f.period
     n = (2 * p / eps).floor() + 1
     x, j = as_qnum(0, p.d), 0
     if f.is_translation():

@@ -60,12 +60,17 @@ def _check_d(d: int) -> int:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) of an exact rational input."""
+    """(numerator, denominator) of an int or a Fraction; text is ``QNum.parse``'s."""
     if type(x) is int:
         return x, 1
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return x.numerator, x.denominator
+    if type(x) is Fraction or isinstance(x, (int, Fraction)):  # isinstance of an ABC is slow
+        return x.numerator, x.denominator
+    raise ParseError(f"cannot interpret {x!r} as an exact number")
+
+
+def _mixed_fields(d: int, e: int) -> FieldMismatchError:
+    """The one error for values irrational in sqrt(d) and sqrt(e), smaller first."""
+    return FieldMismatchError(f"mixed fields: sqrt({min(d, e)}) vs sqrt({max(d, e)})")
 
 
 def _sign(n: int, m: int, d: int) -> int:
@@ -122,8 +127,10 @@ def _make(n: int, m: int, q: int, d: int) -> "QNum":
 class QNum:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
-    Immutable.  Stored as ints (n, m, q, d) with a = n/q, b = m/q, q > 0
-    and gcd(n, m, q) = 1; that form is canonical, so equality is equality
+    Immutable.  ``QNum(a, b, d)`` takes int and Fraction coefficients and
+    raises ``ParseError`` on anything else; text is read by ``parse``.
+    Stored as ints (n, m, q, d) with a = n/q, b = m/q, q > 0 and
+    gcd(n, m, q) = 1; that form is canonical, so equality is equality
     of (n, m, q), and of d for irrational values: 1, sqrt(d) and sqrt(e)
     are linearly independent over Q.  ``.a`` and ``.b`` build the reduced
     ``Fraction``s on demand.  Rational values (b = 0) mix freely with any
@@ -167,9 +174,7 @@ class QNum:
             if not other._m:
                 return other._n, 0, other._q, self._d
             if self._m and other._d != self._d:
-                raise FieldMismatchError(
-                    f"mixed fields: sqrt({self._d}) vs sqrt({other._d})"
-                )
+                raise _mixed_fields(self._d, other._d)
             return other._n, other._m, other._q, other._d
         if isinstance(other, int):
             return int(other), 0, 1, self._d
@@ -402,13 +407,13 @@ def as_qnum(value, d: int = 2) -> QNum:
     if isinstance(value, QNum):
         return value
     if isinstance(value, str):
-        value = QNum.parse(value)
-        if value._m:
-            return value
-        value = value.a
-    if isinstance(value, (int, Fraction)):
-        return QNum(value, 0, d)
-    raise ParseError(f"cannot interpret {value!r} as an exact number")
+        x = QNum.parse(value)
+        if x._m:
+            return x
+        n, q = x._n, x._q
+    else:
+        n, q = _ratio(value)
+    return _make(n, 0, q, _check_d(d))
 
 
 def ratio_is_rational(x: QNum, y: QNum) -> tuple[bool, QNum]:

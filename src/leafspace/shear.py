@@ -74,8 +74,7 @@ def holonomy_domain_trace(multiplier, eps, delta, n: int, threshold=Fraction(1, 
     every level keeps the whole window: its width 1 + 2*eps persists unless
     it is already below the threshold.
     """
-    eps = Fraction(eps)
-    delta = Fraction(delta)
+    eps, delta = as_qnum(eps), as_qnum(delta)
     if delta < 0 or Fraction(1, 2) + delta >= 1 + eps:
         raise PreconditionError("delta must keep the shear monotone")
     if not as_qnum(multiplier) > 1:
@@ -84,7 +83,7 @@ def holonomy_domain_trace(multiplier, eps, delta, n: int, threshold=Fraction(1, 
         raise PreconditionError("eps must be positive")
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    width = as_qnum(1 + 2 * eps)
+    width = 1 + 2 * eps
     if width < as_qnum(threshold):
         return HolonomyTrace(width, 1, "SHRINKS_TO_POINT")
     return HolonomyTrace(width, n + 1, "PERSISTS")

@@ -139,6 +139,7 @@ class TestWords:
         g = evaluate_word(FLAGSHIP, [("beta_l", 1), ("beta_r", 1)])
         assert isinstance(g, ComposedMap)
         assert len(g.factors) == 2
+        assert repr(g) == "ComposedMap(2 factors)"
 
     def test_cross_side_word_evaluates_its_factors_in_turn(self):
         word = [("beta_l", 2), ("alpha_r", 1), ("beta_r", -1), ("alpha_l", -1)]
@@ -169,6 +170,21 @@ class TestWords:
             evaluate_word(FLAGSHIP, [("gamma", 1)])
         with pytest.raises(PreconditionError):
             evaluate_word(FLAGSHIP, [("alpha_l", 0)])
+
+
+class TestSideSubgroup:
+    def test_rejects_an_unknown_side(self):
+        with pytest.raises(PreconditionError, match="side must be 'left' or 'right', got 'up'"):
+            side_translation_subgroup(FLAGSHIP, "up")
+
+    def test_rejects_a_translation_beta_in_a_spec_built_directly(self):
+        # build_glued_action rejects such a beta; an ActionSpec built by
+        # hand does not pass through that check.
+        generators = {**FLAGSHIP.generators, "beta_l": PLMap.translation(Fraction(1, 2))}
+        spec = ActionSpec(FLAGSHIP.d, FLAGSHIP.t, FLAGSHIP.s, generators)
+        with pytest.raises(PreconditionError, match="^beta_l is a translation$"):
+            side_translation_subgroup(spec, "left")
+        assert side_translation_subgroup(spec, "right") == side_translation_subgroup(FLAGSHIP, "right")
 
 
 class TestCertificate:

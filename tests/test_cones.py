@@ -34,6 +34,13 @@ class TestMetricChain:
         chain = build_chain_from_action(FLAGSHIP, "LRL", seed=0)
         assert chain.r_max == R2 / 2  # right step exceeds left step
 
+    def test_metric_index_out_of_range(self):
+        chain = build_chain_from_action(FLAGSHIP, "LR", seed=3)  # boundaries 0, 1, 2
+        assert chain.metric(2, 0, 1) >= 0
+        for i in (-1, 3):
+            with pytest.raises(PreconditionError, match=f"^cylinder index {i} out of range$"):
+                chain.metric(i, 0, 1)
+
     def test_rejects_misaligned_inputs(self):
         with pytest.raises(PreconditionError):
             MetricChain([], [], [])
@@ -72,6 +79,7 @@ class TestGapCheck:
         assert rep.bound == chain.r_max * 5  # four cylinders strictly between
         assert rep.violations == 0
         assert rep.max_gap <= rep.bound
+        assert metric_gap_check(chain, 5, 0, samples) == rep  # the indices in either order
 
     def test_index_validation(self):
         chain = build_chain_from_action(FLAGSHIP, "L", seed=0)

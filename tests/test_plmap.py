@@ -57,6 +57,20 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(3, 2))])  # wrap fails
 
+    def test_rejects_x_coordinates_that_do_not_increase(self):
+        for pts in ([(Fraction(1, 2), 0), (Fraction(1, 4), Fraction(1, 2))],
+                    [(0, 0), (0, Fraction(1, 2))]):
+            with pytest.raises(PreconditionError, match="x-coordinates must strictly increase"):
+                PLMap(1, pts)
+
+    def test_displacement_of_a_non_translation_raises(self):
+        with pytest.raises(PreconditionError, match="not a translation"):
+            BETA.displacement
+
+    def test_a_map_is_not_equal_to_a_number(self):
+        assert (BETA == 3) is False and BETA != 3
+        assert (PLMap.translation(3) == 3) is False
+
     def test_rejects_breakpoints_outside_period(self):
         with pytest.raises(PreconditionError):
             PLMap(1, [(2, 2)])

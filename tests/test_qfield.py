@@ -1,7 +1,9 @@
 import math
+import operator
 import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -89,6 +91,27 @@ def test_d_must_be_square_free():
     for bad in (0, 1, 4, 12, -2, 10**18 + 3):
         with pytest.raises(PreconditionError):
             QNum(1, 1, bad)
+
+
+def test_as_fraction_of_an_irrational_raises():
+    assert qnum(Fraction(3, 4), 0, 5).as_fraction() == Fraction(3, 4)
+    with pytest.raises(PreconditionError, match="irrational"):
+        (1 + R2).as_fraction()
+
+
+def test_non_numbers_are_not_operands():
+    # Each operator returns NotImplemented for a str or a float, so Python
+    # raises TypeError both ways round; == says False.
+    x = 1 + R2
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv,
+           operator.lt, operator.le, operator.gt, operator.ge)
+    for other in ("x", 1.5):
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+        assert (x == other) is False and x != other
 
 
 def test_floor():
@@ -310,6 +333,46 @@ def test_prime_near_10_to_12_validates_fast():
     assert sqrt_of(d).d == d
 
 
+def _boundary_readers():
+    """(name, reader, value): each public reader of a caller's number, as a
+    function of the one number probed, and a value it accepts."""
+    from leafspace.action import build_glued_action, incompressible_interval_search, orbit_density
+    from leafspace.cones import MetricChain, adversarial_stall, run_progress_ledger
+    from leafspace.plmap import PLMap, translation_number
+    from leafspace.qfield import as_qnum
+    from leafspace.shear import disjointness_check, holonomy_domain_trace, shadow_length
+
+    F = Fraction
+    beta = PLMap(1, [(0, 0), (F(1, 2), F(3, 4))])
+    probe = PLMap(1, [(0, F(1, 5)), (F(1, 2), F(3, 5))])
+    bump = [PLMap(1, [(0, 0), (F(1, 2), F(5, 8))])]
+    spec = build_glued_action(1 + R2, 2)
+    return [
+        ("QNum", lambda x: QNum(0, x, 3), F(1, 3)),
+        ("qnum", lambda x: qnum(x, 0, 5), F(-2, 7)),
+        ("as_qnum", lambda x: as_qnum(x, 3), F(-2, 7)),
+        ("translation_number.eps", lambda x: translation_number(probe, x, 0), F(1, 100)),
+        ("holonomy.multiplier", lambda x: holonomy_domain_trace(x, F(1, 10), F(1, 10), 3), F(3, 2)),
+        ("holonomy.eps", lambda x: holonomy_domain_trace(2, x, F(1, 10), 3), F(1, 8)),
+        ("holonomy.delta", lambda x: holonomy_domain_trace(2, F(1, 10), x, 3), F(1, 20)),
+        ("holonomy.threshold", lambda x: holonomy_domain_trace(2, F(1, 10), 0, 3, x), F(3, 2)),
+        ("shadow_length", lambda x: shadow_length(x, 2, 3), F(2, 3)),
+        ("run_progress_ledger", lambda x: run_progress_ledger(1, x, 3), F(1, 10)),
+        ("adversarial_stall", lambda x: adversarial_stall(1, x), F(1, 2)),
+        ("disjointness_check", lambda x: disjointness_check((0, x), F(1, 2)), F(1, 4)),
+        ("MetricChain.periods", lambda x: MetricChain(["L"], [x], bump).periods, F(1, 2)),
+        ("build_glued_action", lambda x: build_glued_action(x, 1), F(3, 2)),
+        ("orbit_density.x0", lambda x: orbit_density(spec, x, 2, (0, 1)), F(1, 3)),
+        ("orbit_density.window", lambda x: orbit_density(spec, 0, 2, (0, x)), F(1, 2)),
+        ("incompressible.interval", lambda x: incompressible_interval_search(spec, (0, x), 2),
+         F(1, 3)),
+        ("PLMap", lambda x: PLMap(1, [(0, 0), (x, F(3, 5))]), F(1, 2)),
+        ("PLMap.translation", lambda x: PLMap.translation(x), F(1, 3)),
+        ("PLMap.__call__", lambda x: beta(x), F(1, 3)),
+        ("affine_conjugate", lambda x: beta.affine_conjugate(x), 3),
+    ]
+
+
 class TestOneTextRule:
     """``as_qnum`` reads text as the number it names: irrational text in its
     own sqrt(e), rational text in the field asked for.  So each caller that
@@ -344,3 +407,37 @@ class TestOneTextRule:
 
         assert build_glued_action(1 + self.R3, self.R3).d == 3
         assert as_qnum("1/2", 5).d == 5 and as_qnum("1/2", 5) == Fraction(1, 2)
+
+    def test_mixed_fields_name_the_smaller_field_first(self):
+        from leafspace.action import build_glued_action
+        from leafspace.plmap import PLMap
+
+        r2, r3 = sqrt_of(2), self.R3
+        f3 = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(1, 2) + r3 / 10)])
+        f2 = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(1, 2) + r2 / 10)])
+        for fn in (lambda: r3 + r2, lambda: r2 + r3, lambda: r3 < r2, lambda: r3 * r2,
+                   lambda: f3(r2 / 7), lambda: f2(r3 / 7), lambda: f3.compose(f2),
+                   lambda: f2.compose(f3), lambda: build_glued_action(1 + r3, r2)):
+            with pytest.raises(FieldMismatchError, match=r"^mixed fields: sqrt\(2\) vs sqrt\(3\)$"):
+                fn()
+
+    @pytest.mark.parametrize(
+        "name, reader, value", [pytest.param(*case, id=case[0]) for case in _boundary_readers()]
+    )
+    def test_every_reader_has_one_number_boundary(self, name, reader, value):
+        """An int or a Fraction, its canonical text and the equal QNum give
+        one result; a float, a Decimal and text outside the canonical grammar
+        raise ``ParseError``.  QNum(a, b, d) and qnum build from ints and
+        Fractions only, the number the canonical text names; text is
+        QNum.parse's to read, so they reject it and a QNum too."""
+        text = str(QNum(value))
+        want = reader(value)
+        if name in ("QNum", "qnum"):
+            assert want == reader(1) * QNum.parse(text)
+            rejected = [text, QNum(value)]
+        else:
+            assert reader(text) == want and reader(QNum.parse(text)) == want
+            rejected = []
+        for bad in [float(value), Decimal(float(value)), "1.5", "1e3", *rejected]:
+            with pytest.raises(ParseError):
+                reader(bad)
