@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_15.json --base HEAD --repeats 7
+    python3 bench/run.py --out BENCH_16.json --base HEAD --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
@@ -64,6 +64,16 @@ g_r2 = PLMap(period_r2, pts_r2)
 shift = PLMap.translation(r2 / 10, 1)
 rot = beta.compose(shift).compose(beta.inverse())
 golden = PLMap(1, [(0, F(1, 2)), (F(1, 4), F(5, 8)), (F(1, 2), 1)])
+probe = PLMap(1, [(0, F(1, 5)), (F(1, 2), F(3, 5))])
+
+
+def orbit_map(xs, m):
+    q = len(xs)
+    return PLMap(1, [(x, xs[(j + m) % q] + (j + m) // q) for j, x in enumerate(xs)])
+
+
+orbit5 = orbit_map([F(0), F(1, 7), F(1, 3), F(1, 2), F(5, 6)], 2)
+orbit61 = orbit_map([F(j * j + 1, 3728) for j in range(61)], 7)
 flagship_config = json.loads(CONFIG)
 flagship = load_action_config(flagship_config)
 """
@@ -99,6 +109,14 @@ ROWS = {
     "plmap.pow.sqrt2_8": "g_r2.pow(8)",
     "plmap.translation_number.exact_search_max_denom_16":
         "translation_number(rot, F(1, 100), max_denom=16)",
+    # rotnum's defaults (eps 1/10^6, max_denom 64) on four maps: the probe
+    # map has no periodic orbit of period <= 64 (a Bracket); tests/golden's
+    # map.json has tau = 1/2; periodic orbits of 5 and 61 points have
+    # tau = 2/5 and 7/61.
+    "plmap.translation_number.probe_default_eps": "translation_number(probe)",
+    "plmap.translation_number.exact_golden_q2": "translation_number(golden)",
+    "plmap.translation_number.exact_orbit_q5": "translation_number(orbit5)",
+    "plmap.translation_number.exact_orbit_q61": "translation_number(orbit61)",
     "plmap.fixed_points.sqrt2_4_breakpoints": "g_r2.fixed_points()",
     # A translation of period 1 and a map of period 1/(1 + sqrt 2), in
     # both orders.

@@ -484,11 +484,20 @@ class PLMap:
         """
         if self.is_translation():
             return PeriodGroup(True, None)
-        n = len(self._pts)
+        k = self._shift_divisor()
+        return PeriodGroup(False, self._p * Fraction(1, k) if k > 1 else self._p)
+
+    def _shift_divisor(self) -> int:
+        """The largest k such that f, not a translation, commutes with
+        x -> x + p/k (see ``period_group``)."""
+        n, slopes = len(self._pts), self._slopes
         for k in range(n, 1, -1):
-            if n % k == 0 and self._commutes_with_shift(step := self._p * Fraction(1, k)):
-                return PeriodGroup(False, step)
-        return PeriodGroup(False, self._p)
+            # The shift moves each breakpoint n/k places on and keeps its
+            # slope, so the slopes repeat first; that test is cheaper.
+            if (n % k == 0 and slopes[n // k:] + slopes[:n // k] == slopes
+                    and self._commutes_with_shift(self._p * Fraction(1, k))):
+                return k
+        return 1
 
     # -- serialization ----------------------------------------------------
 
@@ -590,8 +599,10 @@ def _grid_step(cuts, rows, d, x: int, up: int) -> int:
     return (n + up * (f - 1)) // f
 
 
-def _rounded_bracket(f: PLMap, eps: QNum, n: int) -> Bracket:
-    """A bracket of width <= eps about tau(f), from two rounded orbits of 0.
+def _rounded_walk(f: PLMap, eps: QNum, n: int):
+    """The bracket [L, H] about tau(f)/p from two rounded orbits of 0,
+    yielded whenever it narrows, and at step n, as the ints (ln, ld, hn, hd)
+    of L = ln/ld and H = hn/hd, whether it is done, and the steps taken.
 
     g = f.affine_conjugate(p) has period 1 and tau(g) = tau(f)/p.  The lower
     orbit is rounded down and the upper one up onto a grid, so g^j(0) lies
@@ -599,19 +610,21 @@ def _rounded_bracket(f: PLMap, eps: QNum, n: int) -> Bracket:
     Each point is held as an integer part and a grid point of [0, 1).  If
     g^j(0) lies in [m, m + 1), then tau(g) lies in [m/j, (m + 1)/j]; so
     after step j, tau(g) lies in [floor(lo_j)/j, (floor(hi_j) + 1)/j], and
-    the bracket [L, H] is the intersection of these.  The walk stops once
-    p*(H - L) <= eps, or after n steps.  Orbits less than a period apart
+    the bracket [L, H] is the intersection of these.  It is done once
+    p*(H - L) <= eps, or at step n; the walk goes on past that while it is
+    asked for more, and ends at step n.  Orbits less than a period apart
     make H - L <= 2/n there, and 2p/n < eps; if their integer parts ever
     differ by two, the walk restarts from 0 with twice the bits and keeps
     [L, H], which still holds tau(g).  L and H start as the ends -1/0 and
     1/0 of the line, which the cross-multiplied comparisons read correctly.
     """
     p = f.period
-    g = f.affine_conjugate(p)
+    g = f if p == 1 else f.affine_conjugate(p)
     d = g._table[0]
     c = eps / p  # the largest width in g's units
     cn, cm, cq, cd = c._n, c._m, c._q, c._d
     ln, ld, hn, hd = -1, 0, 1, 0
+    done, steps = False, 0
     bits = _GRID_BITS
     while True:
         cuts, rows = _grid_rows(g, bits)
@@ -629,13 +642,121 @@ def _rounded_bracket(f: PLMap, eps: QNum, n: int) -> Bracket:
                 ln, ld, narrowed = lo_k, j, True
             if (hi_k + 1) * hd < hn * j:
                 hn, hd, narrowed = hi_k + 1, j, True
-            if narrowed:
-                w = hd * ld
-                if _sign(cn * w - (hn * ld - ln * hd) * cq, cm * w, cd) >= 0:
-                    break
-        if hi_k - lo_k <= 1:
-            return Bracket(p * Fraction(ln, ld), p * Fraction(hn, hd))
+            if narrowed or j == n:
+                if not done:
+                    w = hd * ld
+                    done = _sign(cn * w - (hn * ld - ln * hd) * cq, cm * w, cd) >= 0
+                yield ln, ld, hn, hd, done or j == n, steps + j
+        else:
+            return
+        steps += j
         bits *= 2
+
+
+def _power(powers: dict, q: int) -> int:
+    """Put F^q into ``powers``, a dict {j: F^j} that holds F^1, and return
+    how many breakpoints the composes read.  F^q is the largest kept power
+    j <= q doubled, or composed with F^(q - j) when q < 2*j, so a q whose
+    two parts are kept costs one compose."""
+    read = 0
+    while q not in powers:
+        j = max(filter(q.__ge__, powers))
+        i = min(j, q - j)
+        if i not in powers:
+            read += _power(powers, i)
+        g, h = powers[i], powers[j]
+        read += len(g._pts) + len(h._pts)
+        powers[i + j] = g.compose(h)
+    return read
+
+
+def _periodic_orbit(f: PLMap, k: int, max_denom: int, walk, bounds, done):
+    """``(Exact(tau(f)), bounds, done)`` when some f^q with q <= max_denom
+    is a translation or moves a point by exactly m*p, else None in place of
+    the answer.  ``walk`` is a ``_rounded_walk`` of f, ``bounds`` its latest
+    bracket and ``done`` its done bracket, or None if it has not yielded it
+    yet; the search steps the walk only as far as it needs, which may be
+    past the done bracket, and returns the two brackets as they then are.
+
+    f commutes with x -> x + p/k (``_shift_divisor``), and F is the map f
+    carried at p/k, so tau_F = k*tau(f)/p and F^q = f^q.  F^q moves a
+    point by exactly m*p/k iff tau_F = m/q (Ghys, *Groups acting on the
+    circle*, 2001).  A failed test says more: the moves of F^q then lie
+    strictly between two multiples of p/k, which bound q*tau_F.  So
+    tau_F is kept in an open Stern-Brocot interval (a/b, c/d), whose
+    fractions all have denominators of at least b + d, the denominator of
+    its mediant M/q (Graham, Knuth and Patashnik, *Concrete Mathematics*,
+    section 4.5).  The walk's bracket [L, H] decides the mediant for free
+    when it lies outside [k*L, k*H]; otherwise F^q is tested, and the
+    interval halves at M/q either way.  The search ends when q exceeds
+    max_denom, since no fraction of the interval then has a denominator
+    up to max_denom.
+
+    A hit gives tau(f) = p*M/(k*q).  For k = 1 that is the answer.  For
+    k > 1 it is exact only if its denominator k*q/gcd(M, k) is at most
+    max_denom, or F^q is a translation: otherwise F^q - M*p/k is a map of
+    infinite order with a fixed point, so no power of f up to max_denom is
+    a translation or moves a point by a multiple of p.  A search at k = 1
+    finds every answer but one kind: when f commutes with x -> x + p/k
+    for some k > 1, a power f^q with q <= max_denom can be a translation
+    while tau(f)/p has a denominator above max_denom (f^5 = x + 1/2 and
+    tau = 1/10); only a search at that k finds it.
+
+    The i-th test (from 0) is made at once if q >= 2^i: such tests cost
+    no more composes than building F^q by squaring would, which an Exact
+    answer needs anyway.  Before any other test the walk takes as many
+    steps in all as the composes so far have read breakpoints, so that
+    neither half does much more work than the other.
+    """
+    p = f.period
+    step = p * Fraction(1, k) if k > 1 else p
+    n = len(f._pts) // k
+    h = PLMap._trusted(step, f._pts[:n], f._slopes[:n]) if k > 1 else f
+    powers = {1: h}
+    q, spent, tests = 1, 0, 0
+    while True:
+        # Test h = F^q.
+        if h.is_translation():
+            return Exact(h.displacement / q), bounds, done
+        # The displacement of F^q is continuous and periodic, so it attains
+        # every value between its extremes: F^q moves a point by exactly
+        # m*p/k iff m*p/k lies in that range.
+        lo, hi = h.displacement_range()
+        m = -((-lo / step).floor())
+        if m * step <= hi:
+            # tau_F = m/q, so m = M for q > 1.
+            exact = k * q // gcd(m, k) <= max_denom
+            return (Exact(p * Fraction(m, k * q)) if exact else None), bounds, done
+        # (m - 1)/q < tau_F < m/q
+        if q == 1:
+            a, b, c, d = m - 1, 1, m, 1
+        elif m > M:
+            a, b = M, q
+        else:
+            c, d = M, q
+        while True:
+            M, q = a + c, b + d
+            if q > max_denom:
+                return None, bounds, done
+            ln, ld, hn, hd, _, walked = bounds
+            if M * ld < k * ln * q:
+                a, b = M, q
+            elif M * hd > k * hn * q:
+                c, d = M, q
+            elif 1 << tests > q and walked < spent and (nxt := next(walk, None)):
+                bounds = nxt
+                if done is None and bounds[4]:
+                    done = bounds
+            else:
+                break
+        if b in powers and d in powers:
+            g, h = powers[b], powers[d]
+            spent += len(g._pts) + len(h._pts)
+            powers[q] = h = g.compose(h)
+        else:
+            spent += _power(powers, q)
+            h = powers[q]
+        tests += 1
 
 
 def translation_number(
@@ -647,15 +768,20 @@ def translation_number(
     """Translation number of f, exact when a periodic orbit certifies it.
 
     Returns ``Exact`` when f is a translation or some iterate f^q with
-    q <= max_denom equals a translation by m*p at some point (then the value
-    is m*p/q); otherwise an enclosing ``Bracket`` of width <= eps.  The
-    bracket comes from two orbits of 0, rounded down and up onto a fixed
+    q <= max_denom is a translation or moves a point by exactly m*p (then
+    the value is m*p/q); otherwise an enclosing ``Bracket`` of width <= eps.
+    The bracket comes from two orbits of 0, rounded down and up onto a fixed
     grid, whose integer parts bound the value after every step: its ends
     are short fractions times p, not orbit values, every step works on ints
     of the grid's size, and the walk takes at most n = floor(2p/eps) + 1
-    steps on each grid.  A forced bracket first walks the exact orbit of 0 for up to
-    max_denom steps; if f^j(0) = k*p there, or those are all n steps, it
-    returns [(f^n(0) - p)/n, (f^n(0) + p)/n] from the exact f^n(0).
+    steps on each grid.  The same walk guides the search for a periodic
+    orbit (``_periodic_orbit``): f^q is composed and tested only for a q
+    with some m/q in the walk's bracket, the least such q first, and a
+    failed test moves the search past every fraction of denominator q.
+    The bracket is the walk's, whatever the search did.  A forced bracket
+    first walks the exact orbit of 0 for up to max_denom steps; if
+    f^j(0) = k*p there, or those are all n steps, it returns
+    [(f^n(0) - p)/n, (f^n(0) + p)/n] from the exact f^n(0).
     """
     p = f.period
     eps = as_qnum(eps, p.d)
@@ -669,21 +795,7 @@ def translation_number(
         if not force_bracket:
             return Exact(f.displacement)
         x, j = f.displacement * n, n
-    elif not force_bracket:
-        g = f
-        for q in range(1, max_denom + 1):
-            if g.is_translation():
-                return Exact(g.displacement / q)
-            # The displacement of g is continuous and periodic, so it
-            # attains every value between its extremes; g has a point
-            # displaced by exactly m*p iff m*p lies in that range.
-            lo, hi = g.displacement_range()
-            m = -((-lo / p).floor())
-            if m * p <= hi:
-                return Exact(p * Fraction(m, q))
-            if q < max_denom:
-                g = g.compose(f)
-    else:
+    elif force_bracket:
         # x/p = (N + M*sqrt(d))/Q with N, M, Q below, unreduced, so x is an
         # integer multiple of p iff M == 0 and Q divides N.
         inn, inm, inq = _ints(p.inverse())
@@ -698,6 +810,17 @@ def translation_number(
                     # f^n(0) = f^(n mod j)((n // j)*k*p); no later point of
                     # that walk is a multiple of p, j being the least.
                     x, j, stop = (n // j) * k * p, n - n % j, n
-    if j < n:
-        return _rounded_bracket(f, eps, n)
-    return Bracket((x - p) / n, (x + p) / n)
+    if j == n:
+        return Bracket((x - p) / n, (x + p) / n)
+    walk = _rounded_walk(f, eps, n)
+    bounds, done = (-1, 0, 1, 0, False, 0), None
+    if not force_bracket and max_denom:
+        # k = 1 first: that search finds every answer but the one kind that
+        # needs the least period p/k of f, so most maps never compute k.
+        res, bounds, done = _periodic_orbit(f, 1, max_denom, walk, bounds, done)
+        if res is None and (k := f._shift_divisor()) > 1:
+            res, bounds, done = _periodic_orbit(f, k, max_denom, walk, bounds, done)
+        if res:
+            return res
+    ln, ld, hn, hd, *_ = done or next(b for b in walk if b[4])
+    return Bracket(p * Fraction(ln, ld), p * Fraction(hn, hd))

@@ -39,6 +39,10 @@ CASES.update({
     # A map with no short periodic orbit and an irrational-looking value,
     # bracketed by the rounded orbits at the default eps.
     "rotnum-irrational": ["rotnum", "--map", "{golden}/map-irrational.json"],
+    # A 7-point periodic orbit, tau = 3/7: Exact at the default max_denom,
+    # and a Bracket when max_denom 6 leaves no q that can certify it.
+    "rotnum-orbit7": ["rotnum", "--map", "{golden}/map-orbit7.json"],
+    "rotnum-orbit7-max-denom-6": ["rotnum", "--map", "{golden}/map-orbit7.json", "--max-denom", "6"],
     "periods": ["periods", "--map", MAP],
     "cone-progress-adversarial": ["cone-progress", "--T", "1", "--r", "1/10", "--n", "12"],
     "cone-progress-random": [

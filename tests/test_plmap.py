@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -34,6 +35,29 @@ def conjugated_translations(draw):
     scale = draw(st.sampled_from((1, 1 + sqrt_of(e))))
     f = h.compose(PLMap.translation(t, 1)).compose(h.inverse()).affine_conjugate(scale)
     return f, t / scale
+
+
+@st.composite
+def rotnum_maps(draw):
+    """Maps other than translations for the search for a periodic orbit: a
+    periodic orbit of q <= 61 points, a random map, or a conjugated
+    irrational translation; the first two are carried at period 1, 3/2 or
+    1/(1 + sqrt 2), a conjugate at 1 or 1/(1 + sqrt e) in its own field."""
+    kind = draw(st.sampled_from(("orbit", "random", "conjugate")))
+    if kind == "conjugate":
+        f, _ = draw(conjugated_translations().filter(lambda case: not case[0].is_translation()))
+        return f
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "orbit":
+        q = draw(st.integers(2, 61))
+        xs = rng.sample(range(4 * q), q)
+        m = draw(st.integers(1, q - 1)) + q * draw(st.integers(-1, 1))
+        f = periodic_orbit_map([Fraction(x, 4 * q) for x in xs], m)
+    else:
+        f = random_plmap(rng, max_breaks=3)
+        while f.is_translation():
+            f = random_plmap(rng, max_breaks=3)
+    return f.affine_conjugate(draw(st.sampled_from((1, Fraction(2, 3), 1 + R2))))
 
 
 class TestConstruction:
@@ -328,15 +352,15 @@ class TestTranslationNumber:
                 closes = isinstance(refs[False], Exact)
                 for force, ref in refs.items():
                     if closes and f in periodic:
-                        # The orbit of 0 closes within n steps: the compose
+                        # The orbit of 0 closes within n steps: the exact
                         # search, or a forced bracket's exact walk, gives
                         # the same result.
                         got = translation_number(f, eps, force_bracket=force)
                         assert got == ref
                         kinds.add(type(got))
                         continue
-                    # max_denom=0 skips the compose search, so the rounded
-                    # orbits decide; both results contain tau.
+                    # max_denom=0 skips the search for a periodic orbit, so
+                    # the rounded orbits decide; both results contain tau.
                     got = translation_number(f, eps, max_denom=0, force_bracket=force)
                     assert isinstance(got, Bracket) and got.hi - got.lo <= eps
                     lo, hi = (ref.value, ref.value) if isinstance(ref, Exact) else (ref.lo, ref.hi)
@@ -357,15 +381,81 @@ class TestTranslationNumber:
         assert peak < 0.25 * 2**20
 
     def test_exact_search_composes_only_what_it_tests(self, monkeypatch):
-        # No q <= 16 hits, so g = f^q is tested for q = 1..16 and built by
-        # 15 composes; f^17 would be read by nothing.
+        # No q <= 16 hits.  Only the q that the rounded walk leaves are
+        # tested, with powers built from kept ones: 4 composes, where
+        # testing every q takes 15.  On the probe map at the default eps it
+        # makes 8 (every q: 63).
         shift = PLMap.translation(R2 / 10, 1)
         rot = BETA.compose(shift).compose(BETA.inverse())
         calls = []
         compose = PLMap.compose
         monkeypatch.setattr(PLMap, "compose", lambda f, g: calls.append(1) or compose(f, g))
         res = translation_number(rot, Fraction(1, 100), max_denom=16)
-        assert isinstance(res, Bracket) and len(calls) == 15
+        assert isinstance(res, Bracket) and len(calls) == 4
+        calls.clear()
+        res = translation_number(PROBE)
+        assert isinstance(res, Bracket) and len(calls) == 8
+
+    @staticmethod
+    def _reference_exact_search(f, eps, max_denom):
+        """The compose search: compose f^2, f^3, ... and test each
+        q <= max_denom in turn; with no hit, the rounded walk's bracket
+        alone."""
+        p = f.period
+        g = f
+        for q in range(1, max_denom + 1):
+            if g.is_translation():
+                return Exact(g.displacement / q)
+            lo, hi = g.displacement_range()
+            m = -((-lo / p).floor())
+            if m * p <= hi:
+                return Exact(p * Fraction(m, q))
+            g = g.compose(f)
+        return translation_number(f, eps, max_denom=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rotnum_maps(),
+        st.sampled_from([0, 1, 2, 6, 16, 64]),
+        st.sampled_from([Fraction(1, 100), Fraction(1, 10**4)]),
+    )
+    def test_exact_search_matches_the_compose_search(self, f, max_denom, eps):
+        ref = self._reference_exact_search(f, eps, max_denom)
+        got = translation_number(f, eps, max_denom)
+        assert type(got) is type(ref)
+        if isinstance(ref, Exact):
+            assert got.value == ref.value
+        else:
+            assert (got.lo, got.hi) == (ref.lo, ref.hi)
+
+    def test_seven_point_orbit_needs_max_denom_seven(self):
+        f = periodic_orbit_map([0, Fraction(1, 10), Fraction(1, 4), Fraction(1, 3),
+                                Fraction(1, 2), Fraction(2, 3), Fraction(5, 6)], 3)
+        for max_denom in (6, 7):
+            ref = self._reference_exact_search(f, Fraction(1, 10**4), max_denom)
+            assert translation_number(f, Fraction(1, 10**4), max_denom) == ref
+        assert isinstance(ref, Exact) and ref.value == Fraction(3, 7)
+        assert isinstance(translation_number(f, Fraction(1, 10**4), 6), Bracket)
+
+    def test_maps_of_period_one_half(self):
+        # f and g commute with x -> x + 1/2.  f^5 is the translation by 1/2,
+        # so tau(f) = 1/10 is Exact from max_denom 5 on, as f^5 says.  g has
+        # a periodic orbit of 3 points of [0, 1/2) that g^3 moves by 1/2, and
+        # g^3 is no translation: tau(g) = 1/6 is Exact only from 6 on.  The
+        # inverses have the negated values.
+        half = Fraction(1, 2)
+        h = PLMap(half, [(0, 0), (Fraction(1, 8), Fraction(1, 5))])
+        f = h.compose(PLMap.translation(Fraction(1, 10), half)).compose(h.inverse())._tiled(2)
+        g = PLMap(half, [(Fraction(1, 16), Fraction(5, 32)), (Fraction(1, 8), Fraction(1, 4)),
+                         (Fraction(1, 4), half)])._tiled(2)
+        assert f.pow(5) == PLMap.translation(half) and not g.pow(3).is_translation()
+        cases = [(f, Fraction(1, 10), 5), (g, Fraction(1, 6), 6)]
+        for fg, tau, least in cases + [(fg.inverse(), -tau, least) for fg, tau, least in cases]:
+            for max_denom in (least - 1, least, 9):
+                got = translation_number(fg, Fraction(1, 100), max_denom)
+                assert got == self._reference_exact_search(fg, Fraction(1, 100), max_denom)
+                assert isinstance(got, Exact) == (max_denom >= least)
+            assert got.value == tau
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -376,9 +466,7 @@ class TestTranslationNumber:
     def test_bracket_contains_an_irrational_translation_number(self, case, eps, force):
         f, tau = case
         assume(not f.is_translation())
-        # A small max_denom keeps the compose search, which finds nothing
-        # here, short.
-        res = translation_number(f, eps, max_denom=64 if force else 4, force_bracket=force)
+        res = translation_number(f, eps, max_denom=64, force_bracket=force)
         assert isinstance(res, Bracket)
         assert res.contains(tau) and res.hi - res.lo <= eps
 
