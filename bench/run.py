@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_16.json --base HEAD --repeats 7
+    python3 bench/run.py --out BENCH_17.json --base HEAD --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
@@ -74,6 +74,13 @@ def orbit_map(xs, m):
 
 orbit5 = orbit_map([F(0), F(1, 7), F(1, 3), F(1, 2), F(5, 6)], 2)
 orbit61 = orbit_map([F(j * j + 1, 3728) for j in range(61)], 7)
+# A conjugate of x -> x + 1/10 at period 1/2, carried at period 1: it
+# commutes with x -> x + 1/2, and f^5 is the translation by 1/2.
+half = F(1, 2)
+h_half = PLMap(half, [(0, 0), (F(1, 8), F(1, 5))])
+f_half = h_half.compose(PLMap.translation(F(1, 10), half)).compose(h_half.inverse())
+least_period_half = PLMap(1, [(x + j * half, y + j * half)
+                              for j in range(2) for x, y in f_half.breakpoints])
 flagship_config = json.loads(CONFIG)
 flagship = load_action_config(flagship_config)
 """
@@ -117,6 +124,10 @@ ROWS = {
     "plmap.translation_number.exact_golden_q2": "translation_number(golden)",
     "plmap.translation_number.exact_orbit_q5": "translation_number(orbit5)",
     "plmap.translation_number.exact_orbit_q61": "translation_number(orbit61)",
+    # tau = 1/10 has a denominator above max_denom 9, but f^5 is a
+    # translation, which only a search at the least period 1/2 finds.
+    "plmap.translation_number.least_period_half_max_denom_9":
+        "translation_number(least_period_half, F(1, 100), max_denom=9)",
     "plmap.fixed_points.sqrt2_4_breakpoints": "g_r2.fixed_points()",
     # A translation of period 1 and a map of period 1/(1 + sqrt 2), in
     # both orders.

@@ -55,12 +55,12 @@ def _ints(x: QNum) -> tuple[int, int, int]:
 def _kernel_table(p: QNum, pts, slopes):
     """The integer data ``PLMap.__call__`` reads, built once per map.
 
-    ``(d, x0, ip, p, xs, segs)``: ``d``, the one field decision that
+    ``(d, ip, p, xs, segs)``: ``d``, the one field decision that
     evaluation and ``compose`` read, is the field the map is irrational in,
     or None when its values take the field of x; a translation x -> x + t
-    is the same map at any period, so t alone decides.  ``x0`` and ``p``
-    are (n, m, q) triples, ``ip`` is 1/p as (n, m*d, m, q), and ``xs``
-    holds the breakpoint x triples.  Segment i maps x to
+    is the same map at any period, so t alone decides.  ``p`` is an
+    (n, m, q) triple, ``ip`` is 1/p as (n, m*d, m, q), and ``xs`` holds
+    the breakpoint x triples, x_0 first.  Segment i maps x to
     s_i*(x - k*p) + b_i + k*p with b_i = y_i - s_i*x_i; for
     x - k*p = (rn + rm*sqrt(d))/rq that is (N + M*sqrt(d))/Q with
 
@@ -74,7 +74,7 @@ def _kernel_table(p: QNum, pts, slopes):
     """
     if len(pts) == 1:
         t = pts[0][1] - pts[0][0]
-        return (None if t.is_rational() else t.d), None, None, None, None, _ints(t)
+        return (None if t.is_rational() else t.d), None, None, None, _ints(t)
     irrational = not p.is_rational() or any(not v.is_rational() for pt in pts for v in pt)
     d = p.d if irrational else None
     rd = p.d if irrational else 0  # a rational map has no sqrt parts
@@ -88,7 +88,7 @@ def _kernel_table(p: QNum, pts, slopes):
         segs.append((sn * e, sm * rd * e, sm * e, bn * fb, pn * fp, bm * fb, pm * fp, sq * e))
     inn, inm, inq = _ints(p.inverse())
     xs = tuple(_ints(x) for x, _ in pts)
-    return d, _ints(pts[0][0]), (inn, inm * rd, inm, inq), (pn, pm, pq), xs, tuple(segs)
+    return d, (inn, inm * rd, inm, inq), (pn, pm, pq), xs, tuple(segs)
 
 
 class PLMap:
@@ -205,7 +205,7 @@ class PLMap:
         if type(x) is not QNum:
             x = as_qnum(x, self._p.d)
         n, m, q = x._n, x._m, x._q
-        d, x0, ip, p, xs, segs = self._table
+        d, ip, p, xs, segs = self._table
         if d is None:
             d = x._d
         elif m and x._d != d:
@@ -213,8 +213,8 @@ class PLMap:
         if xs is None:
             tn, tm, tq = segs
             return _make(n * tq + tn * q, m * tq + tm * q, q * tq, d)
-        # k = floor((x - x0) * ip), decided like QNum.floor.
-        an, am, aq = x0
+        # k = floor((x - x_0) * ip), decided like QNum.floor.
+        an, am, aq = xs[0]
         u = n * aq - an * q
         v = m * aq - am * q
         inn, inmd, inm, inq = ip
@@ -478,9 +478,11 @@ class PLMap:
         mod p, is invariant under (x, y) -> (x + c, y + c), which is tested
         point by point without composing.  The shift by p/k splits that set
         into orbits of exactly k points, so only divisors k of the
-        breakpoint count can commute, and searching them downwards from
-        the count finds the largest one; k = 1, the period itself, always
-        commutes.
+        breakpoint count n can commute, and searching them downwards finds
+        the largest one; k = 1, the period itself, always commutes.  The
+        search starts at n/2: k = n would take each breakpoint to the next
+        with its slope, so every slope would be equal, as no two
+        neighbouring slopes of f are.
         """
         if self.is_translation():
             return PeriodGroup(True, None)
@@ -491,7 +493,7 @@ class PLMap:
         """The largest k such that f, not a translation, commutes with
         x -> x + p/k (see ``period_group``)."""
         n, slopes = len(self._pts), self._slopes
-        for k in range(n, 1, -1):
+        for k in range(n // 2, 1, -1):
             # The shift moves each breakpoint n/k places on and keeps its
             # slope, so the slopes repeat first; that test is cheaper.
             if (n % k == 0 and slopes[n // k:] + slopes[:n // k] == slopes
@@ -670,37 +672,34 @@ def _power(powers: dict, q: int) -> int:
     return read
 
 
-def _periodic_orbit(f: PLMap, k: int, max_denom: int, walk, bounds, done):
-    """``(Exact(tau(f)), bounds, done)`` when some f^q with q <= max_denom
-    is a translation or moves a point by exactly m*p, else None in place of
-    the answer.  ``walk`` is a ``_rounded_walk`` of f, ``bounds`` its latest
-    bracket and ``done`` its done bracket, or None if it has not yielded it
-    yet; the search steps the walk only as far as it needs, which may be
-    past the done bracket, and returns the two brackets as they then are.
+def _periodic_orbit(f: PLMap, max_denom: int, walk):
+    """``Exact(tau(f))`` when some f^q with q <= max_denom is a translation
+    or moves a point by exactly m*p, else the done bracket of ``walk``, a
+    ``_rounded_walk`` of f, as a ``Bracket``.  The search steps the walk
+    only as far as it needs, which may be past the done bracket.
 
-    f commutes with x -> x + p/k (``_shift_divisor``), and F is the map f
-    carried at p/k, so tau_F = k*tau(f)/p and F^q = f^q.  F^q moves a
-    point by exactly m*p/k iff tau_F = m/q (Ghys, *Groups acting on the
-    circle*, 2001).  A failed test says more: the moves of F^q then lie
-    strictly between two multiples of p/k, which bound q*tau_F.  So
-    tau_F is kept in an open Stern-Brocot interval (a/b, c/d), whose
-    fractions all have denominators of at least b + d, the denominator of
-    its mediant M/q (Graham, Knuth and Patashnik, *Concrete Mathematics*,
-    section 4.5).  The walk's bracket [L, H] decides the mediant for free
-    when it lies outside [k*L, k*H]; otherwise F^q is tested, and the
-    interval halves at M/q either way.  The search ends when q exceeds
-    max_denom, since no fraction of the interval then has a denominator
-    up to max_denom.
+    F is f carried at its least period p/k (``_shift_divisor``), so
+    tau_F = k*tau(f)/p and F^q = f^q.  F^q moves a point by exactly
+    m*p/k iff tau_F = m/q (Ghys, *Groups acting on the circle*, 2001).  A
+    failed test says more: the moves of F^q then lie strictly between two
+    multiples of p/k, which bound q*tau_F.  So tau_F is kept in an open
+    Stern-Brocot interval (a/b, c/d), whose fractions all have
+    denominators of at least b + d, the denominator of its mediant M/q
+    (Graham, Knuth and Patashnik, *Concrete Mathematics*, section 4.5).
+    The walk's bracket [L, H] decides the mediant for free when it lies
+    outside [k*L, k*H]; otherwise F^q is tested, and the interval halves
+    at M/q either way.  The search ends when q exceeds max_denom, since
+    no fraction of the interval then has a denominator up to max_denom.
 
-    A hit gives tau(f) = p*M/(k*q).  For k = 1 that is the answer.  For
-    k > 1 it is exact only if its denominator k*q/gcd(M, k) is at most
-    max_denom, or F^q is a translation: otherwise F^q - M*p/k is a map of
-    infinite order with a fixed point, so no power of f up to max_denom is
-    a translation or moves a point by a multiple of p.  A search at k = 1
-    finds every answer but one kind: when f commutes with x -> x + p/k
-    for some k > 1, a power f^q with q <= max_denom can be a translation
-    while tau(f)/p has a denominator above max_denom (f^5 = x + 1/2 and
-    tau = 1/10); only a search at that k finds it.
+    A hit gives tau(f) = p*M/(k*q), at the least q with tau_F = M/q.  It
+    is exact if its denominator k*q/gcd(M, k) is at most max_denom, or if
+    F^q is a translation.  Otherwise F^q - M*p/k is a map of infinite
+    order with a fixed point, so no power of f up to max_denom is a
+    translation or moves a point by a multiple of p.  Conversely, such a
+    power f^j, j <= max_denom, makes q <= j, and when f^j is a
+    translation so is F^q; so the search finds every answer, including a
+    translation f^j whose value has a denominator above max_denom
+    (f^5 = x + 1/2 with period 1 and tau = 1/10).
 
     The i-th test (from 0) is made at once if q >= 2^i: such tests cost
     no more composes than building F^q by squaring would, which an Exact
@@ -709,15 +708,17 @@ def _periodic_orbit(f: PLMap, k: int, max_denom: int, walk, bounds, done):
     neither half does much more work than the other.
     """
     p = f.period
+    k = f._shift_divisor()
     step = p * Fraction(1, k) if k > 1 else p
     n = len(f._pts) // k
-    h = PLMap._trusted(step, f._pts[:n], f._slopes[:n]) if k > 1 else f
-    powers = {1: h}
+    powers = {1: PLMap._trusted(step, f._pts[:n], f._slopes[:n]) if k > 1 else f}
+    bounds, done = (-1, 0, 1, 0, False, 0), None
     q, spent, tests = 1, 0, 0
-    while True:
+    while q <= max_denom:
         # Test h = F^q.
+        h = powers[q]
         if h.is_translation():
-            return Exact(h.displacement / q), bounds, done
+            return Exact(h.displacement / q)
         # The displacement of F^q is continuous and periodic, so it attains
         # every value between its extremes: F^q moves a point by exactly
         # m*p/k iff m*p/k lies in that range.
@@ -725,8 +726,9 @@ def _periodic_orbit(f: PLMap, k: int, max_denom: int, walk, bounds, done):
         m = -((-lo / step).floor())
         if m * step <= hi:
             # tau_F = m/q, so m = M for q > 1.
-            exact = k * q // gcd(m, k) <= max_denom
-            return (Exact(p * Fraction(m, k * q)) if exact else None), bounds, done
+            if k * q // gcd(m, k) <= max_denom:
+                return Exact(p * Fraction(m, k * q))
+            break
         # (m - 1)/q < tau_F < m/q
         if q == 1:
             a, b, c, d = m - 1, 1, m, 1
@@ -734,10 +736,10 @@ def _periodic_orbit(f: PLMap, k: int, max_denom: int, walk, bounds, done):
             a, b = M, q
         else:
             c, d = M, q
-        while True:
-            M, q = a + c, b + d
-            if q > max_denom:
-                return None, bounds, done
+        # On to the next mediant that the walk does not rule out, and build
+        # its power.
+        while (q := b + d) <= max_denom:
+            M = a + c
             ln, ld, hn, hd, _, walked = bounds
             if M * ld < k * ln * q:
                 a, b = M, q
@@ -748,15 +750,11 @@ def _periodic_orbit(f: PLMap, k: int, max_denom: int, walk, bounds, done):
                 if done is None and bounds[4]:
                     done = bounds
             else:
+                spent += _power(powers, q)
+                tests += 1
                 break
-        if b in powers and d in powers:
-            g, h = powers[b], powers[d]
-            spent += len(g._pts) + len(h._pts)
-            powers[q] = h = g.compose(h)
-        else:
-            spent += _power(powers, q)
-            h = powers[q]
-        tests += 1
+    ln, ld, hn, hd, *_ = done or next(b for b in walk if b[4])
+    return Bracket(p * Fraction(ln, ld), p * Fraction(hn, hd))
 
 
 def translation_number(
@@ -774,10 +772,11 @@ def translation_number(
     grid, whose integer parts bound the value after every step: its ends
     are short fractions times p, not orbit values, every step works on ints
     of the grid's size, and the walk takes at most n = floor(2p/eps) + 1
-    steps on each grid.  The same walk guides the search for a periodic
-    orbit (``_periodic_orbit``): f^q is composed and tested only for a q
-    with some m/q in the walk's bracket, the least such q first, and a
-    failed test moves the search past every fraction of denominator q.
+    steps on each grid.  The same walk guides one search for a periodic
+    orbit (``_periodic_orbit``), made on f carried at its least period
+    p/k: f^q is composed and tested only for a q with some m/q in k times
+    the walk's bracket, the least such q first, and a failed test moves
+    the search past every fraction of denominator q.
     The bracket is the walk's, whatever the search did.  A forced bracket
     first walks the exact orbit of 0 for up to max_denom steps; if
     f^j(0) = k*p there, or those are all n steps, it returns
@@ -798,8 +797,7 @@ def translation_number(
     elif force_bracket:
         # x/p = (N + M*sqrt(d))/Q with N, M, Q below, unreduced, so x is an
         # integer multiple of p iff M == 0 and Q divides N.
-        inn, inm, inq = _ints(p.inverse())
-        inm_d = inm * p.d
+        inn, inm_d, inm, inq = f._table[1]
         stop = min(n, max_denom)
         while j < stop:
             x, j = f(x), j + 1
@@ -812,15 +810,4 @@ def translation_number(
                     x, j, stop = (n // j) * k * p, n - n % j, n
     if j == n:
         return Bracket((x - p) / n, (x + p) / n)
-    walk = _rounded_walk(f, eps, n)
-    bounds, done = (-1, 0, 1, 0, False, 0), None
-    if not force_bracket and max_denom:
-        # k = 1 first: that search finds every answer but the one kind that
-        # needs the least period p/k of f, so most maps never compute k.
-        res, bounds, done = _periodic_orbit(f, 1, max_denom, walk, bounds, done)
-        if res is None and (k := f._shift_divisor()) > 1:
-            res, bounds, done = _periodic_orbit(f, k, max_denom, walk, bounds, done)
-        if res:
-            return res
-    ln, ld, hn, hd, *_ = done or next(b for b in walk if b[4])
-    return Bracket(p * Fraction(ln, ld), p * Fraction(hn, hd))
+    return _periodic_orbit(f, 0 if force_bracket else max_denom, _rounded_walk(f, eps, n))

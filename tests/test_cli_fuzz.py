@@ -152,6 +152,10 @@ def test_fuzz_number_options(a, b, c, e):
         (["rotnum", "--map", "/"], "", 2),
         (["certify", "--config", "flagship", "--output", "/"], "", 2),
         (["certify", "--config", "-"], b"\xff\xfe{}", 2),
+        # a count above its documented maximum
+        (["rotnum", "--map", "-", "--max-denom", "257"],
+         json.dumps({"period": "1", "breakpoints": [{"x": "0", "y": "1/5"},
+                                                    {"x": "1/2", "y": "3/5"}]}), 3),
     ],
 )
 def test_boundary_cases(argv, stdin, code):

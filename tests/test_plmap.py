@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leafspace import plmap
 from leafspace.errors import FieldMismatchError, PeriodMismatchError, PreconditionError
@@ -23,15 +23,19 @@ PROBE = PLMap(1, [(0, Fraction(1, 5)), (Fraction(1, 2), Fraction(3, 5))])
 @st.composite
 def conjugated_translations(draw):
     """(f, tau): f = h o T_t o h^-1 for an irrational t of Q(sqrt e), e in
-    2, 3 and 5, and a period-1 map h with breakpoints on the grid 1/16,
-    rescaled by 1 or 1 + sqrt(e); tau(f) = t/scale."""
+    2, 3 and 5, and a period-1 map h with two or three breakpoints
+    (x/16, y/15), rescaled by 1 or 1 + sqrt(e); tau(f) = t/scale.  h is no
+    translation: y - x is the same at two breakpoints only if 16 divides
+    the gap between their x, which is below 16.  Nor is f, since f = T_t
+    would make h commute with T_t, and the translations that commute with
+    h are rational."""
     e = draw(st.sampled_from((2, 3, 5)))
     b = Fraction(draw(st.integers(1, 8)) * draw(st.sampled_from((1, -1))), draw(st.integers(1, 9)))
     t = QNum(Fraction(draw(st.integers(-40, 40)), 8), b, e)
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 3))
     xs = sorted(draw(st.lists(st.integers(0, 15), min_size=k, max_size=k, unique=True)))
-    ys = sorted(draw(st.lists(st.integers(0, 15), min_size=k, max_size=k, unique=True)))
-    h = PLMap(1, [(Fraction(x, 16), Fraction(y, 16)) for x, y in zip(xs, ys)])
+    ys = sorted(draw(st.lists(st.integers(0, 14), min_size=k, max_size=k, unique=True)))
+    h = PLMap(1, [(Fraction(x, 16), Fraction(y, 15)) for x, y in zip(xs, ys)])
     scale = draw(st.sampled_from((1, 1 + sqrt_of(e))))
     f = h.compose(PLMap.translation(t, 1)).compose(h.inverse()).affine_conjugate(scale)
     return f, t / scale
@@ -40,12 +44,13 @@ def conjugated_translations(draw):
 @st.composite
 def rotnum_maps(draw):
     """Maps other than translations for the search for a periodic orbit: a
-    periodic orbit of q <= 61 points, a random map, or a conjugated
-    irrational translation; the first two are carried at period 1, 3/2 or
+    periodic orbit of q <= 61 points, a random map, a random map of period
+    1/k (k = 2 or 3) carried at period 1, or a conjugated irrational
+    translation; the first three are carried at period 1, 3/2 or
     1/(1 + sqrt 2), a conjugate at 1 or 1/(1 + sqrt e) in its own field."""
-    kind = draw(st.sampled_from(("orbit", "random", "conjugate")))
+    kind = draw(st.sampled_from(("orbit", "random", "tiled", "conjugate")))
     if kind == "conjugate":
-        f, _ = draw(conjugated_translations().filter(lambda case: not case[0].is_translation()))
+        f, _ = draw(conjugated_translations())
         return f
     rng = random.Random(draw(st.integers(0, 2**32)))
     if kind == "orbit":
@@ -57,6 +62,9 @@ def rotnum_maps(draw):
         f = random_plmap(rng, max_breaks=3)
         while f.is_translation():
             f = random_plmap(rng, max_breaks=3)
+        if kind == "tiled":
+            k = draw(st.integers(2, 3))
+            f = f.affine_conjugate(k)._tiled(k)
     return f.affine_conjugate(draw(st.sampled_from((1, Fraction(2, 3), 1 + R2))))
 
 
@@ -465,7 +473,6 @@ class TestTranslationNumber:
     )
     def test_bracket_contains_an_irrational_translation_number(self, case, eps, force):
         f, tau = case
-        assume(not f.is_translation())
         res = translation_number(f, eps, max_denom=64, force_bracket=force)
         assert isinstance(res, Bracket)
         assert res.contains(tau) and res.hi - res.lo <= eps
