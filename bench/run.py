@@ -2,16 +2,18 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_17.json --base HEAD --repeats 7
+    python3 bench/run.py --out BENCH_18.json --base HEAD --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
 is the median over the repeats of its per-run time.  Within a run a row is
 timed with ``timeit``: the loop count is grown until one loop takes at
-least 0.2 s, and the best of three such loops gives the raw µs/op.  The base
-revision is exported with ``git archive`` into a temporary directory.
-Without ``--base`` only the working tree is measured.  Standard library
-only; the process pins itself to one CPU, as leafbench does.
+least 0.2 s, and the best of three such loops gives the raw µs/op.  Both
+sides run from copies in one temporary directory: the base revision is
+exported with ``git archive``, and the working tree's ``src`` is copied, so
+neither side runs from the checkout.  Without ``--base`` only the working
+tree is measured.  Standard library only; the process pins itself to one
+CPU, as leafbench does.
 
 The host switches between a fast and a slow state, often within one row,
 so a raw time says as much about the host as about the code.  Each row is
@@ -32,6 +34,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,7 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SETUP = """\
 from fractions import Fraction as F
 from leafspace.action import incompressible_interval_search, load_action_config, orbit_density
-from leafspace.cones import adversarial_stall
+from leafspace.cones import adversarial_stall, build_chain_from_action
 from leafspace.plmap import PLMap, translation_number
 from leafspace.qfield import QNum, as_qnum, sqrt_of
 from leafspace.shear import holonomy_domain_trace
@@ -83,6 +86,13 @@ least_period_half = PLMap(1, [(x + j * half, y + j * half)
                               for j in range(2) for x, y in f_half.breakpoints])
 flagship_config = json.loads(CONFIG)
 flagship = load_action_config(flagship_config)
+# leafbench's seed-1 pl-algebra compose request: three 2-breakpoint maps of
+# period 1, irrational in y, x and y in turn.
+chain3 = [PLMap(1, [(QNum.parse(x, 3), QNum.parse(y, 3)) for x, y in pts]) for pts in (
+    [("1/12", "1-8/7*sqrt(3)"), ("3/4", "25/4-4*sqrt(3)")],
+    [("-1+2/3*sqrt(3)", "49/48"), ("1-1/6*sqrt(3)", "89/48")],
+    [("0", "-2+7/6*sqrt(3)"), ("1/2", "-3+2*sqrt(3)")],
+)]
 """
 ROWS = {
     "plmap.call.rational_point": "beta(x_rat)",
@@ -106,6 +116,9 @@ ROWS = {
     "qfield.construct.fraction_pair": "QNum(F(1, 3), F(2, 7), 2)",
     "shear.holonomy_domain_trace.rational": "holonomy_domain_trace(2, F(1, 10), F(1, 10), 6)",
     "action.load_action_config.flagship": "load_action_config(flagship_config)",
+    # The metric-lemma chain: ten bump maps at the flagship's side steps,
+    # composed into the chain's phis.
+    "cones.build_chain_from_action.flagship_LR5": 'build_chain_from_action(flagship, "LR" * 5)',
     "action.orbit_density.flagship_L5": "orbit_density(flagship, 0, 5, (0, 1))",
     # The witness has length 3, so the search stops early on level 3.
     "action.incompressible_interval_search.flagship_L4":
@@ -114,6 +127,7 @@ ROWS = {
     # composed with beta; beta^8 has 9 breakpoints and the result 10.
     "plmap.compose.rational_16_breakpoints": "beta.pow(8).compose(beta)",
     "plmap.pow.sqrt2_8": "g_r2.pow(8)",
+    "plmap.compose.chain_three_2_breakpoints": "chain3[0].compose(chain3[1]).compose(chain3[2])",
     "plmap.translation_number.exact_search_max_denom_16":
         "translation_number(rot, F(1, 100), max_denom=16)",
     # rotnum's defaults (eps 1/10^6, max_denom 64) on four maps: the probe
@@ -222,9 +236,11 @@ def main() -> None:
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"change": ROOT / "src"}
+        change = shutil.copytree(ROOT / "src", Path(tmp) / "change" / "src",
+                                 ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        sides = {"change": change}
         if args.base:
-            sides = {"parent": _export(args.base, Path(tmp)), **sides}
+            sides = {"parent": _export(args.base, Path(tmp) / "parent"), **sides}
         runs: dict[str, list[dict[str, dict[str, float]]]] = {side: [] for side in sides}
         for r in range(args.repeats):
             order = list(sides) if r % 2 == 0 else list(reversed(sides))

@@ -52,17 +52,13 @@ def _ints(x: QNum) -> tuple[int, int, int]:
     return x._n, x._m, x._q
 
 
-def _kernel_table(p: QNum, pts, slopes):
-    """The integer data ``PLMap.__call__`` reads, built once per map.
-
-    ``(d, ip, p, xs, segs)``: ``d``, the one field decision that
-    evaluation and ``compose`` read, is the field the map is irrational in,
-    or None when its values take the field of x; a translation x -> x + t
-    is the same map at any period, so t alone decides.  ``p`` is an
-    (n, m, q) triple, ``ip`` is 1/p as (n, m*d, m, q), and ``xs`` holds
-    the breakpoint x triples, x_0 first.  Segment i maps x to
-    s_i*(x - k*p) + b_i + k*p with b_i = y_i - s_i*x_i; for
-    x - k*p = (rn + rm*sqrt(d))/rq that is (N + M*sqrt(d))/Q with
+def _kernel_table(f: "PLMap"):
+    """The integer data ``PLMap.__call__`` reads, built on f's first
+    evaluation (``PLMap._kernel``).  ``(ip, p, xs, segs)``: ``p`` is an
+    (n, m, q) triple, ``ip`` is 1/p as (n, m*d, m, q) in the field d of
+    ``f._field``, and ``xs`` holds the breakpoint x triples, x_0 first.
+    Segment i maps x to s_i*(x - k*p) + b_i + k*p with b_i = y_i - s_i*x_i;
+    for x - k*p = (rn + rm*sqrt(d))/rq that is (N + M*sqrt(d))/Q with
 
         N = a1*rn + a2*rm + (b1 + k*c1)*rq
         M = a1*rm + a3*rn + (b2 + k*c2)*rq
@@ -72,15 +68,13 @@ def _kernel_table(p: QNum, pts, slopes):
     over one denominator.  A translation has ``xs`` None and ``segs`` the
     triple of t.
     """
+    p, pts = f._p, f._pts
     if len(pts) == 1:
-        t = pts[0][1] - pts[0][0]
-        return (None if t.is_rational() else t.d), None, None, None, _ints(t)
-    irrational = not p.is_rational() or any(not v.is_rational() for pt in pts for v in pt)
-    d = p.d if irrational else None
-    rd = p.d if irrational else 0  # a rational map has no sqrt parts
+        return None, None, None, _ints(pts[0][1] - pts[0][0])
+    rd = f._field or 0  # a rational map has no sqrt parts
     pn, pm, pq = _ints(p)
     segs = []
-    for (x, y), s in zip(pts, slopes):
+    for (x, y), s in zip(pts, f._slopes):
         sn, sm, sq = _ints(s)
         bn, bm, bq = _ints(y - s * x)
         e = bq * pq // gcd(bq, pq)  # the least common denominator of b_i and p
@@ -88,7 +82,7 @@ def _kernel_table(p: QNum, pts, slopes):
         segs.append((sn * e, sm * rd * e, sm * e, bn * fb, pn * fp, bm * fb, pm * fp, sq * e))
     inn, inm, inq = _ints(p.inverse())
     xs = tuple(_ints(x) for x, _ in pts)
-    return d, (inn, inm * rd, inm, inq), (pn, pm, pq), xs, tuple(segs)
+    return (inn, inm * rd, inm, inq), (pn, pm, pq), xs, tuple(segs)
 
 
 class PLMap:
@@ -103,7 +97,7 @@ class PLMap:
     * a pure translation is stored as the single breakpoint ``(0, t)``
     """
 
-    __slots__ = ("_p", "_pts", "_slopes", "_table")
+    __slots__ = ("_p", "_pts", "_slopes", "_field", "_table")
 
     def __init__(self, period, breakpoints) -> None:
         p, pts = _coerce_points(period, breakpoints)
@@ -121,9 +115,7 @@ class PLMap:
                 raise PreconditionError("breakpoint values must strictly increase")
         if not pts[0][1] + p > pts[-1][1]:
             raise PreconditionError("map is not monotone across the wrap segment")
-        self._p = p
-        self._pts, self._slopes = self._drop_collinear(pts, self._segment_slopes(p, pts))
-        self._table = _kernel_table(p, self._pts, self._slopes)
+        self._set(p, *self._drop_collinear(pts, self._segment_slopes(p, pts)))
 
     @classmethod
     def _trusted(cls, p: QNum, pts, slopes) -> "PLMap":
@@ -132,11 +124,22 @@ class PLMap:
         slope of the segment leaving ``pts[i]``.  For maps derived from
         canonical ones, where ``__init__`` would only repeat its checks."""
         f = object.__new__(cls)
-        f._p = p
-        f._pts = tuple(pts)
-        f._slopes = tuple(slopes)
-        f._table = _kernel_table(p, f._pts, f._slopes)
+        f._set(p, pts, slopes)
         return f
+
+    def _set(self, p: QNum, pts, slopes) -> None:
+        """Store canonical data, no kernel table yet, and the one field
+        decision: the field the map is irrational in, or None when its values
+        take the field of x.  A translation, stored as (0, t), is the same
+        map at any period, so t alone decides."""
+        self._p, self._pts, self._slopes, self._table = p, tuple(pts), tuple(slopes), None
+        v = pts[0][1] if len(pts) == 1 else p
+        self._field = v._d if v._m or any(x._m or y._m for x, y in pts) else None
+
+    def _kernel(self):
+        """The kernel table (``_kernel_table``), built on first use and kept."""
+        self._table = self._table or _kernel_table(self)
+        return self._table
 
     @staticmethod
     def _segment_slopes(p, pts):
@@ -205,7 +208,8 @@ class PLMap:
         if type(x) is not QNum:
             x = as_qnum(x, self._p.d)
         n, m, q = x._n, x._m, x._q
-        d, ip, p, xs, segs = self._table
+        d = self._field
+        ip, p, xs, segs = self._table or self._kernel()
         if d is None:
             d = x._d
         elif m and x._d != d:
@@ -269,7 +273,7 @@ class PLMap:
         carried at one: a translation at the other map's period, two other
         maps at a common multiple of theirs."""
         f, g = self, other
-        df, dg = f._table[0], g._table[0]
+        df, dg = f._field, g._field
         if df is not None and dg is not None and df != dg:
             raise _mixed_fields(df, dg)
         pf, pg = f._p, g._p
@@ -310,11 +314,12 @@ class PLMap:
         moved by multiples of p into [y_0, y_0 + p); the two lists are
         merged in order of w, a pair with equal w making one event.  An f
         breakpoint (u, v) pulls back through g's current segment to
-        x = x_i + (u - y_i)/s_i with value v; a g breakpoint takes the
-        value f(y_i).  Each event's outgoing slope is the product of the
-        current slopes of f and g.  Points at or beyond p move down by p
-        to the front, and points whose slope equals the previous one
-        (cyclically) are dropped, which gives the canonical form directly.
+        x = x_i + (u - y_i)/s_i with value v.  A g breakpoint takes the
+        value v + s*(y_i - u) of the f breakpoint (u, v) last passed and its
+        slope s, so no kernel table is built.  Each event's outgoing slope
+        is the product of the current slopes of f and g.  Points at or
+        beyond p move down by p to the front, and points whose slope equals
+        the previous one (cyclically) are dropped, giving canonical form.
         """
         f = self
         p = f._p
@@ -331,22 +336,23 @@ class PLMap:
         fev += [(u + cp, v + cp, s) for (u, v), s in zip(fpts[:split], fs[:split])]
 
         pts, slopes = [], []
-        sf = fev[-1][2]  # f's slope on [y_0, first moved breakpoint)
+        # The f breakpoint last passed and its slope; first, the last moved down by p.
+        fw, fv, sf = fev[-1][0] - p, fev[-1][1] - p, fev[-1][2]
         j, nf = 0, len(fev)
         for (x, y), sg in zip(g._pts, g._slopes):
             # f breakpoints on g's previous segment (x_i, y_i, s_i); none
             # lie below y_0.
             while j < nf and fev[j][0] < y:
-                w, v, sf = fev[j]
-                pts.append((xi + (w - yi) / si, v))
+                fw, fv, sf = fev[j]
+                pts.append((xi + (fw - yi) / si, fv))
                 slopes.append(sf * si)
                 j += 1
             if j < nf and fev[j][0] == y:
-                _, v, sf = fev[j]
+                fw, fv, sf = fev[j]
                 j += 1
+                pts.append((x, fv))
             else:
-                v = f(y)
-            pts.append((x, v))
+                pts.append((x, (y - fw) * sf + fv))
             slopes.append(sf * sg)
             xi, yi, si = x, y, sg
         last_g = len(pts)
@@ -363,7 +369,7 @@ class PLMap:
 
         # The two periods are equal; g's names the field when only g is
         # irrational.
-        if f._table[0] is None and g._table[0] is not None:
+        if f._field is None and g._field is not None:
             p = g._p
         return PLMap._trusted(p, *PLMap._drop_collinear(pts, slopes))
 
@@ -567,7 +573,7 @@ _GRID_BITS = 128
 
 def _grid_rows(g: PLMap, bits: int):
     """The ints of one rounded step of the period-1 map g on the grid
-    2^-bits, read from ``g._table``: ``(cuts, rows)``.
+    2^-bits, read from g's kernel table: ``(cuts, rows)``.
 
     A grid point X/2^bits of [0, 1) lies on row bisect_right(cuts, X), where
     cuts[i] = ceil(x_i*2^bits) for the breakpoint x_i.  Row i + 1 is the
@@ -580,7 +586,7 @@ def _grid_rows(g: PLMap, bits: int):
     rn = X and rq = 2^bits; row 0 takes rn = X + 2^bits and subtracts 2^bits.
     """
     one = 1 << bits
-    *_, segs = g._table
+    *_, segs = g._kernel()
     rows = [(a1, b1 * one, a3, b2 * one, f) for a1, _, a3, b1, _, b2, _, f in segs]
     a1, b, a3, e, f = rows[-1]
     rows.insert(0, (a1, b + (a1 - f) * one, a3, e + a3 * one, f))
@@ -622,7 +628,7 @@ def _rounded_walk(f: PLMap, eps: QNum, n: int):
     """
     p = f.period
     g = f if p == 1 else f.affine_conjugate(p)
-    d = g._table[0]
+    d = g._field
     c = eps / p  # the largest width in g's units
     cn, cm, cq, cd = c._n, c._m, c._q, c._d
     ln, ld, hn, hd = -1, 0, 1, 0
@@ -659,17 +665,38 @@ def _power(powers: dict, q: int) -> int:
     """Put F^q into ``powers``, a dict {j: F^j} that holds F^1, and return
     how many breakpoints the composes read.  F^q is the largest kept power
     j <= q doubled, or composed with F^(q - j) when q < 2*j, so a q whose
-    two parts are kept costs one compose."""
+    two parts are kept costs one compose.  Counting down to j costs less
+    than searching the keys."""
     read = 0
     while q not in powers:
-        j = max(filter(q.__ge__, powers))
-        i = min(j, q - j)
+        j = q - 1
+        while j not in powers:
+            j -= 1
+        i = q - j if q < 2 * j else j
         if i not in powers:
             read += _power(powers, i)
         g, h = powers[i], powers[j]
         read += len(g._pts) + len(h._pts)
         powers[i + j] = g.compose(h)
     return read
+
+
+def _orbit_test(h: PLMap, inv: QNum) -> tuple[int, bool]:
+    """(m, hit) for h = F^q and F's period s = 1/``inv``: m = ceil(lo/s) and
+    whether h moves a point by exactly m*s.  h - id takes every value in
+    [lo, hi], its extremes at breakpoints: m is the least ceil((y - x)/s),
+    and hit says m <= the largest floor((y - x)/s), both read on ints."""
+    inn, inm, inq, d = inv._n, inv._m, inv._q, inv._d
+    floors, ceils = [], []
+    for x, y in h._pts:
+        u, v = y._n * x._q - x._n * y._q, y._m * x._q - x._m * y._q
+        kn, km, kq = u * inn + v * inm * d, u * inm + v * inn, x._q * y._q * inq
+        root = isqrt(km * km * d)  # floor(|km|*sqrt(d))
+        k = (kn + root) // kq if km >= 0 else (kn - root - 1) // kq
+        floors.append(k)
+        ceils.append(k + 1 if km or kn % kq else k)
+    m = min(ceils)
+    return m, m <= max(floors)
 
 
 def _periodic_orbit(f: PLMap, max_denom: int, walk):
@@ -710,6 +737,7 @@ def _periodic_orbit(f: PLMap, max_denom: int, walk):
     p = f.period
     k = f._shift_divisor()
     step = p * Fraction(1, k) if k > 1 else p
+    inv = step.inverse()
     n = len(f._pts) // k
     powers = {1: PLMap._trusted(step, f._pts[:n], f._slopes[:n]) if k > 1 else f}
     bounds, done = (-1, 0, 1, 0, False, 0), None
@@ -719,12 +747,8 @@ def _periodic_orbit(f: PLMap, max_denom: int, walk):
         h = powers[q]
         if h.is_translation():
             return Exact(h.displacement / q)
-        # The displacement of F^q is continuous and periodic, so it attains
-        # every value between its extremes: F^q moves a point by exactly
-        # m*p/k iff m*p/k lies in that range.
-        lo, hi = h.displacement_range()
-        m = -((-lo / step).floor())
-        if m * step <= hi:
+        m, hit = _orbit_test(h, inv)
+        if hit:
             # tau_F = m/q, so m = M for q > 1.
             if k * q // gcd(m, k) <= max_denom:
                 return Exact(p * Fraction(m, k * q))
@@ -768,16 +792,10 @@ def translation_number(
     Returns ``Exact`` when f is a translation or some iterate f^q with
     q <= max_denom is a translation or moves a point by exactly m*p (then
     the value is m*p/q); otherwise an enclosing ``Bracket`` of width <= eps.
-    The bracket comes from two orbits of 0, rounded down and up onto a fixed
-    grid, whose integer parts bound the value after every step: its ends
-    are short fractions times p, not orbit values, every step works on ints
-    of the grid's size, and the walk takes at most n = floor(2p/eps) + 1
-    steps on each grid.  The same walk guides one search for a periodic
-    orbit (``_periodic_orbit``), made on f carried at its least period
-    p/k: f^q is composed and tested only for a q with some m/q in k times
-    the walk's bracket, the least such q first, and a failed test moves
-    the search past every fraction of denominator q.
-    The bracket is the walk's, whatever the search did.  A forced bracket
+    The bracket comes from two orbits of 0 rounded onto a grid
+    (``_rounded_walk``), whose ends are short fractions times p, in at most
+    n = floor(2p/eps) + 1 steps on each grid; the same walk guides the one
+    search for a periodic orbit (``_periodic_orbit``).  A forced bracket
     first walks the exact orbit of 0 for up to max_denom steps; if
     f^j(0) = k*p there, or those are all n steps, it returns
     [(f^n(0) - p)/n, (f^n(0) + p)/n] from the exact f^n(0).
@@ -797,7 +815,7 @@ def translation_number(
     elif force_bracket:
         # x/p = (N + M*sqrt(d))/Q with N, M, Q below, unreduced, so x is an
         # integer multiple of p iff M == 0 and Q divides N.
-        inn, inm_d, inm, inq = f._table[1]
+        inn, inm_d, inm, inq = f._kernel()[0]
         stop = min(n, max_denom)
         while j < stop:
             x, j = f(x), j + 1

@@ -422,6 +422,26 @@ class TestTranslationNumber:
         return translation_number(f, eps, max_denom=0)
 
     @settings(max_examples=150, deadline=None)
+    @given(rotnum_maps(), st.integers(1, 4))
+    def test_orbit_test_matches_the_displacement_range(self, f, q):
+        # (m, hit) read on the breakpoints' ints is the QNum form of the
+        # displacement range, m = ceil(lo/s) and m*s <= hi, at f's period
+        # and at its least period.
+        h = f.pow(q)
+        p = f.period
+        for step in {p, p * Fraction(1, f._shift_divisor())}:
+            lo, hi = h.displacement_range()
+            m = -((-lo / step).floor())
+            assert plmap._orbit_test(h, step.inverse()) == (m, m * step <= hi)
+
+    def test_orbit_test_floors_a_negative_sqrt_part(self):
+        # The displacement 1 - sqrt 2 at x = 0, over denominator 1, has
+        # floor -1 and ceiling 0 only through the "- 1" that a negative
+        # sqrt part takes; then m = 0 and 1/4 is a displacement above it.
+        h = PLMap(1, [(0, 1 - R2), (Fraction(1, 4), Fraction(1, 2))])
+        assert plmap._orbit_test(h, h.period.inverse()) == (0, True)
+
+    @settings(max_examples=150, deadline=None)
     @given(
         rotnum_maps(),
         st.sampled_from([0, 1, 2, 6, 16, 64]),

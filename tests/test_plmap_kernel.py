@@ -18,6 +18,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from leafspace import plmap
 from leafspace.errors import FieldMismatchError, PreconditionError
 from leafspace.plmap import FixedPoints, PLMap, _coerce_points, _grid_rows, _grid_step
 from leafspace.qfield import QNum, as_qnum, sqrt_of
@@ -145,8 +146,8 @@ def test_grid_step_rounds_the_exact_value(data):
     x = data.draw(st.sampled_from([cut, cut - 1]) | st.integers(0, one - 1))
     x = min(max(x, 0), one - 1)
     exact = g(Fraction(x, one)) * one
-    assert _grid_step(cuts, rows, g._table[0], x, 0) == exact.floor()
-    assert _grid_step(cuts, rows, g._table[0], x, 1) == -(-exact).floor()
+    assert _grid_step(cuts, rows, g._field, x, 0) == exact.floor()
+    assert _grid_step(cuts, rows, g._field, x, 1) == -(-exact).floor()
 
 
 @pytest.mark.parametrize("e", FIELDS)
@@ -305,8 +306,9 @@ def _derived(fn, *args):
 
 
 def assert_same_map(got, want):
-    """Equal as maps, and equal in every stored field, the kernel table and
-    the field of the period included."""
+    """Equal as maps, and equal in every stored field: the field decision,
+    the kernel table (built for both by ``_kernel`` if not yet) and the
+    field of the period included."""
     if not isinstance(want, PLMap):
         assert got == want
         return
@@ -314,7 +316,8 @@ def assert_same_map(got, want):
     assert got.period == want.period and got.period.d == want.period.d
     assert got.breakpoints == want.breakpoints
     assert got._slopes == want._slopes
-    assert got._table == want._table
+    assert got._field == want._field
+    assert got._kernel() == want._kernel()
 
 
 @settings(max_examples=200, deadline=None)
@@ -599,6 +602,56 @@ def test_compose_builds_no_checked_map(monkeypatch):
     monkeypatch.setattr(PLMap, "inverse", refuse)
     assert_same_map(f.compose(g), want)
     assert_same_map(f.compose(f).compose(g).compose(g), f.pow(2).compose(g.pow(2)))
+
+
+# -- kernel tables on first evaluation ---------------------------------------
+
+
+def count_kernel_tables(monkeypatch):
+    """The maps whose kernel table is built from now on, in order."""
+    built = []
+    build = plmap._kernel_table
+    monkeypatch.setattr(plmap, "_kernel_table", lambda f: built.append(f) or build(f))
+    return built
+
+
+def test_compose_builds_no_kernel_table(monkeypatch):
+    # The g breakpoints meet no f breakpoint, so every one takes its value
+    # from the f breakpoint below it; h is irrational in x.
+    r2 = sqrt_of(2)
+    f = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
+    g = PLMap(1, [(Fraction(1, 7), r2 / 10), (Fraction(1, 3), Fraction(1, 2))])
+    h = PLMap(1, [(r2 / 5, Fraction(1, 3)), (Fraction(5, 6), Fraction(7, 8))])
+    built = count_kernel_tables(monkeypatch)
+    fgh = f.compose(g).compose(h)
+    f8 = f.pow(8)
+    assert built == []
+    assert fgh == checked_compose(checked_compose(f, g), h)
+    x = Fraction(2, 9)
+    assert fgh(x) == f(g(h(x))) and f8(x) == f(f(f(f(f(f(f(f(x))))))))
+
+
+def test_a_map_builds_its_kernel_table_once(monkeypatch):
+    r2 = sqrt_of(2)
+    f = PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
+    g = PLMap(1, [(Fraction(1, 7), r2 / 10), (Fraction(1, 3), Fraction(1, 2))])
+    built = count_kernel_tables(monkeypatch)
+    for m in (f.compose(g), PLMap(1 + r2, [(0, 1), (1, r2 + 1)]), PLMap.translation(r2, 1)):
+        built.clear()
+        assert m(Fraction(1, 3)) == reference_call(m, Fraction(1, 3))
+        assert m(r2 / 3) == reference_call(m, r2 / 3)
+        assert len(built) == 1 and built[0] is m
+    # The rounded walk's rows, and a forced bracket's 1/p and exact walk,
+    # read the same table as a call.
+    built.clear()
+    _grid_rows(f, 8)
+    f(Fraction(1, 3))
+    _grid_rows(f, 16)
+    assert len(built) == 1 and built[0] is f
+    probe = PLMap(1, [(0, Fraction(1, 5)), (Fraction(1, 2), Fraction(3, 5))])
+    built.clear()
+    plmap.translation_number(probe, Fraction(1, 100), max_denom=4, force_bracket=True)
+    assert len(built) == 1 and built[0] is probe
 
 
 # -- fixed points from the stored segments -----------------------------------
