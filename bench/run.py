@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_18.json --base HEAD --repeats 7
+    python3 bench/run.py --out BENCH_19.json --base HEAD --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
@@ -25,6 +25,13 @@ timings), and the best scaled loop is the row's figure.  Scaling the best
 raw loop by timings taken around the whole row instead widened the spread
 between runs, because the state often flips between them.  The raw figures
 stay in the JSON as ``<side>_raw`` and ``<side>_raw_runs``.
+
+Even so, rows of code a change does not touch move by up to 10% between
+the two sides.  So each side's row also stores ``<side>_iqr``, the distance
+between the quartiles of its repeat runs, and a compared row is marked
+``"resolved": false`` when its change/parent ratio of medians lies within
+either side's relative quartile distance of 1, unless every change run
+beats every parent run or every one loses to it.  No timing is gated.
 """
 
 from __future__ import annotations
@@ -60,6 +67,8 @@ beta2 = beta.affine_conjugate(1 + r2)
 unit = PLMap.translation(1, 1).affine_conjugate(1 + r2)
 x_rat = QNum(F(7, 3))
 x_r2 = QNum(F(1, 3), F(2, 7), 2)
+# A sqrt(2) part of 200 bits, negative: its floor takes the "- 1".
+x_big = QNum(F(1, 3), -F(3**126, 7), 2)
 pts_r2 = [(x / (1 + r2), y / (1 + r2)) for x, y in
           [(0, 0), (F(1, 4), F(1, 8)), (F(1, 2), F(3, 4)), (F(3, 4), F(7, 8))]]
 period_r2 = (1 + r2).inverse()
@@ -112,6 +121,8 @@ ROWS = {
     "plmap.inverse.sqrt2_4_breakpoints": "g_r2.inverse()",
     "plmap.affine_conjugate.sqrt2_4_breakpoints": "g_r2.affine_conjugate(1 + r2)",
     "qfield.parse.sqrt2_literal": 'QNum.parse("1/3+2/7*sqrt(2)")',
+    "qfield.floor.sqrt2_point": "x_r2.floor()",
+    "qfield.floor.big_sqrt_part": "x_big.floor()",
     "qfield.as_qnum.fraction": "as_qnum(F(7, 3))",
     "qfield.construct.fraction_pair": "QNum(F(1, 3), F(2, 7), 2)",
     "shear.holonomy_domain_trace.rational": "holonomy_domain_trace(2, F(1, 10), F(1, 10), 6)",
@@ -205,6 +216,28 @@ print(json.dumps(out))
 """
 
 
+def _iqr(values: list[float]) -> float:
+    """The distance between the quartiles of the repeat runs."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def _resolved(ratio: float, row: dict) -> bool:
+    """Whether a row's change/parent ratio stands out of the spread: it
+    lies outside either side's relative quartile distance of 1, or every
+    change run beats every parent run, or every one loses to it.  One run
+    a side shows no spread, so it resolves nothing."""
+    parent, change = row["parent_runs"], row["change_runs"]
+    if len(parent) < 2:
+        return False
+    if max(change) < min(parent) or min(change) > max(parent):
+        return True
+    spread = max(row["parent_iqr"] / row["parent"], row["change_iqr"] / row["change"])
+    return abs(ratio - 1) > spread
+
+
 def _run_side(src: Path) -> dict[str, dict[str, float]]:
     config = ROOT / "src" / "leafspace" / "configs" / "flagship.json"
     res = subprocess.run(
@@ -256,10 +289,15 @@ def main() -> None:
                 values = [res[name][key] for res in results]
                 row[f"{side}{suffix}"] = round(statistics.median(values), 3)
                 row[f"{side}{suffix}_runs"] = [round(v, 3) for v in values]
+            row[f"{side}_iqr"] = round(_iqr(row[f"{side}_runs"]), 3)
+        line = " ".join(f"{side} {row[side]:.3f}" for side in runs) + " us/op (reference-host)"
         if "parent" in row:
-            row["ratio_change_to_parent"] = round(row["change"] / row["parent"], 4)
+            ratio = row["change"] / row["parent"]
+            row["ratio_change_to_parent"] = round(ratio, 4)
+            row["resolved"] = _resolved(ratio, row)
+            line += f" ratio {ratio:.4f}" + ("" if row["resolved"] else " (unresolved)")
         rows.append(row)
-        print(name, " ".join(f"{side} {row[side]:.3f}" for side in runs), "us/op (reference-host)")
+        print(name, line)
     report = {
         "command": " ".join(["python3", "bench/run.py", *sys.argv[1:]]),
         "base": args.base,

@@ -12,11 +12,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from operator import itemgetter
 
 from .errors import FieldMismatchError, ParseError, PeriodMismatchError, PreconditionError
-from .qfield import QNum, _make, _mixed_fields, _sign, as_qnum, ratio_is_rational
+from .qfield import QNum, _floor, _make, _mixed_fields, _sign, as_qnum, ratio_is_rational
 
 __all__ = [
     "PLMap",
@@ -217,19 +217,12 @@ class PLMap:
         if xs is None:
             tn, tm, tq = segs
             return _make(n * tq + tn * q, m * tq + tm * q, q * tq, d)
-        # k = floor((x - x_0) * ip), decided like QNum.floor.
+        # k = floor((x - x_0) * ip).
         an, am, aq = xs[0]
         u = n * aq - an * q
         v = m * aq - am * q
         inn, inmd, inm, inq = ip
-        kn = u * inn + v * inmd
-        km = u * inm + v * inn
-        kq = q * aq * inq
-        if not km:
-            k = kn // kq
-        else:
-            root = isqrt(km * km * d)
-            k = (kn + root) // kq if km > 0 else (kn - root - 1) // kq
+        k = _floor(u * inn + v * inmd, u * inm + v * inn, q * aq * inq, d)
         # The last breakpoint at or below x - k*p, as bisect_right finds it;
         # x_0 <= x - k*p, so the search starts above index 0.
         pn, pm, pq = p
@@ -390,7 +383,7 @@ class PLMap:
     def commutes(self, other: "PLMap") -> bool:
         return self.compose(other) == other.compose(self)
 
-    def _commutes_with_shift(self, c) -> bool:
+    def _commutes_with_shift(self, c: QNum) -> bool:
         """Whether f commutes with x -> x + c, decided without composing.
 
         The graph of x -> f(x - c) + c is the graph of f moved by (c, c),
@@ -402,7 +395,6 @@ class PLMap:
         if self.is_translation():
             return True
         p = self._p
-        c = as_qnum(c, p.d)
         pts = set(self._pts)
         for x, y in self._pts:
             shift = c - ((x + c) / p).floor() * p
@@ -594,17 +586,15 @@ def _grid_rows(g: PLMap, bits: int):
 
 
 def _grid_step(cuts, rows, d, x: int, up: int) -> int:
-    """g(x/2^bits)*2^bits rounded down (up = 0) or up (up = 1), for a grid
-    point x/2^bits of [0, 1).  t*sqrt(d) with t != 0 is irrational, so its
-    floor is isqrt(t*t*d), or one less than its negative, and its ceiling is
-    one more; ceil(N/F) is (N + F - 1)//F."""
+    """g(x/2^bits)*2^bits = (n + t*sqrt(d))/f rounded down (up = 0) or up
+    (up = 1), for a grid point x/2^bits of [0, 1): the floor is
+    ``qfield._floor``, and the ceiling is derived from it as that
+    docstring says."""
     a, b, c, e, f = rows[bisect_right(cuts, x)]
     n = a * x + b
     t = c * x + e
-    if t:
-        r = isqrt(t * t * d)
-        n += (r if t > 0 else -r - 1) + up
-    return (n + up * (f - 1)) // f
+    k = _floor(n, t, f, d)
+    return k + 1 if up and (t or n % f) else k
 
 
 def _rounded_walk(f: PLMap, eps: QNum, n: int):
@@ -685,14 +675,15 @@ def _orbit_test(h: PLMap, inv: QNum) -> tuple[int, bool]:
     """(m, hit) for h = F^q and F's period s = 1/``inv``: m = ceil(lo/s) and
     whether h moves a point by exactly m*s.  h - id takes every value in
     [lo, hi], its extremes at breakpoints: m is the least ceil((y - x)/s),
-    and hit says m <= the largest floor((y - x)/s), both read on ints."""
+    and hit says m <= the largest floor((y - x)/s), both read on ints: the
+    floors are ``qfield._floor``, and each ceiling is derived from its floor
+    as that docstring says."""
     inn, inm, inq, d = inv._n, inv._m, inv._q, inv._d
     floors, ceils = [], []
     for x, y in h._pts:
         u, v = y._n * x._q - x._n * y._q, y._m * x._q - x._m * y._q
         kn, km, kq = u * inn + v * inm * d, u * inm + v * inn, x._q * y._q * inq
-        root = isqrt(km * km * d)  # floor(|km|*sqrt(d))
-        k = (kn + root) // kq if km >= 0 else (kn - root - 1) // kq
+        k = _floor(kn, km, kq, d)
         floors.append(k)
         ceils.append(k + 1 if km or kn % kq else k)
     m = min(ceils)

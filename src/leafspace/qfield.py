@@ -86,6 +86,19 @@ def _sign(n: int, m: int, d: int) -> int:
     return 1 if m > 0 else -1
 
 
+def _floor(n: int, m: int, q: int, d: int) -> int:
+    """floor((n + m*sqrt(d))/q) for q > 0: the one floor of the library.
+    Its ceiling is this plus 1, unless m = 0 and q divides n."""
+    if not m:
+        return n // q
+    # sqrt(m^2 d) is irrational, so floor(n + m*sqrt(d)) is n + isqrt(m^2 d)
+    # for m > 0 and n - isqrt(m^2 d) - 1 for m < 0; then divide by q, as
+    # floor(x/q) = floor(floor(x)/q) for an int q > 0 (Graham, Knuth and
+    # Patashnik, *Concrete Mathematics*, ch. 3).
+    root = isqrt(m * m * d)
+    return (n + root) // q if m > 0 else (n - root - 1) // q
+
+
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
@@ -321,13 +334,7 @@ class QNum:
         return self._n / self._q + self._m / self._q * math.sqrt(self._d)
 
     def floor(self) -> int:
-        n, m, q = self._n, self._m, self._q
-        if not m:
-            return n // q
-        # sqrt(m^2 d) is irrational, so floor(n + m*sqrt(d)) is n + isqrt(m^2 d)
-        # for m > 0 and n - isqrt(m^2 d) - 1 for m < 0; then divide by q.
-        root = isqrt(m * m * self._d)
-        return (n + root) // q if m > 0 else (n - root - 1) // q
+        return _floor(self._n, self._m, self._q, self._d)
 
     def as_fraction(self) -> Fraction:
         if self._m:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver and its exit-code contract."""
 
 import json
+import time
 
 import pytest
 
@@ -196,6 +197,19 @@ class TestActionCommands:
         obj = json.loads(out)
         assert obj["kind"] == "composite"
         assert len(obj["factors"]) == 2
+
+    @pytest.mark.parametrize("name, n", [("alpha_l", 10**9), ("alpha_r", -123456789123)])
+    def test_eval_word_takes_a_huge_power_of_a_translation(self, capsys, name, n):
+        # PLMap.pow squares, so the power costs about log2|n| composes of
+        # translations; a power found by counting down from n (as _power
+        # does) would cost n steps and never finish.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "eval-word", "--config", "flagship",
+                           "--word", json.dumps([[name, n]]))
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK
+        assert json.loads(out)["map"]["breakpoints"] == [{"x": "0", "y": str(n)}]
+        assert elapsed < 0.5
 
     def test_eval_word_malformed_word(self, capsys):
         code, _, _ = run(

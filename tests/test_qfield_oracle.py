@@ -2,6 +2,9 @@
 
 * Sign, ordering and floor are checked against stdlib ``decimal`` at 200
   significant digits, computed from the coefficients ``a`` and ``b`` alone.
+* The one floor, ``qfield._floor``, and the ceilings that ``plmap`` derives
+  from it are checked against ``decimal`` at a precision that grows with
+  the operands' digits.
 * Field arithmetic and the canonical text form are checked against
   ``PairRef``, a small a + b*sqrt(d) model built on two ``Fraction``s.
 
@@ -10,15 +13,16 @@ Coefficients reach 2^200 in size, and the draws include near-units
 sign, where a sign decision needs every digit.
 """
 
-from decimal import ROUND_FLOOR, Context, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leafspace.errors import DivisionByZeroError
-from leafspace.qfield import QNum
+from leafspace.plmap import PLMap, _grid_step, _orbit_test
+from leafspace.qfield import QNum, _floor, as_qnum
 
 DIGITS = 200
 FIELDS = (2, 3, 5, 7, 10, 101, 9973)
@@ -111,6 +115,87 @@ def test_floor_with_huge_sqrt_coefficient(bits, d):
     for b in (2**bits, -(2**bits), 2**bits - 1):
         for a in (Fraction(0), Fraction(1, 3), Fraction(-(2**bits) * 7, 5)):
             assert QNum(a, b, d).floor() == oracle_floor(a, Fraction(b), d)
+
+
+# -- the one floor ------------------------------------------------------------
+
+# A prime near 10^12, so m*m*d is wider than m*m.
+PRIME_D = 10**12 + 39
+HUGE = 2**256
+ints = st.integers(-HUGE, HUGE) | st.integers(-50, 50)
+positive = st.integers(1, HUGE) | st.integers(1, 50)
+
+
+def pell_pairs():
+    """(x, y) with x^2 - 2*y^2 = +-1, from (1, 1) up to y near 2^256."""
+    x, y = 1, 1
+    while y < HUGE:
+        yield x, y
+        x, y = x + 2 * y, x + y
+
+
+@st.composite
+def quotients(draw):
+    """(n, m, q, d) with q >= 1: free, or (n + m*sqrt(d))/q within about
+    1/q of an integer j, where the sign of m decides the floor."""
+    d = draw(st.sampled_from(FIELDS + (PRIME_D,)))
+    m, q = draw(ints), draw(positive)
+    if draw(st.booleans()):
+        return draw(ints), m, q, d
+    root = isqrt(m * m * d) * (1 if m < 0 else -1)
+    return q * draw(ints) + root + draw(st.integers(-2, 2)), m, q, d
+
+
+def decimal_floor_ceil(n: int, m: int, q: int, d: int) -> tuple[int, int]:
+    """floor and ceiling of (n + m*sqrt(d))/q from ``decimal``.
+
+    |n' + m*sqrt(d)| >= 1/(|n'| + |m|*sqrt(d)) for every int n', so the
+    value lies at least about 1/(2*q*|m|*sqrt(d)) from an integer; twice
+    the operands' digits, plus a margin, resolves it.
+    """
+    digits = 2 * sum(len(str(abs(v))) for v in (n, m, q, d)) + 20
+    with localcontext(Context(prec=digits)) as ctx:
+        if not m:
+            # A quotient rounded towards -inf (+inf) keeps its floor (ceiling).
+            ctx.rounding = ROUND_FLOOR
+            lo = (Decimal(n) / q).to_integral_value(ROUND_FLOOR)
+            ctx.rounding = ROUND_CEILING
+            return int(lo), int((Decimal(n) / q).to_integral_value(ROUND_CEILING))
+        root = Decimal(d).sqrt()
+        value = (n + m * root) / q
+        err = (abs(n) + abs(m) * root + 1) / q * Decimal(10) ** (10 - digits)
+        ends = []
+        for rounding in (ROUND_FLOOR, ROUND_CEILING):
+            end = (value - err).to_integral_value(rounding)
+            assert end == (value + err).to_integral_value(rounding), "oracle cannot resolve"
+            ends.append(int(end))
+    return ends[0], ends[1]
+
+
+def _with_pell_examples(test):
+    # x - y*sqrt(2) and y*sqrt(2) - x lie within 1/(2y) of 0, so their
+    # floors are 0 or -1; the first has a negative sqrt part, whose floor
+    # needs the "- 1".
+    for x, y in pell_pairs():
+        for q in (1, 7):
+            test = example((-x, y, q, 2))(example((x, -y, q, 2))(test))
+    return test
+
+
+@_with_pell_examples
+@settings(max_examples=500, deadline=None)
+@given(quotients())
+def test_floor_and_derived_ceilings_match_decimal(args):
+    n, m, q, d = args
+    lo, hi = decimal_floor_ceil(n, m, q, d)
+    assert _floor(n, m, q, d) == lo
+    # _grid_step on a one-row table: (0*x + n + (0*x + m)*sqrt(d))/q at x = 0.
+    row = [(0, n, 0, m, q)]
+    assert (_grid_step([], row, d, 0, 0), _grid_step([], row, d, 0, 1)) == (lo, hi)
+    # _orbit_test reads the move of a translation by t against period 1:
+    # (ceil(t), whether ceil(t) <= floor(t)).
+    t = QNum(Fraction(n, q), Fraction(m, q), d)
+    assert _orbit_test(PLMap.translation(t, 1), as_qnum(1, d)) == (hi, hi <= lo)
 
 
 # -- Fraction-pair reference ---------------------------------------------------
