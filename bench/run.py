@@ -2,11 +2,15 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_19.json --base HEAD --repeats 7
+    python3 bench/run.py --out BENCH_20.json --base HEAD --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
-is the median over the repeats of its per-run time.  Within a run a row is
+is the median over the repeats of its per-run time.  Repeat r runs the rows
+in ``ROWS`` order rotated by r*n/repeats places (n rows), the same order for
+both sides, so no row always follows the same rows and the rotations spread
+each row over the whole run: an effect of a row's place in the run falls in
+the spread between repeats instead of in the median.  Within a run a row is
 timed with ``timeit``: the loop count is grown until one loop takes at
 least 0.2 s, and the best of three such loops gives the raw µs/op.  Both
 sides run from copies in one temporary directory: the base revision is
@@ -131,9 +135,13 @@ ROWS = {
     # composed into the chain's phis.
     "cones.build_chain_from_action.flagship_LR5": 'build_chain_from_action(flagship, "LR" * 5)',
     "action.orbit_density.flagship_L5": "orbit_density(flagship, 0, 5, (0, 1))",
+    "action.orbit_density.flagship_L6": "orbit_density(flagship, 0, 6, (0, 1))",
     # The witness has length 3, so the search stops early on level 3.
     "action.incompressible_interval_search.flagship_L4":
         "incompressible_interval_search(flagship, (F(1, 3), F(1, 2)), 4)",
+    # The same witness of length 3 stops this search on level 3 too.
+    "action.incompressible_interval_search.flagship_L5":
+        "incompressible_interval_search(flagship, (F(1, 3), F(1, 2)), 5)",
     # beta.pow(8) is built inside the statement (four composes), then
     # composed with beta; beta^8 has 9 breakpoints and the result 10.
     "plmap.compose.rational_16_breakpoints": "beta.pow(8).compose(beta)",
@@ -238,10 +246,11 @@ def _resolved(ratio: float, row: dict) -> bool:
     return abs(ratio - 1) > spread
 
 
-def _run_side(src: Path) -> dict[str, dict[str, float]]:
+def _run_side(src: Path, names: list[str]) -> dict[str, dict[str, float]]:
     config = ROOT / "src" / "leafspace" / "configs" / "flagship.json"
+    rows = {name: ROWS[name] for name in names}
     res = subprocess.run(
-        [sys.executable, "-c", WORKER, str(src), str(config), SETUP, json.dumps(ROWS)],
+        [sys.executable, "-c", WORKER, str(src), str(config), SETUP, json.dumps(rows)],
         check=True, capture_output=True, text=True,
     )
     return json.loads(res.stdout)
@@ -275,10 +284,12 @@ def main() -> None:
         if args.base:
             sides = {"parent": _export(args.base, Path(tmp) / "parent"), **sides}
         runs: dict[str, list[dict[str, dict[str, float]]]] = {side: [] for side in sides}
+        names = list(ROWS)
         for r in range(args.repeats):
+            k = r * len(names) // args.repeats
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
             for side in order:
-                runs[side].append(_run_side(sides[side]))
+                runs[side].append(_run_side(sides[side], names[k:] + names[:k]))
                 print(f"repeat {r + 1}/{args.repeats} {side} done", file=sys.stderr)
 
     rows = []

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError, PeriodMismatchError, PreconditionError
-from .plmap import PLMap, PeriodGroup
-from .qfield import QNum, _mixed_fields, as_qnum, qnum, ratio_is_rational
+from .plmap import PLMap, PeriodGroup, _ints
+from .qfield import QNum, _float, _mixed_fields, _sign, as_qnum, qnum, ratio_is_rational
 
 __all__ = [
     "ActionSpec",
@@ -286,20 +287,52 @@ def _generator_moves(spec: ActionSpec):
     return [(letter, m) for m, letter in moves.items()]
 
 
+def _search_field(spec: ActionSpec, moves, *points: QNum) -> int:
+    """The one field of a search's states: that of whichever of the maps and
+    the points is irrational, else ``spec.d``; two such fields raise."""
+    fields = {f._field for _, f in moves if f._field} | {x._d for x in points if x._m}
+    if len(fields) > 1:
+        raise _mixed_fields(*sorted(fields)[:2])
+    return fields.pop() if fields else spec.d
+
+
+def _reduced(n: int, m: int, q: int, d: int) -> tuple[int, int, int]:
+    """(n, m, q) divided by gcd(n, m, q), as ``qfield._make`` divides."""
+    g = gcd(n, m, q)
+    return (n, m, q) if g == 1 else (n // g, m // g, q // g)
+
+
+def _int_move(f: PLMap, d: int):
+    """f on (n, m, q) triples in the field d, each image reduced as a
+    ``QNum`` is, so equal points are equal triples."""
+    image = f._image
+    return lambda x: image(x[0], x[1], x[2], d, _reduced)
+
+
+def _cmp(x, y, d: int) -> int:
+    """Sign of x - y for (n, m, q) triples in the field d, as ``QNum._cmp``."""
+    return _sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], d)
+
+
 def _word_search(moves, start, max_word_len: int, keep=None, stop=None):
     """Breadth-first over the words of length 1 to max_word_len; a move maps
     a word's state to that of the word with its letter applied last.  New
     states are deduplicated exactly and dropped unless ``keep(state, j)``
     for a word of length j.  Returns ``(word, seen)``: the first word whose
-    state satisfies ``stop``, else None, and a dict of the states reached."""
-    if max_word_len < 1:
-        raise PreconditionError("max_word_len must be >= 1")
+    state satisfies ``stop``, else None, and a dict of the states reached.
+
+    In ``_generator_moves`` the letter (name, -e) moves by the inverse of
+    (name, e), so it takes a state reached by (name, e) back to its parent,
+    which is seen already: it is skipped there, with no change to any result."""
+    steps = [(letter, move, []) for letter, move in moves]
+    for (name, e), _, after in steps:  # every step but the one undoing (name, e)
+        after += [step for step in steps if step[0] != (name, -e)]
     seen = {start: None}
-    frontier = [start]
+    frontier = [(start, steps)]
     for j in range(1, max_word_len + 1):
         nxt = []
-        for x in frontier:
-            for letter, move in moves:
+        for x, options in frontier:
+            for letter, move, after in options:
                 y = move(x)
                 if y in seen or keep is not None and not keep(y, j):
                     continue
@@ -310,7 +343,7 @@ def _word_search(moves, start, max_word_len: int, keep=None, stop=None):
                         y, letter = seen[y]
                         word.append(letter)
                     return tuple(reversed(word)), seen
-                nxt.append(y)
+                nxt.append((y, after))
         frontier = nxt
     return None, seen
 
@@ -319,17 +352,16 @@ def orbit_density(spec: ActionSpec, x0, max_word_len: int, window) -> OrbitGapRe
     """Largest gap the orbit of x0 leaves in the window.
 
     Breadth-first over all words up to the length bound (generators and
-    inverses), with exact point deduplication; the gap is measured in
-    floating point against the window edges.
+    inverses), with exact point deduplication on (n, m, q) triples in one
+    field; the gap is measured in floating point against the window edges.
     """
-    # Checked here too, so that it comes before the window's checks.
     if max_word_len < 1:
         raise PreconditionError("max_word_len must be >= 1")
     lo, hi = as_qnum(window[0], spec.d), as_qnum(window[1], spec.d)
     if not lo < hi:
         raise PreconditionError("window must be nondegenerate")
     moves = _generator_moves(spec)
-    reach = max((abs(d) for _, m in moves for d in m.displacement_range()), default=0)
+    reach = max((abs(disp) for _, m in moves for disp in m.displacement_range()), default=0)
     margin = reach * max_word_len + 1
     low, high = lo - margin, hi + margin
     x0 = as_qnum(x0, spec.d)
@@ -337,8 +369,13 @@ def orbit_density(spec: ActionSpec, x0, max_word_len: int, window) -> OrbitGapRe
     # drops none before the first j at which that leaves [low, high].
     first = next((j for j in range(1, max_word_len + 1)
                   if x0 - reach * j < low or x0 + reach * j > high), max_word_len + 1)
-    _, seen = _word_search(moves, x0, max_word_len, lambda y, j: j < first or low <= y <= high)
-    inside = sorted(float(x) for x in seen if lo <= x < hi)
+    d = _search_field(spec, moves, x0, lo, hi)
+    low, high, lo_i, hi_i = map(_ints, (low, high, lo, hi))
+    # y lies in [low, high] iff y - low and y - high are not of one sign.
+    _, seen = _word_search(
+        [(letter, _int_move(m, d)) for letter, m in moves], _ints(x0), max_word_len,
+        lambda y, j: j < first or _cmp(y, low, d) * _cmp(y, high, d) <= 0)
+    inside = sorted(_float(*x, d) for x in seen if _cmp(x, lo_i, d) >= 0 > _cmp(x, hi_i, d))
     seq = [float(lo)] + inside + [float(hi)]
     gap = max(b - a for a, b in zip(seq, seq[1:]))
     return OrbitGapReport(gap, len(inside), len(seen), max_word_len, (lo, hi))
@@ -368,11 +405,16 @@ def incompressible_interval_search(
     a, b = as_qnum(interval[0], spec.d), as_qnum(interval[1], spec.d)
     if not a < b:
         raise PreconditionError("interval must be nondegenerate")
-    # A word acts on I through its endpoint images, so its state is the exact
-    # pair; (a, b) is seen before any word, so a stopping state nests I properly.
-    moves = [(letter, lambda st, m=m: (m(st[0]), m(st[1])))
-             for letter, m in _generator_moves(spec)]
-    word, _ = _word_search(moves, (a, b), max_word_len, stop=lambda st: (
-        (a <= st[0] and st[1] <= b) or (st[0] <= a and b <= st[1])))
+    if max_word_len < 1:
+        raise PreconditionError("max_word_len must be >= 1")
+    moves = _generator_moves(spec)
+    d = _search_field(spec, moves, a, b)
+    # A word acts on I through its endpoint images (u, v): it nests I iff u - a and
+    # v - b are not of one sign, properly, as (a, b) is seen before any word.
+    moves = [(letter, lambda st, f=_int_move(m, d): (f(st[0]), f(st[1])))
+             for letter, m in moves]
+    a, b = _ints(a), _ints(b)
+    word, _ = _word_search(moves, (a, b), max_word_len,
+                           stop=lambda st: _cmp(st[0], a, d) * _cmp(st[1], b, d) <= 0)
     kind = "INCOMPRESSIBLE_UP_TO_BOUND" if word is None else "COMPRESSED_BY"
     return CompressionResult(kind, word)

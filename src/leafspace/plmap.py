@@ -53,7 +53,7 @@ def _ints(x: QNum) -> tuple[int, int, int]:
 
 
 def _kernel_table(f: "PLMap"):
-    """The integer data ``PLMap.__call__`` reads, built on f's first
+    """The integer data ``PLMap._image`` reads, built on f's first
     evaluation (``PLMap._kernel``).  ``(ip, p, xs, segs)``: ``p`` is an
     (n, m, q) triple, ``ip`` is 1/p as (n, m*d, m, q) in the field d of
     ``f._field``, and ``xs`` holds the breakpoint x triples, x_0 first.
@@ -201,22 +201,23 @@ class PLMap:
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, x) -> QNum:
-        """f(x), exact: with k = floor((x - x_0)/p) and x - k*p in segment
-        i, f(x) = s_i*(x - k*p) + b_i + k*p, computed on the ints of
-        ``_kernel_table`` with one reduction at the end.  Any other x is
-        read with ``as_qnum`` in the period's field."""
+        """f(x), exact, as ``_image`` makes it; a non-QNum x is read in the period's field."""
         if type(x) is not QNum:
             x = as_qnum(x, self._p.d)
-        n, m, q = x._n, x._m, x._q
-        d = self._field
-        ip, p, xs, segs = self._table or self._kernel()
-        if d is None:
-            d = x._d
-        elif m and x._d != d:
+        d = self._field or x._d
+        if x._m and x._d != d:
             raise _mixed_fields(x._d, d)
+        return self._image(x._n, x._m, x._q, d, _make)
+
+    def _image(self, n: int, m: int, q: int, d: int, make):
+        """``make(N, M, Q, d)`` for f(x) = (N + M*sqrt(d))/Q, unreduced, Q > 0, where
+        x = (n + m*sqrt(d))/q is in the field d of the result: with k = floor((x - x_0)/p)
+        and x - k*p in segment i, f(x) = s_i*(x - k*p) + b_i + k*p on ``_kernel_table``'s
+        ints.  ``make`` (``_make`` for a ``QNum``) is passed in to save a tuple per call."""
+        ip, p, xs, segs = self._table or self._kernel()
         if xs is None:
             tn, tm, tq = segs
-            return _make(n * tq + tn * q, m * tq + tm * q, q * tq, d)
+            return make(n * tq + tn * q, m * tq + tm * q, q * tq, d)
         # k = floor((x - x_0) * ip).
         an, am, aq = xs[0]
         u = n * aq - an * q
@@ -238,7 +239,7 @@ class PLMap:
             else:
                 lo = mid + 1
         a1, a2, a3, b1, c1, b2, c2, f = segs[lo - 1]
-        return _make(
+        return make(
             a1 * rn + a2 * rm + (b1 + k * c1) * rq,
             a1 * rm + a3 * rn + (b2 + k * c2) * rq,
             f * rq,

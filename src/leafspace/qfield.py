@@ -99,6 +99,11 @@ def _floor(n: int, m: int, q: int, d: int) -> int:
     return (n + root) // q if m > 0 else (n - root - 1) // q
 
 
+def _float(n: int, m: int, q: int, d: int) -> float:
+    """float((n + m*sqrt(d))/q) as float(a) + float(b)*sqrt(d): int / int rounds correctly."""
+    return n / q + m / q * math.sqrt(d)
+
+
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
@@ -330,8 +335,7 @@ class QNum:
     # -- conversion -------------------------------------------------------
 
     def __float__(self) -> float:
-        # int / int is correctly rounded, so this equals float(a) + float(b)*sqrt(d).
-        return self._n / self._q + self._m / self._q * math.sqrt(self._d)
+        return _float(self._n, self._m, self._q, self._d)
 
     def floor(self) -> int:
         return _floor(self._n, self._m, self._q, self._d)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from leafspace import action
 from leafspace.action import (
@@ -88,10 +88,11 @@ class TestBuild:
 
 
 @st.composite
-def period_one_maps(draw):
+def period_one_maps(draw, d=None):
     """A period-1 map through grid points, its displacement of either sign
-    or both; optionally conjugated by an irrational shift."""
-    d = draw(st.sampled_from((2, 3, 5)))
+    or both; optionally conjugated by an irrational shift.  In Q(sqrt d)
+    for the given d, else for a d drawn from 2, 3 and 5."""
+    d = d or draw(st.sampled_from((2, 3, 5)))
     k = draw(st.integers(1, 5))
     den = draw(st.integers(k + 1, 30))
     us = sorted(draw(st.sets(st.integers(0, den - 1), min_size=k, max_size=k)))
@@ -418,3 +419,65 @@ class TestRepeatedMoves:
                 assert res.word == want
                 words.add(want)
         assert None in words and len(words) > 1
+
+
+class TestFieldRule:
+    """A search runs in the field of whichever of the maps, the start and
+    the window or interval ends is irrational."""
+
+    RATIONAL = build_glued_action(Fraction(3, 2), Fraction(5, 3))
+
+    def test_rational_action_takes_the_field_of_an_irrational_point(self):
+        spec = self.RATIONAL
+        assert all(g._field is None for g in spec.generators.values())
+        rep = orbit_density(spec, qnum(0, 1, 3), 3, (0, 1))
+        assert (rep.max_gap, rep.points_in_window, rep.orbit_size) == (
+            0.46609665521579724, 49, 167)
+        half_r3 = qnum(0, Fraction(1, 2), 3)
+        rep = orbit_density(spec, 0, 3, (0, half_r3))
+        assert (rep.max_gap, rep.points_in_window, rep.orbit_size) == (0.6111111111111112, 7, 51)
+        assert incompressible_interval_search(spec, (0, half_r3), 3).word == (("beta_l", 1),)
+
+    def test_points_irrational_in_two_fields_raise(self):
+        with pytest.raises(FieldMismatchError, match=r"^mixed fields: sqrt\(3\) vs sqrt\(5\)$"):
+            orbit_density(self.RATIONAL, qnum(0, 1, 3), 3, (0, qnum(0, Fraction(1, 2), 5)))
+
+    def test_interval_in_another_field_than_the_action_raises(self):
+        with pytest.raises(FieldMismatchError, match=r"^mixed fields: sqrt\(2\) vs sqrt\(3\)$"):
+            incompressible_interval_search(FLAGSHIP, (0, qnum(0, Fraction(1, 2), 3)), 3)
+
+
+@st.composite
+def field_actions(draw):
+    """An action of two betas with t and s in Q(sqrt d), a start x0 and two
+    ends lo < hi, each of them rational or in Q(sqrt d).  A beta is a drawn
+    period-one map moved down by its least displacement, so that it has
+    fixed points and passes ``_check_beta``."""
+    d = draw(st.sampled_from((2, 3, 5)))
+
+    def numbers(bound):
+        a = draw(st.fractions(-bound, bound, max_denominator=12))
+        b = draw(st.sampled_from((0, 0, *range(-3, 4)))) * Fraction(1, draw(st.integers(1, 8)))
+        return qnum(a, b, d)
+
+    betas = []
+    for _ in range(2):
+        f = draw(period_one_maps(d).filter(lambda f: not f.is_translation()))
+        f = PLMap.translation(-f.displacement_range()[0], 1).compose(f)
+        _check_beta(f, "beta")
+        betas.append(f)
+    t, s = abs(numbers(4)), abs(numbers(4))
+    lo, hi = numbers(2), numbers(2)
+    assume(t and s and lo != hi)
+    return build_glued_action(t, s, *betas), numbers(3), tuple(sorted((lo, hi)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_actions(), st.integers(1, 3))
+def test_searches_match_the_reference_searches(case, length):
+    spec, x0, ends = case
+    rep = orbit_density(spec, x0, length, ends)
+    assert (rep.max_gap, rep.points_in_window, rep.orbit_size) == reference_orbit_density(
+        spec, x0, length, ends)
+    assert incompressible_interval_search(spec, ends, length).word == reference_incompressible(
+        spec, ends, length)
