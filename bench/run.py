@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/run.py --out BENCH_20.json --base HEAD --repeats 7
+    python3 bench/run.py --out BENCH_21.json --base HEAD --repeats 7
 
 Each repeat runs every row once in a fresh interpreter per side, the base
 revision and the working tree alternating which goes first; a row's figure
@@ -36,6 +36,13 @@ between the quartiles of its repeat runs, and a compared row is marked
 ``"resolved": false`` when its change/parent ratio of medians lies within
 either side's relative quartile distance of 1, unless every change run
 beats every parent run or every one loses to it.  No timing is gated.
+
+A call count does not depend on the host.  In its first run each side also
+runs every row once more, untimed, under ``sys.setprofile``, and stores the
+Python and C function calls it makes as ``<side>_calls``.  A compared row
+prints the change/parent ratio of its calls beside that of its time.  A row
+resolved worse whose calls moved by under 1% gets ``"rerun": true``: the
+code barely changed there, so it calls for a re-run rather than a verdict.
 """
 
 from __future__ import annotations
@@ -73,10 +80,16 @@ x_rat = QNum(F(7, 3))
 x_r2 = QNum(F(1, 3), F(2, 7), 2)
 # A sqrt(2) part of 200 bits, negative: its floor takes the "- 1".
 x_big = QNum(F(1, 3), -F(3**126, 7), 2)
+y_r2 = QNum(F(-5, 11), F(3, 4), 2)
+y_rat = QNum(F(-5, 11))
 pts_r2 = [(x / (1 + r2), y / (1 + r2)) for x, y in
           [(0, 0), (F(1, 4), F(1, 8)), (F(1, 2), F(3, 4)), (F(3, 4), F(7, 8))]]
 period_r2 = (1 + r2).inverse()
 g_r2 = PLMap(period_r2, pts_r2)
+# The map of slopes 3/2 and 1/2 twice per period, rescaled into Q(sqrt 2): it
+# commutes with the shift by half its period.
+sym_r2 = PLMap(1, [(0, 0), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (F(3, 4), F(7, 8))]
+               ).affine_conjugate(1 + r2)
 shift = PLMap.translation(r2 / 10, 1)
 rot = beta.compose(shift).compose(beta.inverse())
 golden = PLMap(1, [(0, F(1, 2)), (F(1, 4), F(5, 8)), (F(1, 2), 1)])
@@ -99,6 +112,10 @@ least_period_half = PLMap(1, [(x + j * half, y + j * half)
                               for j in range(2) for x, y in f_half.breakpoints])
 flagship_config = json.loads(CONFIG)
 flagship = load_action_config(flagship_config)
+# An interval that no word of length <= 5 nests, so the L5 row searches every
+# level; checked here, on each side.
+loose = (F(1, 11), F(111, 1100))
+assert incompressible_interval_search(flagship, loose, 5).kind == "INCOMPRESSIBLE_UP_TO_BOUND"
 # leafbench's seed-1 pl-algebra compose request: three 2-breakpoint maps of
 # period 1, irrational in y, x and y in turn.
 chain3 = [PLMap(1, [(QNum.parse(x, 3), QNum.parse(y, 3)) for x, y in pts]) for pts in (
@@ -139,9 +156,9 @@ ROWS = {
     # The witness has length 3, so the search stops early on level 3.
     "action.incompressible_interval_search.flagship_L4":
         "incompressible_interval_search(flagship, (F(1, 3), F(1, 2)), 4)",
-    # The same witness of length 3 stops this search on level 3 too.
+    # No witness up to length 5: the search runs all five levels.
     "action.incompressible_interval_search.flagship_L5":
-        "incompressible_interval_search(flagship, (F(1, 3), F(1, 2)), 5)",
+        "incompressible_interval_search(flagship, loose, 5)",
     # beta.pow(8) is built inside the statement (four composes), then
     # composed with beta; beta^8 has 9 breakpoints and the result 10.
     "plmap.compose.rational_16_breakpoints": "beta.pow(8).compose(beta)",
@@ -162,6 +179,17 @@ ROWS = {
     "plmap.translation_number.least_period_half_max_denom_9":
         "translation_number(least_period_half, F(1, 100), max_denom=9)",
     "plmap.fixed_points.sqrt2_4_breakpoints": "g_r2.fixed_points()",
+    "plmap.displacement_range.sqrt2_4_breakpoints": "g_r2.displacement_range()",
+    # No shift by p/2 commutes with g_r2; the one by p/2 commutes with sym_r2.
+    "plmap.period_group.sqrt2_4_breakpoints": "g_r2.period_group()",
+    "plmap.period_group.sqrt2_symmetric_4_breakpoints": "sym_r2.period_group()",
+    # QNum's own operators, on operands in Q(sqrt 2) and in Q.
+    "qfield.add.sqrt2": "x_r2 + y_r2",
+    "qfield.add.rational": "x_rat + y_rat",
+    "qfield.mul.sqrt2": "x_r2 * y_r2",
+    "qfield.mul.rational": "x_rat * y_rat",
+    "qfield.lt.sqrt2": "x_r2 < y_r2",
+    "qfield.lt.rational": "x_rat < y_rat",
     # A translation of period 1 and a map of period 1/(1 + sqrt 2), in
     # both orders.
     "plmap.compose.translation_after_other_period": "shift.compose(g_r2)",
@@ -177,6 +205,7 @@ sys.path.insert(0, sys.argv[1])
 CONFIG = open(sys.argv[2]).read()
 setup = sys.argv[3]
 rows = json.loads(sys.argv[4])
+count_calls = sys.argv[5] == "1"
 # Time of one reference loop on the quiet host of leafbench/README.md, as in
 # leafbench/run.py; a constant, so it cancels when two runs are compared.
 HOST_REF_S = 0.0015
@@ -193,6 +222,23 @@ def reference_work():
         text = f"{acc.numerator}/{acc.denominator}"
         seen[text] = seen.get(text, 0) + len(text.split("/"))
         acc = Fraction(text) - Fraction(j % 5, 3)
+
+
+def calls(code, env):
+    # Python and C function calls made by one run of the statement, its own
+    # frame and the call that ends the count included.
+    n = [0]
+
+    def count(frame, event, arg):
+        if event == "call" or event == "c_call":
+            n[0] += 1
+
+    sys.setprofile(count)
+    try:
+        exec(code, env)
+    finally:
+        sys.setprofile(None)
+    return n[0]
 
 
 def host_seconds():
@@ -220,6 +266,8 @@ for name, stmt in rows.items():
         raw.append(t)
         scaled.append(t * HOST_REF_S / ((before + after) / 2))
     out[name] = {"raw": min(raw), "scaled": min(scaled)}
+    if count_calls:
+        out[name]["calls"] = calls(compile(stmt, name, "exec"), env)
 print(json.dumps(out))
 """
 
@@ -246,11 +294,12 @@ def _resolved(ratio: float, row: dict) -> bool:
     return abs(ratio - 1) > spread
 
 
-def _run_side(src: Path, names: list[str]) -> dict[str, dict[str, float]]:
+def _run_side(src: Path, names: list[str], count_calls: bool) -> dict[str, dict[str, float]]:
     config = ROOT / "src" / "leafspace" / "configs" / "flagship.json"
     rows = {name: ROWS[name] for name in names}
     res = subprocess.run(
-        [sys.executable, "-c", WORKER, str(src), str(config), SETUP, json.dumps(rows)],
+        [sys.executable, "-c", WORKER, str(src), str(config), SETUP, json.dumps(rows),
+         "1" if count_calls else "0"],
         check=True, capture_output=True, text=True,
     )
     return json.loads(res.stdout)
@@ -289,7 +338,7 @@ def main() -> None:
             k = r * len(names) // args.repeats
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
             for side in order:
-                runs[side].append(_run_side(sides[side], names[k:] + names[:k]))
+                runs[side].append(_run_side(sides[side], names[k:] + names[:k], r == 0))
                 print(f"repeat {r + 1}/{args.repeats} {side} done", file=sys.stderr)
 
     rows = []
@@ -301,12 +350,19 @@ def main() -> None:
                 row[f"{side}{suffix}"] = round(statistics.median(values), 3)
                 row[f"{side}{suffix}_runs"] = [round(v, 3) for v in values]
             row[f"{side}_iqr"] = round(_iqr(row[f"{side}_runs"]), 3)
-        line = " ".join(f"{side} {row[side]:.3f}" for side in runs) + " us/op (reference-host)"
+            row[f"{side}_calls"] = results[0][name]["calls"]
+        line = " ".join(f"{side} {row[side]:.3f}" for side in runs) + " us/op (reference-host), calls "
+        line += " ".join(str(row[f"{side}_calls"]) for side in runs)
         if "parent" in row:
             ratio = row["change"] / row["parent"]
+            calls = row["change_calls"] / row["parent_calls"]
             row["ratio_change_to_parent"] = round(ratio, 4)
+            row["calls_ratio_change_to_parent"] = round(calls, 4)
             row["resolved"] = _resolved(ratio, row)
-            line += f" ratio {ratio:.4f}" + ("" if row["resolved"] else " (unresolved)")
+            row["rerun"] = row["resolved"] and ratio > 1 and abs(calls - 1) < 0.01
+            line += f" ratio {ratio:.4f} calls {calls:.4f}" + (
+                " (resolved-worse with calls within 1%: re-run)" if row["rerun"]
+                else "" if row["resolved"] else " (unresolved)")
         rows.append(row)
         print(name, line)
     report = {

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import ParseError, PeriodMismatchError, PreconditionError
-from .plmap import PLMap, PeriodGroup, _ints
-from .qfield import QNum, _float, _mixed_fields, _sign, as_qnum, qnum, ratio_is_rational
+from .plmap import PLMap, PeriodGroup
+from .qfield import (
+    QNum, _cmp, _float, _mixed_fields, _reduced, _triple, as_qnum, qnum, ratio_is_rational,
+)
 
 __all__ = [
     "ActionSpec",
@@ -296,22 +297,11 @@ def _search_field(spec: ActionSpec, moves, *points: QNum) -> int:
     return fields.pop() if fields else spec.d
 
 
-def _reduced(n: int, m: int, q: int, d: int) -> tuple[int, int, int]:
-    """(n, m, q) divided by gcd(n, m, q), as ``qfield._make`` divides."""
-    g = gcd(n, m, q)
-    return (n, m, q) if g == 1 else (n // g, m // g, q // g)
-
-
 def _int_move(f: PLMap, d: int):
-    """f on (n, m, q) triples in the field d, each image reduced as a
-    ``QNum`` is, so equal points are equal triples."""
+    """f on ``qfield`` triples in the field d, each image reduced by the
+    triples' own ``_reduced``, so equal points are equal triples."""
     image = f._image
     return lambda x: image(x[0], x[1], x[2], d, _reduced)
-
-
-def _cmp(x, y, d: int) -> int:
-    """Sign of x - y for (n, m, q) triples in the field d, as ``QNum._cmp``."""
-    return _sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], d)
 
 
 def _word_search(moves, start, max_word_len: int, keep=None, stop=None):
@@ -370,10 +360,10 @@ def orbit_density(spec: ActionSpec, x0, max_word_len: int, window) -> OrbitGapRe
     first = next((j for j in range(1, max_word_len + 1)
                   if x0 - reach * j < low or x0 + reach * j > high), max_word_len + 1)
     d = _search_field(spec, moves, x0, lo, hi)
-    low, high, lo_i, hi_i = map(_ints, (low, high, lo, hi))
+    low, high, lo_i, hi_i = map(_triple, (low, high, lo, hi))
     # y lies in [low, high] iff y - low and y - high are not of one sign.
     _, seen = _word_search(
-        [(letter, _int_move(m, d)) for letter, m in moves], _ints(x0), max_word_len,
+        [(letter, _int_move(m, d)) for letter, m in moves], _triple(x0), max_word_len,
         lambda y, j: j < first or _cmp(y, low, d) * _cmp(y, high, d) <= 0)
     inside = sorted(_float(*x, d) for x in seen if _cmp(x, lo_i, d) >= 0 > _cmp(x, hi_i, d))
     seq = [float(lo)] + inside + [float(hi)]
@@ -413,7 +403,7 @@ def incompressible_interval_search(
     # v - b are not of one sign, properly, as (a, b) is seen before any word.
     moves = [(letter, lambda st, f=_int_move(m, d): (f(st[0]), f(st[1])))
              for letter, m in moves]
-    a, b = _ints(a), _ints(b)
+    a, b = _triple(a), _triple(b)
     word, _ = _word_search(moves, (a, b), max_word_len,
                            stop=lambda st: _cmp(st[0], a, d) * _cmp(st[1], b, d) <= 0)
     kind = "INCOMPRESSIBLE_UP_TO_BOUND" if word is None else "COMPRESSED_BY"

@@ -240,9 +240,7 @@ def cmd_shear_shadow(args) -> int:
     lines = ["level,curve_length,shadow_length,limit"]
     for level in range(1, args.n + 1):
         rep = shadow_length(t, lam, level)
-        lines.append(
-            f"{level},{rep.curve_length},{rep.shadow},{rep.limit}"
-        )
+        lines.append(f"{level},{rep.curve_length},{rep.shadow},{rep.limit}")
     lines.append("# label: EXPLORATORY")
     _write("\n".join(lines) + "\n", args)
     return EXIT_OK

@@ -179,9 +179,7 @@ def run_progress_ledger(T, r, n: int, policy: str = "adversarial", seed: int = 0
     if policy not in ("adversarial", "random"):
         raise PreconditionError(f"unknown policy {policy!r}")
     rows = []
-    forward_sum = qnum(0)
-    progress_sum = qnum(0)
-    back_sum = qnum(0)
+    forward_sum = progress_sum = back_sum = qnum(0)
     for m in range(1, n + 1):
         p_m = draw_progress()
         progress_sum = progress_sum + p_m
@@ -259,13 +257,6 @@ def build_chain_from_action(spec, pattern: str, seed: int = 0) -> MetricChain:
             rng.randint(1, 16), 16
         )
         phase = Fraction(rng.randint(0, 7), 16)
-        perturbations.append(
-            PLMap(
-                1,
-                [
-                    (phase, phase),
-                    (phase + Fraction(1, 2), phase + Fraction(1, 2) + amp),
-                ],
-            )
-        )
+        half = phase + Fraction(1, 2)
+        perturbations.append(PLMap(1, [(phase, phase), (half, half + amp)]))
     return MetricChain(labels, periods, perturbations)

@@ -9,14 +9,16 @@ All arithmetic is exact over a quadratic field.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
 
 from .errors import FieldMismatchError, ParseError, PeriodMismatchError, PreconditionError
-from .qfield import QNum, _floor, _make, _mixed_fields, _sign, as_qnum, ratio_is_rational
+from .qfield import (
+    QNum, _add, _cmp, _div, _floor, _make, _mixed_fields, _mul, _quot,
+    _sign, _sub, _triple, as_qnum,
+)
 
 __all__ = [
     "PLMap",
@@ -33,56 +35,46 @@ def _coerce_points(period, breakpoints):
 
     The field is that of the irrational inputs, which must agree; with none,
     the period's (Q(sqrt 2) for an int, a Fraction or rational text).  The
-    rational values are given that field, since ``period.d`` names the
-    field of the map.
+    period is given that field, since ``period.d`` names the field of the map.
     """
     p = as_qnum(period)
     pts = [(as_qnum(x), as_qnum(y)) for x, y in breakpoints]
     fields = {v._d for v in [p, *[c for pt in pts for c in pt]] if v._m}
     if len(fields) > 1:
         raise FieldMismatchError(f"breakpoints in several fields: {sorted(fields)}")
-    d = fields.pop() if fields else p._d
-
-    def field(v):
-        return v if v._m or v._d == d else _make(v._n, 0, v._q, d)
-    return field(p), [(field(x), field(y)) for x, y in pts]
+    return _make(p._n, p._m, p._q, fields.pop() if fields else p._d), pts
 
 
-def _ints(x: QNum) -> tuple[int, int, int]:
-    return x._n, x._m, x._q
+_ZERO, _ONE = (0, 0, 1), (1, 0, 1)
 
 
 def _kernel_table(f: "PLMap"):
-    """The integer data ``PLMap._image`` reads, built on f's first
-    evaluation (``PLMap._kernel``).  ``(ip, p, xs, segs)``: ``p`` is an
-    (n, m, q) triple, ``ip`` is 1/p as (n, m*d, m, q) in the field d of
-    ``f._field``, and ``xs`` holds the breakpoint x triples, x_0 first.
-    Segment i maps x to s_i*(x - k*p) + b_i + k*p with b_i = y_i - s_i*x_i;
-    for x - k*p = (rn + rm*sqrt(d))/rq that is (N + M*sqrt(d))/Q with
+    """``(ip, p, xs, segs)``, what ``PLMap._image`` reads, built on f's first
+    evaluation (``PLMap._kernel``): p and xs are f's stored triples, and ``ip``
+    is 1/p as (n, m*d, m, q).  Segment i maps x to s_i*(x - k*p) + b_i + k*p
+    with b_i = y_i - s_i*x_i; for x - k*p = (rn + rm*sqrt(d))/rq that is
+    (N + M*sqrt(d))/Q with
 
         N = a1*rn + a2*rm + (b1 + k*c1)*rq
         M = a1*rm + a3*rn + (b2 + k*c2)*rq
         Q = f*rq
 
     where ``segs[i]`` = (a1, a2, a3, b1, c1, b2, c2, f) puts s_i, b_i and p
-    over one denominator.  A translation has ``xs`` None and ``segs`` the
-    triple of t.
+    over one denominator.  A translation has ``xs`` None and ``segs`` t.
     """
-    p, pts = f._p, f._pts
-    if len(pts) == 1:
-        return None, None, None, _ints(pts[0][1] - pts[0][0])
-    rd = f._field or 0  # a rational map has no sqrt parts
-    pn, pm, pq = _ints(p)
+    if len(f._xs) == 1:
+        return None, None, None, f._ys[0]
+    d = rd = f._d  # the sqrt parts of a rational map are 0 in any field
+    pn, pm, pq = f._p
     segs = []
-    for (x, y), s in zip(pts, f._slopes):
-        sn, sm, sq = _ints(s)
-        bn, bm, bq = _ints(y - s * x)
+    for x, y, s in zip(f._xs, f._ys, f._slopes):
+        sn, sm, sq = s
+        bn, bm, bq = _sub(y, _mul(s, x, d))
         e = bq * pq // gcd(bq, pq)  # the least common denominator of b_i and p
         fb, fp = e // bq * sq, e // pq * sq
         segs.append((sn * e, sm * rd * e, sm * e, bn * fb, pn * fp, bm * fb, pm * fp, sq * e))
-    inn, inm, inq = _ints(p.inverse())
-    xs = tuple(_ints(x) for x, _ in pts)
-    return (inn, inm * rd, inm, inq), (pn, pm, pq), xs, tuple(segs)
+    inn, inm, inq = _div(_ONE, f._p, d)
+    return (inn, inm * rd, inm, inq), f._p, f._xs, tuple(segs)
 
 
 class PLMap:
@@ -95,9 +87,12 @@ class PLMap:
     * no breakpoint is collinear with its neighbours (cyclically, through
       the wrap segment joining ``(x_{k-1}, y_{k-1})`` to ``(x_0+p, y_0+p)``)
     * a pure translation is stored as the single breakpoint ``(0, t)``
+
+    Period, breakpoints and slopes are stored as ``qfield`` triples in the
+    field ``_d`` of the period; ``QNum``s are built only for results.
     """
 
-    __slots__ = ("_p", "_pts", "_slopes", "_field", "_table")
+    __slots__ = ("_d", "_p", "_xs", "_ys", "_slopes", "_field", "_table")
 
     def __init__(self, period, breakpoints) -> None:
         p, pts = _coerce_points(period, breakpoints)
@@ -105,36 +100,36 @@ class PLMap:
             raise PreconditionError("period must be positive")
         if not pts:
             raise PreconditionError("at least one breakpoint is required")
-        for (x0, _), (x1, _) in zip(pts, pts[1:]):
-            if not x0 < x1:
-                raise PreconditionError("breakpoint x-coordinates must strictly increase")
+        if any(not x0 < x1 for (x0, _), (x1, _) in zip(pts, pts[1:])):
+            raise PreconditionError("breakpoint x-coordinates must strictly increase")
         if pts[0][0].sign() < 0 or not pts[-1][0] < p:
             raise PreconditionError("breakpoints must lie in [0, p)")
-        for (_, y0), (_, y1) in zip(pts, pts[1:]):
-            if not y0 < y1:
-                raise PreconditionError("breakpoint values must strictly increase")
+        if any(not y0 < y1 for (_, y0), (_, y1) in zip(pts, pts[1:])):
+            raise PreconditionError("breakpoint values must strictly increase")
         if not pts[0][1] + p > pts[-1][1]:
             raise PreconditionError("map is not monotone across the wrap segment")
-        self._set(p, *self._drop_collinear(pts, self._segment_slopes(p, pts)))
+        d, p = p._d, _triple(p)
+        xs, ys = [_triple(x) for x, _ in pts], [_triple(y) for _, y in pts]
+        ex, ey = [*xs, _add(xs[0], p)], [*ys, _add(ys[0], p)]
+        slopes = [_div(_sub(ey[i + 1], ey[i]), _sub(ex[i + 1], ex[i]), d) for i in range(len(xs))]
+        self._set(d, p, *self._drop_collinear(xs, ys, slopes))
 
     @classmethod
-    def _trusted(cls, p: QNum, pts, slopes) -> "PLMap":
-        """A map from data already in canonical form: ``pts`` satisfy the
-        invariants above in the field of ``p``, and ``slopes[i]`` is the
-        slope of the segment leaving ``pts[i]``.  For maps derived from
-        canonical ones, where ``__init__`` would only repeat its checks."""
+    def _trusted(cls, d: int, p, xs, ys, slopes) -> "PLMap":
+        """A map from canonical triples in the field d of the period p, with
+        ``slopes[i]`` that of the segment leaving point i: for maps derived
+        from canonical ones, where ``__init__`` would only repeat its checks."""
         f = object.__new__(cls)
-        f._set(p, pts, slopes)
+        f._set(d, p, xs, ys, slopes)
         return f
 
-    def _set(self, p: QNum, pts, slopes) -> None:
-        """Store canonical data, no kernel table yet, and the one field
-        decision: the field the map is irrational in, or None when its values
-        take the field of x.  A translation, stored as (0, t), is the same
-        map at any period, so t alone decides."""
-        self._p, self._pts, self._slopes, self._table = p, tuple(pts), tuple(slopes), None
-        v = pts[0][1] if len(pts) == 1 else p
-        self._field = v._d if v._m or any(x._m or y._m for x, y in pts) else None
+    def _set(self, d: int, p, xs, ys, slopes) -> None:
+        """Store canonical data, no kernel table yet, and the field decision: d
+        if the map is irrational, else None (x's field); t's for a translation."""
+        self._d, self._p, self._table = d, p, None
+        self._xs, self._ys, self._slopes = tuple(xs), tuple(ys), tuple(slopes)
+        values = ys[:1] if len(xs) == 1 else (p, *xs, *ys)
+        self._field = d if any(v[1] for v in values) else None
 
     def _kernel(self):
         """The kernel table (``_kernel_table``), built on first use and kept."""
@@ -142,49 +137,47 @@ class PLMap:
         return self._table
 
     @staticmethod
-    def _segment_slopes(p, pts):
-        ext = list(pts) + [(pts[0][0] + p, pts[0][1] + p)]
-        return tuple(
-            (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(ext, ext[1:])
-        )
-
-    @staticmethod
-    def _drop_collinear(pts, slopes):
+    def _drop_collinear(xs, ys, slopes):
         """The breakpoints that are not collinear with their neighbours, and
         the slope of the segment leaving each, given that slope for every
         point.  Dropping a collinear point merges two segments of equal
         slope, so a kept point's slope is the one given for it."""
-        keep = [i for i in range(len(pts)) if slopes[i - 1] != slopes[i]]
+        keep = [i for i in range(len(xs)) if slopes[i - 1] != slopes[i]]
         if not keep:
             # Constant slope around the cycle forces slope 1: a translation.
-            t = pts[0][1] - pts[0][0]
-            return ((as_qnum(0, t.d), t),), slopes[:1]
-        return tuple(pts[i] for i in keep), tuple(slopes[i] for i in keep)
+            return (_ZERO,), (_sub(ys[0], xs[0]),), slopes[:1]
+        return [xs[i] for i in keep], [ys[i] for i in keep], [slopes[i] for i in keep]
 
     # -- basic accessors --------------------------------------------------
 
     @property
     def period(self) -> QNum:
-        return self._p
+        return _make(*self._p, self._d)
 
     @property
     def breakpoints(self):
-        return self._pts
+        return tuple((_make(*x, self._d), _make(*y, self._d)) for x, y in zip(self._xs, self._ys))
 
     def is_translation(self) -> bool:
-        return len(self._pts) == 1
+        return len(self._xs) == 1
 
     @property
     def displacement(self) -> QNum:
         """Translation amount; only meaningful for translations."""
         if not self.is_translation():
             raise PreconditionError("not a translation")
-        return self._pts[0][1] - self._pts[0][0]
+        return _make(*self._ys[0], self._d)
 
     def displacement_range(self) -> tuple[QNum, QNum]:
         """Exact (min, max) of f(x) - x, attained at breakpoints."""
-        disps = [y - x for x, y in self._pts]
-        return min(disps), max(disps)
+        d, lo, hi = self._d, None, None
+        for (xn, xm, xq), (yn, ym, yq) in zip(self._xs, self._ys):
+            v = (yn * xq - xn * yq, ym * xq - xm * yq, xq * yq)  # unreduced, as _cmp allows
+            if lo is None or _cmp(v, lo, d) < 0:
+                lo = v
+            if hi is None or _cmp(v, hi, d) > 0:
+                hi = v
+        return _make(*lo, d), _make(*hi, d)
 
     @classmethod
     def translation(cls, t, period=1) -> "PLMap":
@@ -192,7 +185,7 @@ class PLMap:
         p, [(_, t)] = _coerce_points(period, [(0, t)])
         if p.sign() <= 0:
             raise PreconditionError("period must be positive")
-        return cls._trusted(p, [(as_qnum(0, t.d), t)], [_make(1, 0, 1, p.d)])
+        return cls._trusted(p._d, _triple(p), [_ZERO], [_triple(t)], [_ONE])
 
     @classmethod
     def identity(cls, period=1) -> "PLMap":
@@ -203,7 +196,7 @@ class PLMap:
     def __call__(self, x) -> QNum:
         """f(x), exact, as ``_image`` makes it; a non-QNum x is read in the period's field."""
         if type(x) is not QNum:
-            x = as_qnum(x, self._p.d)
+            x = as_qnum(x, self._d)
         d = self._field or x._d
         if x._m and x._d != d:
             raise _mixed_fields(x._d, d)
@@ -213,7 +206,7 @@ class PLMap:
         """``make(N, M, Q, d)`` for f(x) = (N + M*sqrt(d))/Q, unreduced, Q > 0, where
         x = (n + m*sqrt(d))/q is in the field d of the result: with k = floor((x - x_0)/p)
         and x - k*p in segment i, f(x) = s_i*(x - k*p) + b_i + k*p on ``_kernel_table``'s
-        ints.  ``make`` (``_make`` for a ``QNum``) is passed in to save a tuple per call."""
+        ints.  ``make`` (``_make`` or ``_reduced``) is passed in to save a tuple per call."""
         ip, p, xs, segs = self._table or self._kernel()
         if xs is None:
             tn, tm, tq = segs
@@ -250,16 +243,16 @@ class PLMap:
 
     def inverse(self) -> "PLMap":
         """The graph reflected in the diagonal: segment i becomes the one
-        leaving (y_i, x_i) with slope 1/s_i, reduced mod p and sorted."""
-        p = self._p
+        leaving (y_i, x_i) with slope 1/s_i, reduced mod p; the ys lie in [y_0,
+        y_0 + p), so that list is in order from the first moved down further."""
+        p, d = self._p, self._d
         if self.is_translation():
-            return PLMap.translation(-self.displacement, p)
-        triples = []
-        for (x, y), s in zip(self._pts, self._slopes):
-            m = (y / p).floor()
-            triples.append((y - m * p, x - m * p, s.inverse()))
-        triples.sort(key=lambda q: q[0])
-        return PLMap._trusted(p, [(x, y) for x, y, _ in triples], [s for _, _, s in triples])
+            return PLMap._trusted(d, p, self._xs, [_sub(_ZERO, self._ys[0])], self._slopes)
+        ms = [_floor(*_quot(y, p, d), d) for y in self._ys]
+        r = next((i for i, m in enumerate(ms) if m != ms[0]), 0)
+        segs = [(_sub(y, mp), _sub(x, mp), _div(_ONE, s, d)) for x, y, s, mp in zip(
+            self._xs, self._ys, self._slopes, [_mul(p, (m, 0, 1), d) for m in ms])]
+        return PLMap._trusted(d, p, *zip(*segs[r:], *segs[:r]))
 
     def compose(self, other: "PLMap") -> "PLMap":
         """self after other: x -> self(other(x)).  Two translations give the
@@ -270,35 +263,35 @@ class PLMap:
         df, dg = f._field, g._field
         if df is not None and dg is not None and df != dg:
             raise _mixed_fields(df, dg)
-        pf, pg = f._p, g._p
+        same = f._p == g._p and (not f._p[1] or f._d == g._d)
         if f.is_translation() and g.is_translation():
-            # At g's period, as a rebuilt f would be; at f's when they are
-            # equal or g's is irrational in a field other than the sum's.
-            t = f.displacement + g.displacement
-            foreign = t._m and pg._m and pg._d != t._d
-            return PLMap.translation(t, pf if foreign or pf == pg else pg)
-        if pf != pg:
+            # At g's period, but at f's when they are equal or g's is
+            # irrational in a field other than the sum's.
+            e = df or dg
+            t = _add(f._ys[0], g._ys[0])
+            h = f if same or t[1] and g._p[1] and g._d != e else g
+            return PLMap._trusted(e if t[1] else h._d, h._p, [_ZERO], [t], [_ONE])
+        if not same:
+            # A translation moves to the other period: in t's field, or else that period's.
             if f.is_translation():
-                f = PLMap.translation(f.displacement, pg)
+                f = PLMap._trusted(f._field or g._d, g._p, f._xs, f._ys, f._slopes)
             elif g.is_translation():
-                g = PLMap.translation(g.displacement, pf)
+                g = PLMap._trusted(g._field or f._d, f._p, g._xs, g._ys, g._slopes)
             else:
-                rational, q = ratio_is_rational(pf, pg)
-                if not rational:
-                    raise PeriodMismatchError(f"periods {pf} and {pg} are incommensurable")
-                frac = q.as_fraction()
-                f, g = f._tiled(frac.denominator), g._tiled(frac.numerator)
+                n, m, q = _div(f._p, g._p, g._d if g._p[1] else f._d)
+                if m:
+                    raise PeriodMismatchError(
+                        f"periods {f.period} and {g.period} are incommensurable")
+                f, g = f._tiled(q), g._tiled(n)
         return f._compose_equal_period(g)
 
     def _tiled(self, k: int) -> "PLMap":
         """The same homeomorphism represented with period k*p; only called
         on non-translations, whose breakpoints all stay canonical."""
-        pts = [
-            (x + j * self._p, y + j * self._p)
-            for j in range(k)
-            for x, y in self._pts
-        ]
-        return PLMap._trusted(self._p * k, pts, self._slopes * k)
+        p, d = self._p, self._d
+        shifts = [_mul(p, (j, 0, 1), d) for j in range(k)]
+        xs, ys = ([_add(v, c) for c in shifts for v in vs] for vs in (self._xs, self._ys))
+        return PLMap._trusted(d, _mul(p, (k, 0, 1), d), xs, ys, self._slopes * k)
 
     def _compose_equal_period(self, g: "PLMap") -> "PLMap":
         """self after g, both of period p, in one sweep over w = g(x).
@@ -315,65 +308,63 @@ class PLMap:
         beyond p move down by p to the front, and points whose slope equals
         the previous one (cyclically) are dropped, giving canonical form.
         """
-        f = self
-        p = f._p
-        y0 = g._pts[0][1]
+        f, p, y0 = self, self._p, g._ys[0]
+        # The one field of the work and the result: g's when only g is irrational.
+        d = g._d if f._field is None and g._field is not None else f._d
         # Moved by c*p, f's breakpoints before index `split` land in
         # [y_0, y_0 + p) and the rest at or above y_0 + p, so those move by
         # (c - 1)*p instead; starting at `split`, the moved list is in order.
-        fpts, fs = f._pts, f._slopes
-        c = -((fpts[0][0] - y0) / p).floor()
-        cp = c * p
-        split = bisect_left(fpts, y0 + p - cp, key=itemgetter(0))
-        low = cp - p
-        fev = [(u + low, v + low, s) for (u, v), s in zip(fpts[split:], fs[split:])]
-        fev += [(u + cp, v + cp, s) for (u, v), s in zip(fpts[:split], fs[:split])]
+        fx, fy, fs = f._xs, f._ys, f._slopes
+        cp = _mul(p, (-_floor(*_quot(_sub(fx[0], y0), p, d), d), 0, 1), d)
+        top = _sub(_add(y0, p), cp)
+        split = next((i for i, u in enumerate(fx) if _cmp(u, top, d) >= 0), len(fx))
+        low = _sub(cp, p)
+        fev = [(_add(u, low), _add(v, low), s) for u, v, s in zip(fx[split:], fy[split:], fs[split:])]
+        fev += [(_add(u, cp), _add(v, cp), s) for u, v, s in zip(fx[:split], fy[:split], fs[:split])]
 
-        pts, slopes = [], []
+        xs, ys, slopes = [], [], []
         # The f breakpoint last passed and its slope; first, the last moved down by p.
-        fw, fv, sf = fev[-1][0] - p, fev[-1][1] - p, fev[-1][2]
+        fw, fv, sf = _sub(fev[-1][0], p), _sub(fev[-1][1], p), fev[-1][2]
         j, nf = 0, len(fev)
-        for (x, y), sg in zip(g._pts, g._slopes):
+        for x, y, sg in zip(g._xs, g._ys, g._slopes):
             # f breakpoints on g's previous segment (x_i, y_i, s_i); none
             # lie below y_0.
-            while j < nf and fev[j][0] < y:
+            while j < nf and (c := _cmp(fev[j][0], y, d)) < 0:
                 fw, fv, sf = fev[j]
-                pts.append((xi + (fw - yi) / si, fv))
-                slopes.append(sf * si)
+                xs.append(_add(xi, _div(_sub(fw, yi), si, d)))
+                ys.append(fv)
+                slopes.append(_mul(sf, si, d))
                 j += 1
-            if j < nf and fev[j][0] == y:
+            xs.append(x)
+            if j < nf and not c:
                 fw, fv, sf = fev[j]
                 j += 1
-                pts.append((x, fv))
+                ys.append(fv)
             else:
-                pts.append((x, (y - fw) * sf + fv))
-            slopes.append(sf * sg)
+                ys.append(_add(_mul(_sub(y, fw), sf, d), fv))
+            slopes.append(_mul(sf, sg, d))
             xi, yi, si = x, y, sg
-        last_g = len(pts)
+        last_g = len(xs)
         for w, v, sf in fev[j:]:
-            pts.append((xi + (w - yi) / si, v))
-            slopes.append(sf * si)
+            xs.append(_add(xi, _div(_sub(w, yi), si, d)))
+            ys.append(v)
+            slopes.append(_mul(sf, si, d))
         # Only pull-backs on g's last segment, [x_{k-1}, x_0 + p), can
         # reach p.
-        for i in range(last_g, len(pts)):
-            if pts[i][0] >= p:
-                pts = [(x - p, y - p) for x, y in pts[i:]] + pts[:i]
+        for i in range(last_g, len(xs)):
+            if _cmp(xs[i], p, d) >= 0:
+                xs = [_sub(x, p) for x in xs[i:]] + xs[:i]
+                ys = [_sub(y, p) for y in ys[i:]] + ys[:i]
                 slopes = slopes[i:] + slopes[:i]
                 break
-
-        # The two periods are equal; g's names the field when only g is
-        # irrational.
-        if f._field is None and g._field is not None:
-            p = g._p
-        return PLMap._trusted(p, *PLMap._drop_collinear(pts, slopes))
+        return PLMap._trusted(d, p, *PLMap._drop_collinear(xs, ys, slopes))
 
     def pow(self, n: int) -> "PLMap":
         if n < 0:
             return self.inverse().pow(-n)
         if n == 0:
-            return PLMap.identity(self._p)
-        result = None
-        base = self
+            return PLMap.identity(self.period)
+        result, base = None, self
         while n:
             if n & 1:
                 result = base if result is None else result.compose(base)
@@ -384,51 +375,55 @@ class PLMap:
     def commutes(self, other: "PLMap") -> bool:
         return self.compose(other) == other.compose(self)
 
-    def _commutes_with_shift(self, c: QNum) -> bool:
-        """Whether f commutes with x -> x + c, decided without composing.
+    def _commutes_with_shift(self, c) -> bool:
+        """Whether f commutes with x -> x + c (a triple), decided without composing.
 
         The graph of x -> f(x - c) + c is the graph of f moved by (c, c),
         and canonical breakpoints are exactly the slope changes, so the two
         maps are equal iff the moved breakpoints, reduced mod p, are the
-        breakpoints of f.  Both sets have len(self._pts) distinct points,
+        breakpoints of f.  Both sets have len(self._xs) distinct points,
         so membership of every moved point decides equality.
         """
         if self.is_translation():
             return True
-        p = self._p
-        pts = set(self._pts)
-        for x, y in self._pts:
-            shift = c - ((x + c) / p).floor() * p
-            if (x + shift, y + shift) not in pts:
+        p, d = self._p, self._d
+        pts = set(zip(self._xs, self._ys))
+        for x, y in pts:
+            shift = _sub(c, _mul(p, (_floor(*_quot(_add(x, c), p, d), d), 0, 1), d))
+            if (_add(x, shift), _add(y, shift)) not in pts:
                 return False
         return True
 
     def affine_conjugate(self, scale) -> "PLMap":
         """h o f o h^-1 for h(x) = x/scale; rescales the coordinate system."""
-        scale = as_qnum(scale, self._p.d)
+        scale = as_qnum(scale, self._d)
         if scale.sign() <= 0:
             raise PreconditionError("scale must be positive")
         # Scaling both coordinates keeps the order, the slopes and the field
-        # rule; a scale in another field raises in the divisions.
-        return PLMap._trusted(
-            self._p / scale, [(x / scale, y / scale) for x, y in self._pts], self._slopes
-        )
+        # rule; a scale irrational in another field than a value raises.
+        d = (self.period / scale)._d
+        if self._field not in (None, d):
+            raise _mixed_fields(self._field, d)
+        inv = _div(_ONE, _triple(scale), d)
+        return PLMap._trusted(d, _mul(self._p, inv, d), [_mul(x, inv, d) for x in self._xs],
+                              [_mul(y, inv, d) for y in self._ys], self._slopes)
 
     # -- equality ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PLMap):
             return NotImplemented
-        # A translation, stored as (0, t), is the same map of the line
-        # whatever period it happens to carry.
-        return self._pts == other._pts and (self.is_translation() or self._p == other._p)
+        # Triples of one field are equal as values, so the field is compared
+        # too; a translation (0, t) is one map of the line at any period.
+        return (self._field == other._field and self._ys == other._ys and self._xs == other._xs
+                and (self.is_translation() or self._p == other._p))
 
     def __hash__(self) -> int:
-        return hash(self._pts if self.is_translation() else (self._p, self._pts))
+        return hash((self._field, self._xs, self._ys, None if self.is_translation() else self._p))
 
     def __repr__(self) -> str:
-        pts = ", ".join(f"({x}, {y})" for x, y in self._pts)
-        return f"PLMap(period={self._p}, breakpoints=[{pts}])"
+        pts = ", ".join(f"({x}, {y})" for x, y in self.breakpoints)
+        return f"PLMap(period={self.period}, breakpoints=[{pts}])"
 
     # -- structure --------------------------------------------------------
 
@@ -441,33 +436,31 @@ class PLMap:
         displacement changes sign inside it.  Whatever lies beyond p, on
         the last segment, moves down by p to the front."""
         if self.is_translation():
-            if not self.displacement:
-                return FixedPoints("all", (), ())
-            return FixedPoints("none", (), ())
-        p, pts = self._p, self._pts
-        disps = [y - x for x, y in pts]
-        ends = [x for x, _ in pts[1:]] + [p]
-        points: list[QNum] = []
-        intervals: list[tuple[QNum, QNum]] = []
-        for (u, _), end, s, d, d_end in zip(pts, ends, self._slopes, disps, disps[1:] + disps[:1]):
-            if s == 1:
-                if not d:
+            return FixedPoints("all" if self._ys[0] == _ZERO else "none", (), ())
+        p, xs, d = self._p, self._xs, self._d
+        disps = [_sub(y, x) for x, y in zip(xs, self._ys)]
+        points, intervals = [], []
+        for u, end, s, v, v_end in zip(xs, xs[1:] + (p,), self._slopes, disps, disps[1:] + disps[:1]):
+            if s == _ONE:
+                if v == _ZERO:
                     intervals.append((u, end))
-            elif not d:
+            elif v == _ZERO:
                 points.append(u)
-            elif d.sign() == -d_end.sign():
-                x = u - d / (s - 1)
-                if x < p:
+            elif _sign(v[0], v[1], d) == -_sign(v_end[0], v_end[1], d):
+                x = _sub(u, _div(v, _sub(s, _ONE), d))
+                if _cmp(x, p, d) < 0:
                     points.append(x)
                 else:
-                    points.insert(0, x - p)
-        if pts[0][0] and intervals and intervals[-1][1] == p:
-            intervals.insert(0, (p * 0, pts[0][0]))  # the last diagonal beyond p
+                    points.insert(0, _sub(x, p))
+        if xs[0] != _ZERO and intervals and intervals[-1][1] == p:
+            intervals.insert(0, (_ZERO, xs[0]))  # the last diagonal beyond p
         # A zero at a diagonal's end is reported with the interval.
-        points = [x for x in points if not any(lo <= x <= hi for lo, hi in intervals)]
+        points = [x for x in points
+                  if not any(_cmp(lo, x, d) <= 0 <= _cmp(hi, x, d) for lo, hi in intervals)]
         if not points and not intervals:
             return FixedPoints("none", (), ())
-        return FixedPoints("some", tuple(points), tuple(intervals))
+        return FixedPoints("some", tuple(_make(*x, d) for x in points),
+                           tuple((_make(*a, d), _make(*b, d)) for a, b in intervals))
 
     def period_group(self) -> "PeriodGroup":
         """The group of translations commuting with f.
@@ -485,18 +478,18 @@ class PLMap:
         """
         if self.is_translation():
             return PeriodGroup(True, None)
-        k = self._shift_divisor()
-        return PeriodGroup(False, self._p * Fraction(1, k) if k > 1 else self._p)
+        n, m, q = self._p
+        return PeriodGroup(False, _make(n, m, q * self._shift_divisor(), self._d))
 
     def _shift_divisor(self) -> int:
         """The largest k such that f, not a translation, commutes with
         x -> x + p/k (see ``period_group``)."""
-        n, slopes = len(self._pts), self._slopes
+        n, slopes = len(self._xs), self._slopes
         for k in range(n // 2, 1, -1):
             # The shift moves each breakpoint n/k places on and keeps its
             # slope, so the slopes repeat first; that test is cheaper.
             if (n % k == 0 and slopes[n // k:] + slopes[:n // k] == slopes
-                    and self._commutes_with_shift(self._p * Fraction(1, k))):
+                    and self._commutes_with_shift(_div(self._p, (k, 0, 1), self._d))):
                 return k
         return 1
 
@@ -504,8 +497,8 @@ class PLMap:
 
     def to_json(self) -> dict:
         return {
-            "period": str(self._p),
-            "breakpoints": [{"x": str(x), "y": str(y)} for x, y in self._pts],
+            "period": str(self.period),
+            "breakpoints": [{"x": str(x), "y": str(y)} for x, y in self.breakpoints],
         }
 
     @classmethod
@@ -583,7 +576,7 @@ def _grid_rows(g: PLMap, bits: int):
     rows = [(a1, b1 * one, a3, b2 * one, f) for a1, _, a3, b1, _, b2, _, f in segs]
     a1, b, a3, e, f = rows[-1]
     rows.insert(0, (a1, b + (a1 - f) * one, a3, e + a3 * one, f))
-    return [-(-x * one).floor() for x, _ in g._pts], rows
+    return [-_floor(-n * one, -m * one, q, g._d) for n, m, q in g._xs], rows
 
 
 def _grid_step(cuts, rows, d, x: int, up: int) -> int:
@@ -621,7 +614,6 @@ def _rounded_walk(f: PLMap, eps: QNum, n: int):
     g = f if p == 1 else f.affine_conjugate(p)
     d = g._field
     c = eps / p  # the largest width in g's units
-    cn, cm, cq, cd = c._n, c._m, c._q, c._d
     ln, ld, hn, hd = -1, 0, 1, 0
     done, steps = False, 0
     bits = _GRID_BITS
@@ -643,8 +635,7 @@ def _rounded_walk(f: PLMap, eps: QNum, n: int):
                 hn, hd, narrowed = hi_k + 1, j, True
             if narrowed or j == n:
                 if not done:
-                    w = hd * ld
-                    done = _sign(cn * w - (hn * ld - ln * hd) * cq, cm * w, cd) >= 0
+                    done = _cmp(_triple(c), (hn * ld - ln * hd, 0, hd * ld), c._d) >= 0
                 yield ln, ld, hn, hd, done or j == n, steps + j
         else:
             return
@@ -667,23 +658,21 @@ def _power(powers: dict, q: int) -> int:
         if i not in powers:
             read += _power(powers, i)
         g, h = powers[i], powers[j]
-        read += len(g._pts) + len(h._pts)
+        read += len(g._xs) + len(h._xs)
         powers[i + j] = g.compose(h)
     return read
 
 
-def _orbit_test(h: PLMap, inv: QNum) -> tuple[int, bool]:
-    """(m, hit) for h = F^q and F's period s = 1/``inv``: m = ceil(lo/s) and
-    whether h moves a point by exactly m*s.  h - id takes every value in
-    [lo, hi], its extremes at breakpoints: m is the least ceil((y - x)/s),
-    and hit says m <= the largest floor((y - x)/s), both read on ints: the
+def _orbit_test(h: PLMap, s, d: int) -> tuple[int, bool]:
+    """(m, hit) for h = F^q and F's period s, a triple in the field d:
+    m = ceil(lo/s) and whether h moves a point by exactly m*s.  h - id takes
+    every value in [lo, hi], its extremes at breakpoints: m is the least
+    ceil((y - x)/s), and hit says m <= the largest floor((y - x)/s): the
     floors are ``qfield._floor``, and each ceiling is derived from its floor
     as that docstring says."""
-    inn, inm, inq, d = inv._n, inv._m, inv._q, inv._d
     floors, ceils = [], []
-    for x, y in h._pts:
-        u, v = y._n * x._q - x._n * y._q, y._m * x._q - x._m * y._q
-        kn, km, kq = u * inn + v * inm * d, u * inm + v * inn, x._q * y._q * inq
+    for (xn, xm, xq), (yn, ym, yq) in zip(h._xs, h._ys):  # y - x unreduced, as _quot allows
+        kn, km, kq = _quot((yn * xq - xn * yq, ym * xq - xm * yq, xq * yq), s, d)
         k = _floor(kn, km, kq, d)
         floors.append(k)
         ceils.append(k + 1 if km or kn % kq else k)
@@ -728,10 +717,9 @@ def _periodic_orbit(f: PLMap, max_denom: int, walk):
     """
     p = f.period
     k = f._shift_divisor()
-    step = p * Fraction(1, k) if k > 1 else p
-    inv = step.inverse()
-    n = len(f._pts) // k
-    powers = {1: PLMap._trusted(step, f._pts[:n], f._slopes[:n]) if k > 1 else f}
+    step = _div(f._p, (k, 0, 1), f._d)
+    n = len(f._xs) // k
+    powers = {1: PLMap._trusted(f._d, step, f._xs[:n], f._ys[:n], f._slopes[:n]) if k > 1 else f}
     bounds, done = (-1, 0, 1, 0, False, 0), None
     q, spent, tests = 1, 0, 0
     while q <= max_denom:
@@ -739,7 +727,7 @@ def _periodic_orbit(f: PLMap, max_denom: int, walk):
         h = powers[q]
         if h.is_translation():
             return Exact(h.displacement / q)
-        m, hit = _orbit_test(h, inv)
+        m, hit = _orbit_test(h, step, f._d)
         if hit:
             # tau_F = m/q, so m = M for q > 1.
             if k * q // gcd(m, k) <= max_denom:
@@ -805,12 +793,12 @@ def translation_number(
             return Exact(f.displacement)
         x, j = f.displacement * n, n
     elif force_bracket:
-        # x/p = (N + M*sqrt(d))/Q with N, M, Q below, unreduced, so x is an
-        # integer multiple of p iff M == 0 and Q divides N.
         inn, inm_d, inm, inq = f._kernel()[0]
         stop = min(n, max_denom)
         while j < stop:
             x, j = f(x), j + 1
+            # x/p = (N + M*sqrt(d))/Q with N, M, Q below, unreduced, so x is
+            # an integer multiple of p iff M == 0 and Q divides N.
             if not x._n * inm + x._m * inn:
                 k, r = divmod(x._n * inn + x._m * inm_d, x._q * inq)
                 if not r:

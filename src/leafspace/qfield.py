@@ -104,6 +104,56 @@ def _float(n: int, m: int, q: int, d: int) -> float:
     return n / q + m / q * math.sqrt(d)
 
 
+# -- triples ------------------------------------------------------------------
+# ``PLMap`` and the word searches hold values as reduced triples (n, m, q), a
+# ``QNum``'s ints, in a field d kept once: equal values are equal triples.  This
+# is their one arithmetic; ``QNum``'s operators keep an inline copy for speed.
+
+
+def _triple(x: "QNum") -> tuple[int, int, int]:
+    return x._n, x._m, x._q
+
+
+def _reduced(n: int, m: int, q: int, d: int | None = None) -> tuple[int, int, int]:
+    """(n, m, q), q > 0, over gcd(n, m, q); it takes ``_make``'s arguments."""
+    g = gcd(n, m, q)
+    return (n, m, q) if g == 1 else (n // g, m // g, q // g)
+
+
+def _add(x, y):
+    (n, m, q), (n2, m2, q2) = x, y
+    return _reduced(n * q2 + n2 * q, m * q2 + m2 * q, q * q2)
+
+
+def _sub(x, y):
+    (n, m, q), (n2, m2, q2) = x, y
+    return _reduced(n * q2 - n2 * q, m * q2 - m2 * q, q * q2)
+
+
+def _mul(x, y, d: int):
+    (n, m, q), (n2, m2, q2) = x, y
+    return _reduced(n * n2 + m * m2 * d, n * m2 + m * n2, q * q2)
+
+
+def _quot(x, y, d: int) -> tuple[int, int, int]:
+    """x/y, y != 0, unreduced with Q > 0: x times y's conjugate over y's norm."""
+    (n, m, q), (n2, m2, q2) = x, y
+    if m2:
+        n, m, q = (n * n2 - m * m2 * d) * q2, (m * n2 - n * m2) * q2, q * (n2 * n2 - m2 * m2 * d)
+    else:
+        n, m, q = n * q2, m * q2, q * n2
+    return (n, m, q) if q > 0 else (-n, -m, -q)
+
+
+def _div(x, y, d: int):
+    return _reduced(*_quot(x, y, d))
+
+
+def _cmp(x, y, d: int) -> int:
+    """Sign of x - y, as ``QNum._cmp``."""
+    return _sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], d)
+
+
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
@@ -241,15 +291,9 @@ class QNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "QNum":
-        n, m, q = self._n, self._m, self._q
-        if not n and not m:
+        if not self._n and not self._m:
             raise DivisionByZeroError("inverse of zero")
-        # q/(n + m*sqrt(d)) = q*(n - m*sqrt(d)) / (n^2 - m^2 d); the norm is
-        # nonzero because d is not a perfect square.
-        norm = n * n - m * m * self._d
-        if norm < 0:
-            return _make(-q * n, q * m, -norm, self._d)
-        return _make(q * n, -q * m, norm, self._d)
+        return _make(*_quot((1, 0, 1), _triple(self), self._d), self._d)
 
     def __truediv__(self, other):
         o = self._operand(other)
@@ -257,7 +301,7 @@ class QNum:
             return NotImplemented
         n, m, q, d = o
         if m:
-            return self * other.inverse()
+            return _make(*_quot(_triple(self), (n, m, q), d), d)
         if not n:
             raise DivisionByZeroError("inverse of zero")
         if n < 0:

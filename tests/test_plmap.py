@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from leafspace import plmap
 from leafspace.errors import FieldMismatchError, PeriodMismatchError, PreconditionError
 from leafspace.plmap import Bracket, Exact, PLMap, translation_number
-from leafspace.qfield import QNum, qnum, sqrt_of
+from leafspace.qfield import QNum, _triple, qnum, sqrt_of
 from leafspace.selftest import random_plmap, random_qnum
 
 from conftest import periodic_orbit_map
@@ -432,14 +432,14 @@ class TestTranslationNumber:
         for step in {p, p * Fraction(1, f._shift_divisor())}:
             lo, hi = h.displacement_range()
             m = -((-lo / step).floor())
-            assert plmap._orbit_test(h, step.inverse()) == (m, m * step <= hi)
+            assert plmap._orbit_test(h, _triple(step), step.d) == (m, m * step <= hi)
 
     def test_orbit_test_floors_a_negative_sqrt_part(self):
         # The displacement 1 - sqrt 2 at x = 0, over denominator 1, has
         # floor -1 and ceiling 0 only through the "- 1" that a negative
         # sqrt part takes; then m = 0 and 1/4 is a displacement above it.
         h = PLMap(1, [(0, 1 - R2), (Fraction(1, 4), Fraction(1, 2))])
-        assert plmap._orbit_test(h, h.period.inverse()) == (0, True)
+        assert plmap._orbit_test(h, _triple(h.period), h.period.d) == (0, True)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -604,7 +604,7 @@ class TestCommutesWithShift:
             shifts += [p * R2 / 3, R2]
             for c in shifts:
                 expected = f.commutes(PLMap.translation(c, p))
-                assert f._commutes_with_shift(c) == expected, (f, c)
+                assert f._commutes_with_shift(_triple(c)) == expected, (f, c)
                 seen.add(expected)
         assert seen == {True, False}
 

@@ -8,19 +8,24 @@ maps over Q(sqrt d) with irrational periods such as 1/(1 + sqrt 2), points
 at breakpoints and exactly at x_0 + k*p, negative points, coefficients up to
 2^200, and points from another field than the map's.  The ``checked_*``
 functions build each derived map through ``PLMap(p, pts)``, with every
-check and the canonical form computed afresh.
+check and the canonical form computed afresh.  The last section checks the
+storage as triples: equality and hashing that see the field, the fields of
+derived maps, and each operation on triples against its QNum reference.
 """
 
+import json
 from bisect import bisect_right
 from fractions import Fraction
+from importlib import resources
 from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from leafspace import plmap
+from leafspace.action import evaluate_word, load_action_config
 from leafspace.errors import FieldMismatchError, PreconditionError
-from leafspace.plmap import FixedPoints, PLMap, _coerce_points, _grid_rows, _grid_step
+from leafspace.plmap import FixedPoints, PeriodGroup, PLMap, _coerce_points, _grid_rows, _grid_step
 from leafspace.qfield import QNum, as_qnum, sqrt_of
 
 FIELDS = (2, 3, 5)
@@ -44,7 +49,21 @@ def reference_call(f, x):
     xr = x - shift
     i = bisect_right([u for u, _ in pts], xr) - 1
     xi, yi = pts[i]
-    return yi + PLMap._segment_slopes(p, pts)[i] * (xr - xi) + shift
+    return yi + segment_slopes(p, pts)[i] * (xr - xi) + shift
+
+
+def segment_slopes(p, pts):
+    """The slope of the segment leaving each point, the last through the
+    wrap segment to (x_0 + p, y_0 + p), by QNum arithmetic."""
+    ext = list(pts) + [(pts[0][0] + p, pts[0][1] + p)]
+    return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(ext, ext[1:]))
+
+
+def stored_form(values, d):
+    """The (n, m, q) triples a map of field d stores for ``values``, each
+    of which must be rational or in that field."""
+    assert all(v.is_rational() or v.d == d for v in values)
+    return tuple((v._n, v._m, v._q) for v in values)
 
 
 def qnums(d):
@@ -247,13 +266,13 @@ def test_field_mismatch_on_a_rational_segment_of_an_irrational_map():
 def test_slopes_are_those_of_the_canonical_points(pts, kept):
     for f in (PLMap(1, pts), PLMap(1, pts).affine_conjugate(1 + sqrt_of(2))):
         assert len(f.breakpoints) == kept
-        assert f._slopes == PLMap._segment_slopes(f.period, f.breakpoints)
+        assert f._slopes == stored_form(segment_slopes(f.period, f.breakpoints), f.period.d)
 
 
 @settings(max_examples=200, deadline=None)
 @given(maps())
 def test_slopes_match_a_second_pass(f):
-    assert f._slopes == PLMap._segment_slopes(f.period, f.breakpoints)
+    assert f._slopes == stored_form(segment_slopes(f.period, f.breakpoints), f.period.d)
 
 
 # -- maps derived without re-validation --------------------------------------
@@ -585,7 +604,7 @@ def test_compose_across_fields(f_move, g_move, fields):
 @given(maps())
 def test_compose_with_the_inverse_is_the_identity(f):
     for h in (f.compose(f.inverse()), f.inverse().compose(f)):
-        assert h.breakpoints == ((0, 0),) and h._slopes == (1,)
+        assert h.breakpoints == ((0, 0),) and h._slopes == stored_form([QNum(1)], h.period.d)
         assert_same_map(h, PLMap.identity(f.period))
 
 
@@ -741,3 +760,107 @@ def test_fixed_points_with_a_diagonal_across_the_wrap(c, n):
     g = moved_by(f, c) if c else f
     assert g.fixed_points() == reference_fixed_points(g)
     assert len(g.fixed_points().intervals) == n
+
+
+# -- maps stored as triples --------------------------------------------------
+
+
+def irrational_fields(values):
+    return [v.d for v in values if not v.is_rational()]
+
+
+def stored_fields(h):
+    """period.d, and the field of each irrational coordinate, in order."""
+    return h.period.d, irrational_fields(c for pt in h.breakpoints for c in pt)
+
+
+def test_equal_triples_in_two_fields_are_unequal_maps():
+    """A map keeps its triples without their field, so the same (n, m, q)
+    data in Q(sqrt 2) and Q(sqrt 3) make two maps; ``==`` says so and does
+    not raise."""
+    def in_field(e):
+        r = sqrt_of(e)
+        return [
+            PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(1, 2) + r / 10)]),
+            PLMap(1 + r, [(0, 0), (1, 1 + r / 10)]),
+            PLMap.translation(r / 3, 1),
+        ]
+    for f, g in zip(in_field(2), in_field(3)):
+        assert (f._p, f._xs, f._ys, f._slopes) == (g._p, g._xs, g._ys, g._slopes)
+        assert f != g and not f == g
+        assert len({f, g}) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_equal_maps_hash_equally(data):
+    f = data.draw(maps())
+    same = [PLMap(f.period, f.breakpoints), f.inverse().inverse(),
+            f.compose(PLMap.identity(f.period))]
+    if f.is_translation():
+        # The same map of the line at another period of its field.
+        same.append(PLMap.translation(f.displacement, data.draw(periods(f.period.d))))
+    for g in same:
+        assert g == f and hash(g) == hash(f)
+
+
+@pytest.mark.parametrize("config", ["flagship", "commensurable"])
+def test_fields_on_the_shipped_configs(config):
+    """Every map of a word of length 1 or 2 is in Q(sqrt 2): its period and
+    each irrational coordinate, and each rational coordinate carries that
+    field too."""
+    text = resources.files("leafspace.configs").joinpath(f"{config}.json").read_text()
+    spec = load_action_config(json.loads(text))
+    letters = [(name, e) for name in spec.generators for e in (1, -1)]
+    words = [[a] for a in letters] + [[a, b] for a in letters for b in letters]
+    images = [h for h in (evaluate_word(spec, w) for w in words) if isinstance(h, PLMap)]
+    assert len(images) > len(letters)
+    for h in images:
+        period_d, fields = stored_fields(h)
+        assert period_d == 2 and set(fields) <= {2}
+        assert all(c.d == 2 for pt in h.breakpoints for c in pt)
+
+
+def reference_displacement_range(f):
+    disps = [y - x for x, y in f.breakpoints]
+    return min(disps), max(disps)
+
+
+def reference_period_group(f):
+    """The least step p/k, k dividing the breakpoint count, by which the
+    checked ``moved_by`` moves f's graph onto itself."""
+    if f.is_translation():
+        return PeriodGroup(True, None)
+    p, n = f.period, len(f.breakpoints)
+    k = next(k for k in range(n, 0, -1) if n % k == 0 and moved_by(f, p * Fraction(1, k)) == f)
+    return PeriodGroup(False, p * Fraction(1, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_triple_operations_match_the_references(data):
+    """inverse, _tiled, affine_conjugate, fixed_points, period_group and
+    displacement_range against the QNum references, fields included, on
+    drawn maps and on maps tiled k times, whose period group is finer."""
+    f = data.draw(maps() | maps_with_fixed_points())
+    if not f.is_translation() and data.draw(st.booleans()):
+        f = checked_tiled(f, data.draw(st.integers(2, 3)))
+    scale = abs(data.draw(qnums(f.period.d).filter(bool)))
+    pairs = [(f.inverse(), checked_inverse(f)),
+             (_derived(f.affine_conjugate, scale), _derived(checked_conjugate, f, scale))]
+    if not f.is_translation():
+        k = data.draw(st.integers(1, 3))
+        pairs.append((f._tiled(k), checked_tiled(f, k)))
+    for got, want in pairs:
+        assert_same_map(got, want)
+        if isinstance(want, PLMap):
+            assert stored_fields(got) == stored_fields(want)
+    got, want = f.fixed_points(), reference_fixed_points(f)
+    assert got == want and _text(got) == _text(want)
+    got, want = f.period_group(), reference_period_group(f)
+    assert got == want
+    if want.step is not None:
+        assert (str(got.step), got.step.d) == (str(want.step), want.step.d)
+    got, want = f.displacement_range(), reference_displacement_range(f)
+    assert got == want and [str(v) for v in got] == [str(v) for v in want]
+    assert irrational_fields(got) == irrational_fields(want)

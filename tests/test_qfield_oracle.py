@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from leafspace.errors import DivisionByZeroError
 from leafspace.plmap import PLMap, _grid_step, _orbit_test
-from leafspace.qfield import QNum, _floor, as_qnum
+from leafspace.qfield import QNum, _floor
 
 DIGITS = 200
 FIELDS = (2, 3, 5, 7, 10, 101, 9973)
@@ -195,7 +195,7 @@ def test_floor_and_derived_ceilings_match_decimal(args):
     # _orbit_test reads the move of a translation by t against period 1:
     # (ceil(t), whether ceil(t) <= floor(t)).
     t = QNum(Fraction(n, q), Fraction(m, q), d)
-    assert _orbit_test(PLMap.translation(t, 1), as_qnum(1, d)) == (hi, hi <= lo)
+    assert _orbit_test(PLMap.translation(t, 1), (1, 0, 1), d) == (hi, hi <= lo)
 
 
 # -- Fraction-pair reference ---------------------------------------------------
