@@ -66,9 +66,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # times.  They use only API that predates the integer evaluation kernel, so
 # the same rows run on older revisions.
 SETUP = """\
+import random
 from fractions import Fraction as F
 from leafspace.action import incompressible_interval_search, load_action_config, orbit_density
-from leafspace.cones import adversarial_stall, build_chain_from_action
+from leafspace.cones import (adversarial_stall, build_chain_from_action, metric_gap_check,
+                             run_progress_ledger, sample_leaf_pairs)
 from leafspace.plmap import PLMap, translation_number
 from leafspace.qfield import QNum, as_qnum, sqrt_of
 from leafspace.shear import holonomy_domain_trace
@@ -123,6 +125,11 @@ chain3 = [PLMap(1, [(QNum.parse(x, 3), QNum.parse(y, 3)) for x, y in pts]) for p
     [("-1+2/3*sqrt(3)", "49/48"), ("1-1/6*sqrt(3)", "89/48")],
     [("0", "-2+7/6*sqrt(3)"), ("1/2", "-3+2*sqrt(3)")],
 )]
+# The metric-lemma request: the LR5 chain and 40 leaf pairs drawn at seed 0.
+chain_lr5 = build_chain_from_action(flagship, "LR" * 5)
+pairs40 = sample_leaf_pairs(random.Random(0), 40)
+# Ledger inputs over Q(sqrt 2); T > 2r, so the verdict is REGULATING.
+T_r2, r_r2 = 1 + r2, r2 / 10
 """
 ROWS = {
     "plmap.call.rational_point": "beta(x_rat)",
@@ -196,6 +203,16 @@ ROWS = {
     "plmap.compose.translation_before_other_period": "g_r2.compose(shift)",
     # T = r = 1: the search stalls and returns its trace of 1000 crossings.
     "cones.adversarial_stall.stall_T1_r1": "adversarial_stall(1, 1)",
+    # The cone-progress ledger at n = 30, leafbench's largest; the random
+    # policy makes three draws a row.
+    "cones.run_progress_ledger.adversarial_rational_n30": "run_progress_ledger(1, F(1, 10), 30)",
+    "cones.run_progress_ledger.random_rational_n30":
+        'run_progress_ledger(1, F(1, 10), 30, "random", 1)',
+    "cones.run_progress_ledger.adversarial_sqrt2_n30": "run_progress_ledger(T_r2, r_r2, 30)",
+    "cones.run_progress_ledger.random_sqrt2_n30":
+        'run_progress_ledger(T_r2, r_r2, 30, "random", 1)',
+    "cones.metric_gap_check.flagship_LR5_40_samples":
+        "metric_gap_check(chain_lr5, 0, len(chain_lr5), pairs40)",
 }
 
 WORKER = """\

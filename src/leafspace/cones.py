@@ -16,7 +16,7 @@ from fractions import Fraction
 from .action import side_translation_subgroup
 from .errors import PreconditionError
 from .plmap import PLMap
-from .qfield import QNum, as_qnum, qnum
+from .qfield import QNum, _make, _mixed_fields, _triple, as_qnum, qnum
 
 __all__ = [
     "MetricChain",
@@ -164,33 +164,30 @@ def run_progress_ledger(T, r, n: int, policy: str = "adversarial", seed: int = 0
         raise PreconditionError("T must be positive and r nonnegative")
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    rng = random.Random(seed)
-
-    def draw_progress():
-        if policy == "adversarial":
-            return T
-        return T + T * Fraction(rng.randint(0, 1000), 1000)
-
-    def draw_distortion():
-        if policy == "adversarial":
-            return -r
-        return r * Fraction(rng.randint(-1000, 1000), 1000)
-
     if policy not in ("adversarial", "random"):
         raise PreconditionError(f"unknown policy {policy!r}")
-    rows = []
-    forward_sum = progress_sum = back_sum = qnum(0)
+    (tn, tm, tq), (rn, rm, rq) = _triple(T), _triple(r)
+    if tm and rm and T.d != r.d:
+        raise _mixed_fields(T.d, r.d)
+    # Each value is (a*T + b*r)/1000 for ints a and b, so it is one _make over
+    # 1000*q_T*q_r in the field of whichever of T and r is irrational.
+    d, den = T.d if tm else r.d, 1000 * tq * rq
+    tn, tm, rn, rm = tn * rq, tm * rq, rn * tq, rm * tq
+    bn, bm = 1000 * (tn - 2 * rn), 1000 * (tm - 2 * rm)  # the bound m*T - 2*m*r over m
+    is_random, rng, rows = policy == "random", random.Random(seed), []
+    progress = forward = back = 0
     for m in range(1, n + 1):
-        p_m = draw_progress()
-        progress_sum = progress_sum + p_m
-        delta = qnum(0) if m == n else draw_distortion()
+        p = 1000 + rng.randint(0, 1000) if is_random else 1000
+        delta = 0 if m == n else rng.randint(-1000, 1000) if is_random else -1000
         # Re-measuring the first m crossings back in d_1 crosses m-1
         # boundaries; the same policy draws those distortions.
-        back_sum = back_sum + (draw_distortion() if m > 1 else qnum(0))
-        simulated = progress_sum + forward_sum + back_sum
-        bound = T * m - 2 * r * m
-        rows.append(LedgerRow(m, p_m, delta, bound, simulated))
-        forward_sum = forward_sum + delta
+        if m > 1:
+            back += rng.randint(-1000, 1000) if is_random else -1000
+        progress, a = progress + p, forward + back
+        rows.append(LedgerRow(m, _make(p * tn, p * tm, den, d), _make(delta * rn, delta * rm, den, d),
+                              _make(m * bn, m * bm, den, d),
+                              _make(progress * tn + a * rn, progress * tm + a * rm, den, d)))
+        forward += delta
     verdict = "REGULATING" if T > 2 * r else "NOT_CERTIFIED"
     return LedgerRun(tuple(rows), verdict, rows[-1].certified_lower_bound)
 

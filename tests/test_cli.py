@@ -13,6 +13,8 @@ from leafspace.cli import (
     EXIT_PRECONDITION,
     main,
 )
+from leafspace.qfield import QNum
+from leafspace.shear import shadow_length
 
 TRANSLATION_MAP = {
     "period": "1",
@@ -296,6 +298,17 @@ class TestShearCommands:
         lines = out.strip().splitlines()
         assert lines[3] == "3,3,7/8,1"
         assert "# label: EXPLORATORY" in lines
+
+    @pytest.mark.parametrize("t, lam", [("1", "2"), ("3/7", "5/4"), ("1", "1+1*sqrt(2)"),
+                                        ("0+1*sqrt(2)", "3/2"), ("2-1/3*sqrt(2)", "2+1/2*sqrt(2)")])
+    def test_shear_shadow_rows_are_shadow_length(self, capsys, t, lam):
+        code, out, _ = run(capsys, "shear-shadow", "--t", t, "--lam", lam, "--n", "12")
+        assert code == EXIT_OK
+        rows = out.splitlines()[1:-1]
+        assert len(rows) == 12
+        for level, row in enumerate(rows, 1):
+            rep = shadow_length(QNum.parse(t), QNum.parse(lam), level)
+            assert row == f"{level},{rep.curve_length},{rep.shadow},{rep.limit}"
 
     def test_shear_holonomy_csv(self, capsys):
         code, out, _ = run(

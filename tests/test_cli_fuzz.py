@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -163,6 +164,23 @@ def test_boundary_cases(argv, stdin, code):
     assert exit_code == code
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone-progress", "--T", "1", "--r", "1/10", "--n", "10001"],
+        ["cone-progress", "--T", "1", "--r", "1/10", "--n", "99999999999999999999999"],
+        ["shear-shadow", "--lam", "2", "--n", "1001"],
+        ["shear-shadow", "--lam", "2", "--n", "99999999999999999999999"],
+    ],
+)
+def test_count_above_its_cap_exits_at_once(argv):
+    start = time.perf_counter()
+    exit_code, err, out = run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (exit_code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "at most" in err
 
 
 def test_config_file_that_is_not_utf8(tmp_path):

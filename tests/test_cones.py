@@ -1,8 +1,11 @@
 """Tests for metric chains, the comparison lemma, and the progress ledger."""
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafspace.action import build_glued_action
 from leafspace.cones import (
@@ -13,9 +16,9 @@ from leafspace.cones import (
     metric_gap_check,
     run_progress_ledger,
 )
-from leafspace.errors import PreconditionError
+from leafspace.errors import FieldMismatchError, PreconditionError
 from leafspace.plmap import PLMap
-from leafspace.qfield import as_qnum, sqrt_of
+from leafspace.qfield import QNum, as_qnum, qnum, sqrt_of
 
 R2 = sqrt_of(2)
 FLAGSHIP = build_glued_action(1 + R2, R2)
@@ -115,6 +118,102 @@ class TestProgressLedger:
             run_progress_ledger(1, Fraction(1, 10), 0)
         with pytest.raises(PreconditionError):
             run_progress_ledger(1, Fraction(1, 10), 10, policy="optimistic")
+
+
+def reference_progress_ledger(T, r, n, policy="adversarial", seed=0):
+    """The ledger as a loop of QNum operations: the rows, then the verdict."""
+    T, r = as_qnum(T), as_qnum(r)
+    rng = random.Random(seed)
+
+    def draw_progress():
+        if policy == "adversarial":
+            return T
+        return T + T * Fraction(rng.randint(0, 1000), 1000)
+
+    def draw_distortion():
+        if policy == "adversarial":
+            return -r
+        return r * Fraction(rng.randint(-1000, 1000), 1000)
+
+    rows = []
+    forward_sum = progress_sum = back_sum = qnum(0)
+    for m in range(1, n + 1):
+        p_m = draw_progress()
+        progress_sum = progress_sum + p_m
+        delta = qnum(0) if m == n else draw_distortion()
+        back_sum = back_sum + (draw_distortion() if m > 1 else qnum(0))
+        simulated = progress_sum + forward_sum + back_sum
+        rows.append((m, p_m, delta, T * m - 2 * r * m, simulated))
+        forward_sum = forward_sum + delta
+    return rows, "REGULATING" if T > 2 * r else "NOT_CERTIFIED"
+
+
+@st.composite
+def ledger_inputs(draw):
+    """T > 0 and r >= 0, each rational or in Q(sqrt d) for one d."""
+    d = draw(st.sampled_from((2, 3, 5, 7)))
+
+    def value(lo):
+        a = Fraction(draw(st.integers(lo, 40)), draw(st.integers(1, 12)))
+        if draw(st.booleans()):
+            return as_qnum(a)
+        b = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
+        x = QNum(a, b, d)
+        return x if x.sign() >= lo else -x
+
+    T, r = value(1), value(0)
+    policy = draw(st.sampled_from(("adversarial", "random")))
+    return T, r, draw(st.integers(1, 40)), policy, draw(st.integers(0, 2**32))
+
+
+def ledger_calls(n):
+    """Python and C calls made by one random-policy ledger of n rows."""
+    count = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" or event == "c_call":
+            count[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        run_progress_ledger(1, "1/10", n, "random", 3)
+    finally:
+        sys.setprofile(None)
+    return count[0]
+
+
+class TestLedgerMatchesQNumLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(ledger_inputs())
+    def test_every_row_value_text_and_field(self, case):
+        T, r, n, policy, seed = case
+        run = run_progress_ledger(T, r, n, policy, seed)
+        want_rows, want_verdict = reference_progress_ledger(T, r, n, policy, seed)
+        assert run.verdict == want_verdict
+        assert run.final_bound == want_rows[-1][3]
+        assert len(run.rows) == n
+        for row, want in zip(run.rows, want_rows):
+            got = (row.index, row.progress, row.distortion, row.certified_lower_bound,
+                   row.simulated_d1)
+            assert got == want
+            assert [str(v) for v in got[1:]] == [str(v) for v in want[1:]]
+            assert [v.d for v in got[1:] if not v.is_rational()] == [
+                v.d for v in want[1:] if not v.is_rational()]
+
+    def test_irrational_in_two_fields_raises_the_mixed_fields_error(self):
+        for T, r in ((1 + R2, sqrt_of(3) / 10), (1 + sqrt_of(3), R2 / 10)):
+            for policy in ("adversarial", "random"):
+                with pytest.raises(FieldMismatchError, match=r"^mixed fields: sqrt\(2\) vs sqrt\(3\)$"):
+                    run_progress_ledger(T, r, 3, policy)
+                with pytest.raises(FieldMismatchError, match=r"^mixed fields: sqrt\(2\) vs sqrt\(3\)$"):
+                    reference_progress_ledger(T, r, 3, policy)
+
+    def test_calls_per_row_stay_under_the_bound(self):
+        # A host-independent cost: 38 calls a row here (three draws, four
+        # values, one row), where the QNum loop made 130, on Python 3.10
+        # to 3.13 alike.
+        per_row = (ledger_calls(60) - ledger_calls(30)) / 30
+        assert per_row < 60
 
 
 class TestStallSearch:
