@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import ParseError, PeriodMismatchError, PreconditionError
 from .plmap import PLMap, PeriodGroup
 from .qfield import (
-    QNum, _cmp, _float, _mixed_fields, _reduced, _triple, as_qnum, qnum, ratio_is_rational,
+    QNum, _cmp, _float, _one_field, _reduced, _triple, as_qnum, qnum, ratio_is_rational,
 )
 
 __all__ = [
@@ -96,11 +96,9 @@ def build_glued_action(
     built.
     """
     t, s = as_qnum(t), as_qnum(s)
-    if not (t.is_rational() or s.is_rational()) and t.d != s.d:
-        raise _mixed_fields(t.d, s.d)
+    d = _one_field(s.d, t._m and t.d, s._m and s.d)
     if t.sign() <= 0 or s.sign() <= 0:
         raise PreconditionError("t and s must be positive")
-    d = (s if t.is_rational() else t).d
     if beta_l is None:
         beta_l = standard_beta(d)
     if beta_r is None:
@@ -288,15 +286,6 @@ def _generator_moves(spec: ActionSpec):
     return [(letter, m) for m, letter in moves.items()]
 
 
-def _search_field(spec: ActionSpec, moves, *points: QNum) -> int:
-    """The one field of a search's states: that of whichever of the maps and
-    the points is irrational, else ``spec.d``; two such fields raise."""
-    fields = {f._field for _, f in moves if f._field} | {x._d for x in points if x._m}
-    if len(fields) > 1:
-        raise _mixed_fields(*sorted(fields)[:2])
-    return fields.pop() if fields else spec.d
-
-
 def _int_move(f: PLMap, d: int):
     """f on ``qfield`` triples in the field d, each image reduced by the
     triples' own ``_reduced``, so equal points are equal triples."""
@@ -359,7 +348,7 @@ def orbit_density(spec: ActionSpec, x0, max_word_len: int, window) -> OrbitGapRe
     # drops none before the first j at which that leaves [low, high].
     first = next((j for j in range(1, max_word_len + 1)
                   if x0 - reach * j < low or x0 + reach * j > high), max_word_len + 1)
-    d = _search_field(spec, moves, x0, lo, hi)
+    d = _one_field(spec.d, *(m._field for _, m in moves), *(x._m and x._d for x in (x0, lo, hi)))
     low, high, lo_i, hi_i = map(_triple, (low, high, lo, hi))
     # y lies in [low, high] iff y - low and y - high are not of one sign.
     _, seen = _word_search(
@@ -398,7 +387,7 @@ def incompressible_interval_search(
     if max_word_len < 1:
         raise PreconditionError("max_word_len must be >= 1")
     moves = _generator_moves(spec)
-    d = _search_field(spec, moves, a, b)
+    d = _one_field(spec.d, *(m._field for _, m in moves), a._m and a._d, b._m and b._d)
     # A word acts on I through its endpoint images (u, v): it nests I iff u - a and
     # v - b are not of one sign, properly, as (a, b) is seen before any word.
     moves = [(letter, lambda st, f=_int_move(m, d): (f(st[0]), f(st[1])))

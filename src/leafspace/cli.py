@@ -108,6 +108,11 @@ _ROTNUM_MAX_DENOM = 256
 # Output grows with n: 0.94 MB of ledger at 10000, 1.06 MB of shadows at 1000 for lam 11/10.
 _CONE_PROGRESS_MAX_N = 10000
 _SHEAR_SHADOW_MAX_N = 1000
+# shear-holonomy prints n + 1 rows: 0.13 s at 10000.  metric-lemma took 0.4 s at
+# 10000 samples, and 1.1 s at a 200-letter pattern but 6.3 s at 400 (x86_64, Python 3.11).
+_SHEAR_HOLONOMY_MAX_N = 10000
+_METRIC_LEMMA_MAX_SAMPLES = 10000
+_METRIC_LEMMA_MAX_PATTERN = 200
 
 
 def cmd_rotnum(args) -> int:
@@ -195,6 +200,10 @@ def cmd_incompressible(args) -> int:
 
 
 def cmd_metric_lemma(args) -> int:
+    if args.samples > _METRIC_LEMMA_MAX_SAMPLES:
+        raise PreconditionError(f"--samples must be at most {_METRIC_LEMMA_MAX_SAMPLES}")
+    if len(args.pattern) > _METRIC_LEMMA_MAX_PATTERN:
+        raise PreconditionError(f"--pattern must be at most {_METRIC_LEMMA_MAX_PATTERN} letters")
     spec = _load_spec(args)
     chain = build_chain_from_action(spec, args.pattern, seed=args.seed)
     pairs = sample_leaf_pairs(random.Random(args.seed), args.samples)
@@ -253,6 +262,8 @@ def cmd_shear_shadow(args) -> int:
 
 
 def cmd_shear_holonomy(args) -> int:
+    if args.n > _SHEAR_HOLONOMY_MAX_N:
+        raise PreconditionError(f"--n must be at most {_SHEAR_HOLONOMY_MAX_N}")
     trace = holonomy_domain_trace(
         QNum.parse(args.lam),
         _parse_rat(args.eps),
@@ -324,8 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", required=True, help="a,b in the number grammar")
     p.add_argument("--max-word-len", type=int, default=4)
     p = add_action("metric-lemma", cmd_metric_lemma, "sample the metric comparison bound")
-    p.add_argument("--pattern", default="LRLR")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--pattern", default="LRLR",
+                   help=f"pieces, a string over L and R of at most {_METRIC_LEMMA_MAX_PATTERN} letters")
+    p.add_argument("--samples", type=int, default=1000,
+                   help=f"leaf pairs sampled, at most {_METRIC_LEMMA_MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("cone-progress", cmd_cone_progress, "run the progress-ledger induction")
@@ -348,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", required=True)
     p.add_argument("--delta", default="1/10", help="shear displacement")
     p.add_argument("--eps", default="1/10", help="collar half-width")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"levels, at most {_SHEAR_HOLONOMY_MAX_N}")
     p.add_argument("--threshold", default="1/1000000")
 
     p = add("selftest", cmd_selftest, "run the deterministic invariant suite")

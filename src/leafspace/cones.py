@@ -16,7 +16,7 @@ from fractions import Fraction
 from .action import side_translation_subgroup
 from .errors import PreconditionError
 from .plmap import PLMap
-from .qfield import QNum, _make, _mixed_fields, _triple, as_qnum, qnum
+from .qfield import QNum, _make, _one_field, _triple, as_qnum, qnum
 
 __all__ = [
     "MetricChain",
@@ -167,11 +167,9 @@ def run_progress_ledger(T, r, n: int, policy: str = "adversarial", seed: int = 0
     if policy not in ("adversarial", "random"):
         raise PreconditionError(f"unknown policy {policy!r}")
     (tn, tm, tq), (rn, rm, rq) = _triple(T), _triple(r)
-    if tm and rm and T.d != r.d:
-        raise _mixed_fields(T.d, r.d)
     # Each value is (a*T + b*r)/1000 for ints a and b, so it is one _make over
     # 1000*q_T*q_r in the field of whichever of T and r is irrational.
-    d, den = T.d if tm else r.d, 1000 * tq * rq
+    d, den = _one_field(r.d, tm and T.d, rm and r.d), 1000 * tq * rq
     tn, tm, rn, rm = tn * rq, tm * rq, rn * tq, rm * tq
     bn, bm = 1000 * (tn - 2 * rn), 1000 * (tm - 2 * rm)  # the bound m*T - 2*m*r over m
     is_random, rng, rows = policy == "random", random.Random(seed), []

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import FieldMismatchError, ParseError, PeriodMismatchError, PreconditionError
+from .errors import ParseError, PeriodMismatchError, PreconditionError
 from .qfield import (
-    QNum, _add, _cmp, _div, _floor, _make, _mixed_fields, _mul, _quot,
+    QNum, _add, _cmp, _div, _floor, _make, _mixed_fields, _mul, _one_field, _quot,
     _sign, _sub, _triple, as_qnum,
 )
 
@@ -33,16 +33,15 @@ __all__ = [
 def _coerce_points(period, breakpoints):
     """Read the inputs with ``as_qnum`` and give them one field.
 
-    The field is that of the irrational inputs, which must agree; with none,
-    the period's (Q(sqrt 2) for an int, a Fraction or rational text).  The
-    period is given that field, since ``period.d`` names the field of the map.
+    The field is ``_one_field``'s over the inputs: that of the irrational ones,
+    or with none the period's (Q(sqrt 2) for an int, a Fraction or rational
+    text).  The period is given that field, since ``period.d`` names the field
+    of the map.
     """
     p = as_qnum(period)
     pts = [(as_qnum(x), as_qnum(y)) for x, y in breakpoints]
-    fields = {v._d for v in [p, *[c for pt in pts for c in pt]] if v._m}
-    if len(fields) > 1:
-        raise FieldMismatchError(f"breakpoints in several fields: {sorted(fields)}")
-    return _make(p._n, p._m, p._q, fields.pop() if fields else p._d), pts
+    d = _one_field(p._d, p._m and p._d, *[v._d for pt in pts for v in pt if v._m])
+    return _make(p._n, p._m, p._q, d), pts
 
 
 _ZERO, _ONE = (0, 0, 1), (1, 0, 1)
@@ -198,7 +197,7 @@ class PLMap:
         if type(x) is not QNum:
             x = as_qnum(x, self._d)
         d = self._field or x._d
-        if x._m and x._d != d:
+        if x._m and x._d != d:  # _one_field, inline: once per call
             raise _mixed_fields(x._d, d)
         return self._image(x._n, x._m, x._q, d, _make)
 
@@ -261,7 +260,7 @@ class PLMap:
         maps at a common multiple of theirs."""
         f, g = self, other
         df, dg = f._field, g._field
-        if df is not None and dg is not None and df != dg:
+        if df is not None and dg is not None and df != dg:  # _one_field, inline: once per compose
             raise _mixed_fields(df, dg)
         same = f._p == g._p and (not f._p[1] or f._d == g._d)
         if f.is_translation() and g.is_translation():
@@ -309,8 +308,8 @@ class PLMap:
         the previous one (cyclically) are dropped, giving canonical form.
         """
         f, p, y0 = self, self._p, g._ys[0]
-        # The one field of the work and the result: g's when only g is irrational.
-        d = g._d if f._field is None and g._field is not None else f._d
+        # The one field of the work and the result; ``compose`` has rejected two.
+        d = f._field or g._field or f._d
         # Moved by c*p, f's breakpoints before index `split` land in
         # [y_0, y_0 + p) and the rest at or above y_0 + p, so those move by
         # (c - 1)*p instead; starting at `split`, the moved list is in order.
@@ -399,11 +398,9 @@ class PLMap:
         scale = as_qnum(scale, self._d)
         if scale.sign() <= 0:
             raise PreconditionError("scale must be positive")
-        # Scaling both coordinates keeps the order, the slopes and the field
-        # rule; a scale irrational in another field than a value raises.
-        d = (self.period / scale)._d
-        if self._field not in (None, d):
-            raise _mixed_fields(self._field, d)
+        # Scaling both coordinates keeps the order and the slopes.  The period
+        # is scaled too, so it counts, though a translation's field ignores it.
+        d = _one_field(self._d, self._p[1] and self._d, self._field, scale._m and scale._d)
         inv = _div(_ONE, _triple(scale), d)
         return PLMap._trusted(d, _mul(self._p, inv, d), [_mul(x, inv, d) for x in self._xs],
                               [_mul(y, inv, d) for y in self._ys], self._slopes)

@@ -73,6 +73,17 @@ def _mixed_fields(d: int, e: int) -> FieldMismatchError:
     return FieldMismatchError(f"mixed fields: sqrt({min(d, e)}) vs sqrt({max(d, e)})")
 
 
+def _one_field(default: int, *fields) -> int:
+    """The one field rule: ``fields`` holds the d of each input irrational in
+    Q(sqrt d), and 0 or None for each rational one.  The one d they name, or
+    ``default`` if they name none; two or more raise ``_mixed_fields`` on the
+    two smallest."""
+    named = {e for e in fields if e}
+    if len(named) > 1:
+        raise _mixed_fields(*sorted(named)[:2])
+    return named.pop() if named else default
+
+
 def _sign(n: int, m: int, d: int) -> int:
     """Exact sign of n + m*sqrt(d)."""
     if not m:
@@ -241,7 +252,7 @@ class QNum:
         if isinstance(other, QNum):
             if not other._m:
                 return other._n, 0, other._q, self._d
-            if self._m and other._d != self._d:
+            if self._m and other._d != self._d:  # _one_field, inline: once per operation
                 raise _mixed_fields(self._d, other._d)
             return other._n, other._m, other._q, other._d
         if isinstance(other, int):

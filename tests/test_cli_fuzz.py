@@ -173,6 +173,12 @@ def test_boundary_cases(argv, stdin, code):
         ["cone-progress", "--T", "1", "--r", "1/10", "--n", "99999999999999999999999"],
         ["shear-shadow", "--lam", "2", "--n", "1001"],
         ["shear-shadow", "--lam", "2", "--n", "99999999999999999999999"],
+        ["shear-holonomy", "--lam", "2", "--n", "10001"],
+        ["shear-holonomy", "--lam", "2", "--n", "99999999999999999999999"],
+        ["metric-lemma", "--config", "flagship", "--samples", "10001"],
+        ["metric-lemma", "--config", "flagship", "--samples", "99999999999999999999999"],
+        ["metric-lemma", "--config", "flagship", "--pattern", "LR" * 100 + "L"],
+        ["metric-lemma", "--config", "flagship", "--pattern", "L" * 100000],
     ],
 )
 def test_count_above_its_cap_exits_at_once(argv):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leafspace import plmap
+from leafspace.action import build_glued_action
 from leafspace.errors import FieldMismatchError, PeriodMismatchError, PreconditionError
 from leafspace.plmap import Bracket, Exact, PLMap, translation_number
 from leafspace.qfield import QNum, _triple, qnum, sqrt_of
@@ -122,7 +123,7 @@ class TestConstruction:
 
     def test_rejects_breakpoints_from_two_fields(self):
         # x in Q(sqrt 2) and y in Q(sqrt 3): every slope lies in Q(sqrt 2).
-        with pytest.raises(FieldMismatchError, match="several fields"):
+        with pytest.raises(FieldMismatchError, match=r"^mixed fields: sqrt\(2\) vs sqrt\(3\)$"):
             PLMap(1, [(0, sqrt_of(3) / 10), (R2 / 4, sqrt_of(3) / 10 + Fraction(1, 2))])
 
 
@@ -157,6 +158,16 @@ class TestOneFieldRule:
         assert f.affine_conjugate(1 + R2) != g.affine_conjugate(1 + sqrt_of(3))
         with pytest.raises(FieldMismatchError, match=r"mixed fields: sqrt\(2\) vs sqrt\(3\)"):
             f.compose(g)
+
+    def test_a_translations_period_counts_for_affine_conjugate(self):
+        # A translation's field ignores its period, but the conjugate scales
+        # that period too: flagship's alpha_l is x -> x + 1 at period
+        # sqrt(2) - 1, and a scale in Q(sqrt 3) mixes the two fields.
+        alpha_l = build_glued_action(1 + R2, R2).generator("alpha_l")
+        assert alpha_l._field is None and alpha_l.period == R2 - 1
+        for f in (alpha_l, PLMap.translation(1, 1 + R2)):
+            with pytest.raises(FieldMismatchError, match=r"^mixed fields: sqrt\(2\) vs sqrt\(3\)$"):
+                f.affine_conjugate(1 + sqrt_of(3))
 
     def test_text_points_are_read_in_their_own_field(self):
         # Text goes through the same rule as a QNum; rational text, like an
