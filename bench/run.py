@@ -66,8 +66,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # times.  They use only API that predates the integer evaluation kernel, so
 # the same rows run on older revisions.
 SETUP = """\
+import contextlib
+import os
 import random
 from fractions import Fraction as F
+from leafspace import cli
 from leafspace.action import incompressible_interval_search, load_action_config, orbit_density
 from leafspace.cones import (adversarial_stall, build_chain_from_action, metric_gap_check,
                              run_progress_ledger, sample_leaf_pairs)
@@ -130,6 +133,13 @@ chain_lr5 = build_chain_from_action(flagship, "LR" * 5)
 pairs40 = sample_leaf_pairs(random.Random(0), 40)
 # Ledger inputs over Q(sqrt 2); T > 2r, so the verdict is REGULATING.
 T_r2, r_r2 = 1 + r2, r2 / 10
+devnull = open(os.devnull, "w")
+
+
+def cli_main(argv):
+    # One in-process request, its output sent to os.devnull.
+    with contextlib.redirect_stdout(devnull):
+        return cli.main(argv)
 """
 ROWS = {
     "plmap.call.rational_point": "beta(x_rat)",
@@ -213,6 +223,10 @@ ROWS = {
         'run_progress_ledger(T_r2, r_r2, 30, "random", 1)',
     "cones.metric_gap_check.flagship_LR5_40_samples":
         "metric_gap_check(chain_lr5, 0, len(chain_lr5), pairs40)",
+    # Whole CLI requests through cli.main: arguments read, handler run and
+    # output written; the parser is built once, by the first call.
+    "cli.main.cone_progress_n20": 'cli_main(["cone-progress", "--T", "1", "--r", "1/10", "--n", "20"])',
+    "cli.main.certify_flagship": 'cli_main(["certify", "--config", "flagship"])',
 }
 
 WORKER = """\

@@ -91,12 +91,13 @@ def build_glued_action(
     Each side is conjugated by the coordinate rescaling that turns its
     alpha generator into a unit translation, so both sides act in the same
     longitude-unit coordinates on the leaf space.  The action's field is
-    that of an irrational length, or else the field s was read in; lengths
-    irrational in two fields raise ``FieldMismatchError`` before any map is
-    built.
+    that of an irrational length or beta, or else the field s was read in;
+    lengths and betas irrational in two fields raise ``FieldMismatchError``
+    before any map is built.
     """
     t, s = as_qnum(t), as_qnum(s)
-    d = _one_field(s.d, t._m and t.d, s._m and s.d)
+    d = _one_field(s.d, t._m and t.d, s._m and s.d, beta_l and beta_l._field,
+                   beta_r and beta_r._field)
     if t.sign() <= 0 or s.sign() <= 0:
         raise PreconditionError("t and s must be positive")
     if beta_l is None:

@@ -10,6 +10,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import sys
@@ -26,7 +27,7 @@ from .action import (
 from .cones import (CROSSINGS, adversarial_stall, build_chain_from_action, metric_gap_check,
                     run_progress_ledger, sample_leaf_pairs)
 from .errors import ParseError, PreconditionError
-from .plmap import Bracket, Exact, PLMap, translation_number
+from .plmap import Exact, PLMap, translation_number
 from .qfield import QNum
 from .selftest import run_selftest
 from .shear import holonomy_domain_trace, shadow_length
@@ -68,13 +69,7 @@ def _load_spec(args):
     return load_action_config(_load_json(args.config))
 
 
-def _emit(obj, args) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    _write(text + "\n", args)
-
-
-def _write(text: str, args) -> None:
-    out = getattr(args, "output", None)
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -99,62 +94,35 @@ def _parse_pair(text: str, d: int) -> tuple:
 
 
 # -- subcommand handlers --------------------------------------------------
+# Each handler returns its output: a JSON object or CSV text.  `certify` and
+# `selftest` return (output, exit code); `main` writes and exits.
 
 
-# The exact search's cost grows steeply with max_denom: on
-# tests/golden/map-irrational.json at the default eps it took 0.02 s at 256,
-# 0.3 s at 1000 and 10 s at 3000 (x86_64, Python 3.11).
-_ROTNUM_MAX_DENOM = 256
-# Output grows with n: 0.94 MB of ledger at 10000, 1.06 MB of shadows at 1000 for lam 11/10.
-_CONE_PROGRESS_MAX_N = 10000
-_SHEAR_SHADOW_MAX_N = 1000
-# shear-holonomy prints n + 1 rows: 0.13 s at 10000.  metric-lemma took 0.4 s at
-# 10000 samples, and 1.1 s at a 200-letter pattern but 6.3 s at 400 (x86_64, Python 3.11).
-_SHEAR_HOLONOMY_MAX_N = 10000
-_METRIC_LEMMA_MAX_SAMPLES = 10000
-_METRIC_LEMMA_MAX_PATTERN = 200
-
-
-def cmd_rotnum(args) -> int:
-    if args.max_denom > _ROTNUM_MAX_DENOM:
-        raise PreconditionError(f"--max-denom must be at most {_ROTNUM_MAX_DENOM}")
+def cmd_rotnum(args):
     f = PLMap.from_json(_load_json(args.map))
-    res = translation_number(
-        f, _parse_rat(args.eps), args.max_denom, force_bracket=args.bracket
-    )
+    res = translation_number(f, _parse_rat(args.eps), args.max_denom, force_bracket=args.bracket)
     if isinstance(res, Exact):
-        _emit({"kind": "exact", "value": str(res.value)}, args)
-    else:
-        _emit({"kind": "bracket", "lo": str(res.lo), "hi": str(res.hi)}, args)
-    return EXIT_OK
+        return {"kind": "exact", "value": str(res.value)}
+    return {"kind": "bracket", "lo": str(res.lo), "hi": str(res.hi)}
 
 
-def cmd_periods(args) -> int:
-    f = PLMap.from_json(_load_json(args.map))
-    pg = f.period_group()
-    if pg.all_reals:
-        _emit({"kind": "all_reals"}, args)
-    else:
-        _emit({"kind": "subgroup", "step": str(pg.step)}, args)
-    return EXIT_OK
+def cmd_periods(args):
+    pg = PLMap.from_json(_load_json(args.map)).period_group()
+    return {"kind": "all_reals"} if pg.all_reals else {"kind": "subgroup", "step": str(pg.step)}
 
 
-def cmd_build_action(args) -> int:
+def cmd_build_action(args):
     spec = _load_spec(args)
-    _emit(
-        {
-            "d": spec.d,
-            "t": str(spec.t),
-            "s": str(spec.s),
-            "generators": {k: v.to_json() for k, v in spec.generators.items()},
-            "longitude": LONGITUDE,
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "d": spec.d,
+        "t": str(spec.t),
+        "s": str(spec.s),
+        "generators": {k: v.to_json() for k, v in spec.generators.items()},
+        "longitude": LONGITUDE,
+    }
 
 
-def cmd_eval_word(args) -> int:
+def cmd_eval_word(args):
     spec = _load_spec(args)
     word = _parse_json(args.word)
     if type(word) is not list or any(
@@ -163,58 +131,40 @@ def cmd_eval_word(args) -> int:
         raise ParseError(f"word must be a JSON list of [name, integer] pairs: {args.word!r}")
     result = evaluate_word(spec, word)
     if isinstance(result, PLMap):
-        _emit({"kind": "plmap", "map": result.to_json()}, args)
-    else:
-        _emit(
-            {
-                "kind": "composite",
-                "note": "no single-period PL form; factors listed outermost first",
-                "factors": [f.to_json() for f in result.factors],
-            },
-            args,
-        )
-    return EXIT_OK
+        return {"kind": "plmap", "map": result.to_json()}
+    return {
+        "kind": "composite",
+        "note": "no single-period PL form; factors listed outermost first",
+        "factors": [f.to_json() for f in result.factors],
+    }
 
 
-def cmd_certify(args) -> int:
-    spec = _load_spec(args)
-    cert = certify_nonuniform(spec, args.density_word_len)
-    _emit(cert.to_json(), args)
-    return EXIT_OK if cert.verdict == "NO_COMMON_TRANSLATION" else EXIT_COMMON_TRANSLATION
+def cmd_certify(args):
+    cert = certify_nonuniform(_load_spec(args), args.density_word_len)
+    ok = cert.verdict == "NO_COMMON_TRANSLATION"
+    return cert.to_json(), EXIT_OK if ok else EXIT_COMMON_TRANSLATION
 
 
-def cmd_orbit_gap(args) -> int:
+def cmd_orbit_gap(args):
     spec = _load_spec(args)
     window = _parse_pair(args.window, spec.d)
-    rep = orbit_density(spec, QNum.parse(args.x0), args.max_word_len, window)
-    _emit(rep.to_json(), args)
-    return EXIT_OK
+    return orbit_density(spec, QNum.parse(args.x0), args.max_word_len, window).to_json()
 
 
-def cmd_incompressible(args) -> int:
+def cmd_incompressible(args):
     spec = _load_spec(args)
     interval = _parse_pair(args.interval, spec.d)
-    res = incompressible_interval_search(spec, interval, args.max_word_len)
-    _emit(res.to_json(), args)
-    return EXIT_OK
+    return incompressible_interval_search(spec, interval, args.max_word_len).to_json()
 
 
-def cmd_metric_lemma(args) -> int:
-    if args.samples > _METRIC_LEMMA_MAX_SAMPLES:
-        raise PreconditionError(f"--samples must be at most {_METRIC_LEMMA_MAX_SAMPLES}")
-    if len(args.pattern) > _METRIC_LEMMA_MAX_PATTERN:
-        raise PreconditionError(f"--pattern must be at most {_METRIC_LEMMA_MAX_PATTERN} letters")
+def cmd_metric_lemma(args):
     spec = _load_spec(args)
     chain = build_chain_from_action(spec, args.pattern, seed=args.seed)
     pairs = sample_leaf_pairs(random.Random(args.seed), args.samples)
-    rep = metric_gap_check(chain, 0, len(chain), pairs)
-    _emit(rep.to_json(), args)
-    return EXIT_OK
+    return metric_gap_check(chain, 0, len(chain), pairs).to_json()
 
 
-def cmd_cone_progress(args) -> int:
-    if args.n > _CONE_PROGRESS_MAX_N:
-        raise PreconditionError(f"--n must be at most {_CONE_PROGRESS_MAX_N}")
+def cmd_cone_progress(args):
     run = run_progress_ledger(
         QNum.parse(args.T), QNum.parse(args.r), args.n, args.policy, args.seed
     )
@@ -223,30 +173,22 @@ def cmd_cone_progress(args) -> int:
               f"{row.simulated_d1}" for row in run.rows]
     lines.append(f"# verdict: {run.verdict}")
     lines.append(f"# final certified bound: {run.final_bound}")
-    _write("\n".join(lines) + "\n", args)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def cmd_stall_search(args) -> int:
+def cmd_stall_search(args):
     trace = adversarial_stall(QNum.parse(args.T), QNum.parse(args.r))
     if trace is None:
-        _emit({"result": "NONE"}, args)
-    else:
-        _emit(
-            {
-                "result": "STALL",
-                "crossings": CROSSINGS,
-                "first_values": [str(trace.value(i)) for i in range(10)],
-                "final_value": str(trace.value(CROSSINGS - 1)),
-            },
-            args,
-        )
-    return EXIT_OK
+        return {"result": "NONE"}
+    return {
+        "result": "STALL",
+        "crossings": CROSSINGS,
+        "first_values": [str(trace.value(i)) for i in range(10)],
+        "final_value": str(trace.value(CROSSINGS - 1)),
+    }
 
 
-def cmd_shear_shadow(args) -> int:
-    if args.n > _SHEAR_SHADOW_MAX_N:
-        raise PreconditionError(f"--n must be at most {_SHEAR_SHADOW_MAX_N}")
+def cmd_shear_shadow(args):
     t, lam = QNum.parse(args.t), QNum.parse(args.lam)
     if args.n < 1:
         raise PreconditionError("n must be >= 1")
@@ -257,13 +199,10 @@ def cmd_shear_shadow(args) -> int:
         pw = inv * pw
         lines.append(f"{level},{t * level},{limit * (1 - pw)},{limit}")
     lines.append("# label: EXPLORATORY")
-    _write("\n".join(lines) + "\n", args)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def cmd_shear_holonomy(args) -> int:
-    if args.n > _SHEAR_HOLONOMY_MAX_N:
-        raise PreconditionError(f"--n must be at most {_SHEAR_HOLONOMY_MAX_N}")
+def cmd_shear_holonomy(args):
     trace = holonomy_domain_trace(
         QNum.parse(args.lam),
         _parse_rat(args.eps),
@@ -276,16 +215,39 @@ def cmd_shear_holonomy(args) -> int:
     lines += [f"{level},{width}" for level in range(trace.levels)]
     lines.append(f"# flag: {trace.flag}")
     lines.append("# label: EXPLORATORY")
-    _write("\n".join(lines) + "\n", args)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def cmd_selftest(args) -> int:
-    failures = run_selftest(seed=args.seed)
-    return EXIT_OK if failures == 0 else 1
+def cmd_selftest(args):
+    log = io.StringIO()
+    failures = run_selftest(seed=args.seed, out=log)
+    return log.getvalue(), EXIT_OK if failures == 0 else 1
 
 
 # -- parser ---------------------------------------------------------------
+
+# Each count or length option carries its maximum; a larger value exits 3
+# while the arguments are read, before any work.  Measured at each cap
+# (x86_64, Python 3.11): rotnum's exact search took 0.02 s on
+# tests/golden/map-irrational.json, and 10 s at 3000; the cone-progress
+# ledger is 0.94 MB, and the shear-shadow series 1.06 MB for --lam 11/10;
+# shear-holonomy took 0.13 s; metric-lemma 0.4 s at its sample cap, and
+# 1.1 s at its pattern cap but 6.3 s at twice it; on flagship, orbit-gap took
+# 0.4 s and certify 0.45 s, then about 1.3 s one letter longer and 7 s two
+# longer, and incompressible up to 2.8 s on an interval no word nests.
+
+
+def _at_most(p, flag, cap, help_, read=int, unit="", **kw):
+    """Add ``flag`` read by ``read`` and at most ``cap`` (a ``str`` by its
+    length); the reader keeps ``read``'s name for argparse's own errors."""
+    def reader(text):
+        value = read(text)
+        if (len(value) if read is str else value) > cap:
+            raise PreconditionError(f"{flag} must be at most {cap}{unit}")
+        return value
+
+    reader.__name__, reader.cap = read.__name__, cap
+    p.add_argument(flag, type=reader, help=f"{help_}, at most {cap}{unit}", **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("rotnum", cmd_rotnum, "translation number of a PL map")
     p.add_argument("--map", required=True, help="PL map JSON file (or - for stdin)")
     p.add_argument("--eps", default="1/1000000", help="bracket width bound")
-    p.add_argument("--max-denom", type=int, default=64,
-                   help=f"longest periodic orbit searched for, at most {_ROTNUM_MAX_DENOM}")
+    _at_most(p, "--max-denom", 256, "longest periodic orbit searched for", default=64)
     p.add_argument("--bracket", action="store_true", help="skip the exact search")
 
     p = add("periods", cmd_periods, "commuting-translation subgroup of a PL map")
@@ -324,27 +285,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_action("build-action", cmd_build_action, "normalize a two-piece action spec")
     p = add_action("certify", cmd_certify, "decide the common-translation question")
-    p.add_argument("--density-word-len", type=int, default=4)
+    _at_most(p, "--density-word-len", 8, "word length of the orbit-density evidence", default=4)
     p = add_action("eval-word", cmd_eval_word, "image of a word under the action")
     p.add_argument("--word", required=True, help='JSON list, e.g. [["alpha_l",1]]')
     p = add_action("orbit-gap", cmd_orbit_gap, "largest orbit gap in a window")
     p.add_argument("--x0", default="0")
-    p.add_argument("--max-word-len", type=int, default=5)
+    _at_most(p, "--max-word-len", 8, "longest word searched", default=5)
     p.add_argument("--window", default="0,1", help="lo,hi in the number grammar")
     p = add_action("incompressible", cmd_incompressible, "bounded incompressibility search")
     p.add_argument("--interval", required=True, help="a,b in the number grammar")
-    p.add_argument("--max-word-len", type=int, default=4)
+    _at_most(p, "--max-word-len", 8, "longest word searched", default=4)
     p = add_action("metric-lemma", cmd_metric_lemma, "sample the metric comparison bound")
-    p.add_argument("--pattern", default="LRLR",
-                   help=f"pieces, a string over L and R of at most {_METRIC_LEMMA_MAX_PATTERN} letters")
-    p.add_argument("--samples", type=int, default=1000,
-                   help=f"leaf pairs sampled, at most {_METRIC_LEMMA_MAX_SAMPLES}")
+    _at_most(p, "--pattern", 200, "pieces, a string over L and R", read=str, unit=" letters",
+             default="LRLR")
+    _at_most(p, "--samples", 10000, "leaf pairs sampled", default=1000)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("cone-progress", cmd_cone_progress, "run the progress-ledger induction")
     p.add_argument("--T", required=True, help="per-crossing progress")
     p.add_argument("--r", required=True, help="per-re-measurement distortion bound")
-    p.add_argument("--n", type=int, required=True, help=f"crossings, at most {_CONE_PROGRESS_MAX_N}")
+    _at_most(p, "--n", 10000, "crossings", required=True)
     p.add_argument("--policy", choices=["adversarial", "random"], default="adversarial")
     p.add_argument("--seed", type=int, default=0)
 
@@ -355,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("shear-shadow", cmd_shear_shadow, "shadow-length series per level")
     p.add_argument("--t", default="1", help="per-level curve length")
     p.add_argument("--lam", required=True, help="expansion multiplier > 1")
-    p.add_argument("--n", type=int, required=True, help=f"levels, at most {_SHEAR_SHADOW_MAX_N}")
+    _at_most(p, "--n", 1000, "levels", required=True)
 
     p = add("shear-holonomy", cmd_shear_holonomy, "trace the surviving holonomy domain")
     p.add_argument("--lam", required=True)
     p.add_argument("--delta", default="1/10", help="shear displacement")
     p.add_argument("--eps", default="1/10", help="collar half-width")
-    p.add_argument("--n", type=int, required=True, help=f"levels, at most {_SHEAR_HOLONOMY_MAX_N}")
+    _at_most(p, "--n", 10000, "levels", required=True)
     p.add_argument("--threshold", default="1/1000000")
 
     p = add("selftest", cmd_selftest, "run the deterministic invariant suite")
@@ -389,12 +349,20 @@ def _join_negative_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
+    """The one request path: read the arguments, run the handler, write its
+    output (a JSON object, or text as it is) and return the exit code."""
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        args = _parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        out, code = args.fn(args), EXIT_OK
+        if isinstance(out, tuple):
+            out, code = out
+        if not isinstance(out, str):
+            out = json.dumps(out, indent=2, sort_keys=True) + "\n"
+        _write(out, args.output)
+        return code
     except ParseError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -336,6 +337,13 @@ class TestOutputAndDeterminism:
         assert code == EXIT_OK
         assert out == ""
         assert json.loads(target.read_text())["verdict"] == "NO_COMMON_TRANSLATION"
+
+    def test_selftest_output_flag_writes_the_log(self, capsys, tmp_path):
+        target = tmp_path / "selftest.txt"
+        code, out, _ = run(capsys, "selftest", "--seed", "0", "--output", str(target))
+        assert (code, out) == (EXIT_OK, "")
+        golden = (Path(__file__).parent / "golden" / "selftest-seed-0.txt").read_text()
+        assert golden == "exit 0\n" + target.read_text()
 
     def test_selftest_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "selftest", "--seed", "0")

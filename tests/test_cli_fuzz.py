@@ -2,16 +2,19 @@
 (malformed input) or 3 (precondition violated), or in a verdict, never in an
 escaped exception (a traceback, exit 1)."""
 
+import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from leafspace.cli import main
+from leafspace.cli import build_parser, main
 
 EXITS = {0, 2, 3, 10}
 
@@ -187,6 +190,35 @@ def test_count_above_its_cap_exits_at_once(argv):
     assert time.perf_counter() - start < 1.0
     assert (exit_code, out) == (3, "")
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "at most" in err
+
+
+def _capped_options():
+    """(command, flag, cap, unit) of each option whose reader carries a cap."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, a.option_strings[0], a.type.cap, " letters" if a.type.__name__ == "str" else "")
+            for command, p in sub.choices.items() for a in p._actions if hasattr(a.type, "cap")]
+
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_nine_options_carry_a_cap():
+    assert len(_capped_options()) == 9
+
+
+@pytest.mark.parametrize("command, flag, cap, unit", _capped_options())
+def test_cap_is_documented_and_enforced(command, flag, cap, unit):
+    code, _, help_ = run([command, "--help"])
+    assert code == 0 and f"at most {cap}{unit}" in " ".join(help_.split())
+    assert re.search(rf"^\| `{command} {flag}` \|.*\| {cap}{unit} \|", README, re.M), (command, flag)
+    over = ["L" * (cap + 1)] if unit else [str(cap + 1), "9" * 23]
+    for value in over:
+        start = time.perf_counter()
+        exit_code, err, out = run([command, flag, value])
+        assert time.perf_counter() - start < 1.0
+        assert (exit_code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "at most" in err
 
 
 def test_config_file_that_is_not_utf8(tmp_path):
