@@ -11,9 +11,9 @@ decides whether any single translation commutes with both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ParseError, PeriodMismatchError, PreconditionError
 from .plmap import PLMap, PeriodGroup
 from .qfield import (
@@ -46,20 +46,17 @@ def standard_beta(d: int = 2) -> PLMap:
     return PLMap(qnum(1, 0, d), [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(Record):
     """The normalized leaf-space action of both glued pieces.
 
-    ``generators`` holds the images in longitude-unit coordinates: left
-    generators carry period 1/t, right generators period 1/s, and both
-    alpha generators are unit translations.  The raw lengths t and s are
+    ``generators`` (a dict from name to PLMap) holds the images in
+    longitude-unit coordinates: left generators carry period 1/t, right
+    generators period 1/s, and both alpha generators are unit translations.
+    The raw lengths t and s (QNums in the field of ``d``, an int) are
     retained for reporting.
     """
 
-    d: int
-    t: QNum
-    s: QNum
-    generators: dict
+    __slots__ = ("d", "t", "s", "generators")
 
     def generator(self, name: str) -> PLMap:
         try:
@@ -204,17 +201,18 @@ def side_translation_subgroup(spec: ActionSpec, side: str) -> PeriodGroup:
     return beta.period_group()
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Decision on whether any translation commutes with both sides."""
+class Certificate(Record):
+    """Decision on whether any translation commutes with both sides.
 
-    verdict: str  # NO_COMMON_TRANSLATION or COMMON_TRANSLATION
-    left_step: QNum
-    right_step: QNum
-    ratio_rational: bool
-    quotient: QNum  # exact left_step / right_step
-    common_translation: QNum | None  # minimal common step when it exists
-    density_report: "OrbitGapReport | None"
+    ``verdict`` is NO_COMMON_TRANSLATION or COMMON_TRANSLATION; ``left_step``
+    and ``right_step`` are QNums, ``ratio_rational`` is a bool, ``quotient``
+    is the exact QNum left_step / right_step, ``common_translation`` the
+    minimal common step (a QNum) when it exists or else None, and
+    ``density_report`` an OrbitGapReport or None.
+    """
+
+    __slots__ = ("verdict", "left_step", "right_step", "ratio_rational", "quotient",
+                 "common_translation", "density_report")
 
     def to_json(self) -> dict:
         obj = {
@@ -257,13 +255,12 @@ def certify_nonuniform(spec: ActionSpec, density_word_len: int | None = None) ->
     return Certificate(verdict, c_l, c_r, rational, quotient, common, report)
 
 
-@dataclass(frozen=True)
-class OrbitGapReport:
-    max_gap: float
-    points_in_window: int
-    orbit_size: int
-    max_word_len: int
-    window: tuple
+class OrbitGapReport(Record):
+    """The largest gap ``max_gap`` (a float) of an orbit in ``window`` (a
+    pair), with the ints ``points_in_window``, ``orbit_size`` and
+    ``max_word_len``."""
+
+    __slots__ = ("max_gap", "points_in_window", "orbit_size", "max_word_len", "window")
 
     def to_json(self) -> dict:
         return {
@@ -361,10 +358,11 @@ def orbit_density(spec: ActionSpec, x0, max_word_len: int, window) -> OrbitGapRe
     return OrbitGapReport(gap, len(inside), len(seen), max_word_len, (lo, hi))
 
 
-@dataclass(frozen=True)
-class CompressionResult:
-    kind: str  # INCOMPRESSIBLE_UP_TO_BOUND or COMPRESSED_BY
-    word: tuple | None
+class CompressionResult(Record):
+    """``kind`` is INCOMPRESSIBLE_UP_TO_BOUND or COMPRESSED_BY; ``word`` is
+    the compressing word (a tuple of letters) or None."""
+
+    __slots__ = ("kind", "word")
 
     def to_json(self) -> dict:
         return {

@@ -14,7 +14,6 @@ import io
 import json
 import random
 import sys
-from importlib import resources
 
 from .action import (
     LONGITUDE,
@@ -47,6 +46,8 @@ def _f17(x) -> str:
 def _load_json(path: str) -> dict:
     try:
         if path in BUILTIN_CONFIGS:
+            # Imported here: it costs a bare interpreter about 13 ms of start-up.
+            from importlib import resources
             text = resources.files("leafspace.configs").joinpath(f"{path}.json").read_text()
         elif path == "-":
             text = sys.stdin.read()
@@ -234,7 +235,8 @@ def cmd_selftest(args):
 # shear-holonomy took 0.13 s; metric-lemma 0.4 s at its sample cap, and
 # 1.1 s at its pattern cap but 6.3 s at twice it; on flagship, orbit-gap took
 # 0.4 s and certify 0.45 s, then about 1.3 s one letter longer and 7 s two
-# longer, and incompressible up to 2.8 s on an interval no word nests.
+# longer; incompressible took 0.64 s and 50 MB on an interval no word nests
+# (483/1000,48301/100000), and 2.8 s and 152 MB one letter longer.
 
 
 def _at_most(p, flag, cap, help_, read=int, unit="", **kw):
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="0,1", help="lo,hi in the number grammar")
     p = add_action("incompressible", cmd_incompressible, "bounded incompressibility search")
     p.add_argument("--interval", required=True, help="a,b in the number grammar")
-    _at_most(p, "--max-word-len", 8, "longest word searched", default=4)
+    _at_most(p, "--max-word-len", 7, "longest word searched", default=4)
     p = add_action("metric-lemma", cmd_metric_lemma, "sample the metric comparison bound")
     _at_most(p, "--pattern", 200, "pieces, a string over L and R", read=str, unit=" letters",
              default="LRLR")

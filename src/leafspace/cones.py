@@ -10,9 +10,9 @@ bound n*T - 2*n*r for its length measured in the first metric.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .action import side_translation_subgroup
 from .errors import PreconditionError
 from .plmap import PLMap
@@ -79,13 +79,11 @@ class MetricChain:
         return abs(self.phis[i](lam) - self.phis[i](mu))
 
 
-@dataclass(frozen=True)
-class GapReport:
-    bound: QNum
-    max_gap: QNum
-    max_ratio: float
-    violations: int
-    samples: int
+class GapReport(Record):
+    """The QNums ``bound`` and ``max_gap``, their float ratio ``max_ratio``,
+    and the ints ``violations`` and ``samples``."""
+
+    __slots__ = ("bound", "max_gap", "max_ratio", "violations", "samples")
 
     def to_json(self) -> dict:
         return {
@@ -133,20 +131,18 @@ def metric_gap_check(chain: MetricChain, i: int, j: int, samples) -> GapReport:
     return GapReport(bound, max_gap, ratio, violations, count)
 
 
-@dataclass(frozen=True)
-class LedgerRow:
-    index: int
-    progress: QNum
-    distortion: QNum
-    certified_lower_bound: QNum
-    simulated_d1: QNum
+class LedgerRow(Record):
+    """Crossing ``index`` (an int) with the QNums ``progress``,
+    ``distortion``, ``certified_lower_bound`` and ``simulated_d1``."""
+
+    __slots__ = ("index", "progress", "distortion", "certified_lower_bound", "simulated_d1")
 
 
-@dataclass(frozen=True)
-class LedgerRun:
-    rows: tuple
-    verdict: str  # REGULATING or NOT_CERTIFIED
-    final_bound: QNum
+class LedgerRun(Record):
+    """``rows``, a tuple of LedgerRows; ``verdict``, REGULATING or
+    NOT_CERTIFIED; and ``final_bound``, a QNum."""
+
+    __slots__ = ("rows", "verdict", "final_bound")
 
 
 def run_progress_ledger(T, r, n: int, policy: str = "adversarial", seed: int = 0) -> LedgerRun:
@@ -193,13 +189,12 @@ def run_progress_ledger(T, r, n: int, policy: str = "adversarial", seed: int = 0
 CROSSINGS = 1000  # crossings the stall search follows
 
 
-@dataclass(frozen=True)
-class StallTrace:
+class StallTrace(Record):
     """The d_1 value after each of ``CROSSINGS`` crossings with every
-    distortion -r: it starts at T and moves by T - 2r per crossing."""
+    distortion -r: it starts at T (``start``, a QNum) and moves by T - 2r
+    (``step``, a QNum) per crossing."""
 
-    start: QNum
-    step: QNum
+    __slots__ = ("start", "step")
 
     def value(self, i: int) -> QNum:
         """The value after crossing i + 1, for 0 <= i < CROSSINGS."""

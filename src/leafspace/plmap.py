@@ -10,10 +10,10 @@ All arithmetic is exact over a quadratic field.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .errors import ParseError, PeriodMismatchError, PreconditionError
 from .qfield import (
     QNum, _add, _cmp, _div, _floor, _make, _mixed_fields, _mul, _one_field, _quot,
@@ -511,39 +511,37 @@ class PLMap:
         return cls(period, pts)
 
 
-@dataclass(frozen=True)
-class FixedPoints:
+class FixedPoints(Record):
     """Fixed-point set of a PLMap over one period.
 
-    ``kind`` is "all" (identity), "none", or "some"; diagonal segments are
-    reported as closed intervals.
+    ``kind`` (str) is "all" (identity), "none", or "some"; ``points`` and
+    ``intervals`` are tuples, and diagonal segments are reported as closed
+    intervals.
     """
 
-    kind: str
-    points: tuple
-    intervals: tuple
+    __slots__ = ("kind", "points", "intervals")
 
     def __bool__(self) -> bool:
         return self.kind != "none"
 
 
-@dataclass(frozen=True)
-class PeriodGroup:
-    """Translations commuting with a map: all reals, or step * Z."""
+class PeriodGroup(Record):
+    """Translations commuting with a map: all reals (``all_reals``, a bool),
+    or ``step`` * Z (``step``, a QNum, or None with all reals)."""
 
-    all_reals: bool
-    step: QNum | None
-
-
-@dataclass(frozen=True)
-class Exact:
-    value: QNum
+    __slots__ = ("all_reals", "step")
 
 
-@dataclass(frozen=True)
-class Bracket:
-    lo: QNum
-    hi: QNum
+class Exact(Record):
+    """An exact translation number ``value`` (a QNum)."""
+
+    __slots__ = ("value",)
+
+
+class Bracket(Record):
+    """A translation number between the QNums ``lo`` and ``hi``."""
+
+    __slots__ = ("lo", "hi")
 
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi

@@ -403,11 +403,12 @@ class QNum:
     # -- canonical text form ----------------------------------------------
 
     def __str__(self) -> str:
-        a = _fmt_rat(self._n, self._q)
-        if not self._m:
-            return a
-        sign = "+" if self._m > 0 else "-"
-        return f"{a}{sign}{_fmt_rat(abs(self._m), self._q)}*sqrt({self._d})"
+        n, m, q = self._n, self._m, self._q
+        if not m:  # gcd(n, 0, q) = 1, so n/q is in lowest terms
+            return _fmt_rat(n, q)
+        g, h = gcd(n, q), gcd(m, q)
+        sign = "+" if m > 0 else "-"
+        return f"{_fmt_rat(n // g, q // g)}{sign}{_fmt_rat(abs(m) // h, q // h)}*sqrt({self._d})"
 
     def __repr__(self) -> str:
         return f"QNum({self.a!r}, {self.b!r}, {self._d})"
@@ -448,11 +449,9 @@ def _rat(minus: str, num: str, den: str | None) -> tuple[int, int]:
 
 
 def _fmt_rat(num: int, den: int) -> str:
-    g = gcd(num, den)
+    """num/den in lowest terms, written as num when den is 1."""
     try:
-        if g != den:
-            return f"{num // g}/{den // g}"
-        return str(num // g)
+        return f"{num}/{den}" if den != 1 else str(num)
     except ValueError:  # past int's digit limit
         raise PreconditionError("value has too many digits to print") from None
 

@@ -9,11 +9,11 @@ closed form; ``holonomy_domain_trace`` says why.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import PreconditionError
-from .qfield import QNum, as_qnum
+from .qfield import as_qnum
 
 __all__ = [
     "ShadowReport",
@@ -24,13 +24,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShadowReport:
-    """Curve length vs shadow length after n levels of expansion."""
+class ShadowReport(Record):
+    """Curve length vs shadow length after n levels of expansion, as QNums:
+    ``curve_length`` is n * t, unbounded in n; ``shadow`` is
+    sum_{i=1..n} t / multiplier^i; ``limit`` is t / (multiplier - 1), and
+    bounds every shadow."""
 
-    curve_length: QNum  # n * t, unbounded in n
-    shadow: QNum  # sum_{i=1..n} t / multiplier^i
-    limit: QNum  # t / (multiplier - 1), bounds every shadow
+    __slots__ = ("curve_length", "shadow", "limit")
 
 
 def shadow_length(t, multiplier, n: int) -> ShadowReport:
@@ -51,13 +51,11 @@ def shadow_length(t, multiplier, n: int) -> ShadowReport:
     return ShadowReport(curve_length=t * n, shadow=shadow, limit=t / (lam - 1))
 
 
-@dataclass(frozen=True)
-class HolonomyTrace:
-    """The surviving transverse domain: ``width`` at levels 0 to ``levels`` - 1."""
+class HolonomyTrace(Record):
+    """The surviving transverse domain: ``width`` (a QNum) at levels 0 to
+    ``levels`` - 1 (an int); ``flag`` is PERSISTS or SHRINKS_TO_POINT."""
 
-    width: QNum
-    levels: int
-    flag: str  # PERSISTS or SHRINKS_TO_POINT
+    __slots__ = ("width", "levels", "flag")
 
 
 def holonomy_domain_trace(multiplier, eps, delta, n: int, threshold=Fraction(1, 10**6)) -> HolonomyTrace:

@@ -192,6 +192,18 @@ def test_count_above_its_cap_exits_at_once(argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "at most" in err
 
 
+def test_incompressible_word_length_eight_exits_at_once():
+    # No word nests this interval: at length 8 the search took 2.8 s and
+    # 152 MB before the cap came down to 7.
+    argv = ["incompressible", "--config", "flagship", "--interval", "483/1000,48301/100000",
+            "--max-word-len", "8"]
+    start = time.perf_counter()
+    exit_code, err, out = run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (exit_code, out) == (3, "")
+    assert err.splitlines() == ["error: precondition violated: --max-word-len must be at most 7"]
+
+
 def _capped_options():
     """(command, flag, cap, unit) of each option whose reader carries a cap."""
     parser = build_parser()
