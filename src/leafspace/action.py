@@ -1,12 +1,17 @@
 """The amalgamated leaf-space action and its non-uniformity certificate.
 
-Two punctured-torus pieces act on the real line: on the left, alpha_l is a
-translation through t and beta_l a non-translation fixing the integers; on
-the right, alpha_r translates through s.  Rescaling each side so the glued
-longitude translates through a unit length puts both actions in common
-coordinates.  The translations commuting with each side then form discrete
-groups with steps 1/t and 1/s, and exact (in)commensurability of the steps
-decides whether any single translation commutes with both sides.
+Punctured-torus pieces, glued along a torus, act on the real line.  Each
+piece is named by the suffix x of its generators, in the order of
+``PIECES``: alpha_x translates through the piece's length, t for piece
+"l" and s for piece "r", and beta_x is a period-1 non-translation with
+fixed points.  Rescaling each piece so the glued longitude translates
+through a unit length puts all of them in common coordinates.  The
+translations commuting with beta_x then form a discrete group with a step
+c_x, and exact (in)commensurability of the steps decides whether any
+single translation commutes with every beta.  When the steps are
+incommensurable, no homeomorphism without fixed points commutes with every
+beta, so no slithering is compatible with all the pieces: each beta's
+fixed set forces a fixed point (see ``certify_nonuniform``).
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ __all__ = [
     "incompressible_interval_search",
 ]
 
-SIDES = {"left": "beta_l", "right": "beta_r"}
+# The glued pieces, in order, by the suffix of their generator names.
+PIECES = ("l", "r")
 # The glued longitude, a unit translation in the common coordinates.
 LONGITUDE = "alpha_l"
 
@@ -47,13 +53,13 @@ def standard_beta(d: int = 2) -> PLMap:
 
 
 class ActionSpec(Record):
-    """The normalized leaf-space action of both glued pieces.
+    """The normalized leaf-space action of the glued pieces.
 
-    ``generators`` (a dict from name to PLMap) holds the images in
-    longitude-unit coordinates: left generators carry period 1/t, right
-    generators period 1/s, and both alpha generators are unit translations.
-    The raw lengths t and s (QNums in the field of ``d``, an int) are
-    retained for reporting.
+    ``generators`` (a dict from name to PLMap) holds alpha_x and beta_x for
+    each piece x of ``PIECES``, in that order, as images in longitude-unit
+    coordinates: piece "l" carries period 1/t, piece "r" period 1/s, and
+    every alpha generator is a unit translation.  The raw lengths t and s
+    (QNums in the field of ``d``, an int) are retained for reporting.
     """
 
     __slots__ = ("d", "t", "s", "generators")
@@ -85,30 +91,25 @@ def build_glued_action(
 ) -> ActionSpec:
     """Assemble the two-piece action for translation lengths t and s.
 
-    Each side is conjugated by the coordinate rescaling that turns its
-    alpha generator into a unit translation, so both sides act in the same
+    Each piece is conjugated by the coordinate rescaling that turns its
+    alpha generator into a unit translation, so all pieces act in the same
     longitude-unit coordinates on the leaf space.  The action's field is
     that of an irrational length or beta, or else the field s was read in;
     lengths and betas irrational in two fields raise ``FieldMismatchError``
     before any map is built.
     """
     t, s = as_qnum(t), as_qnum(s)
-    d = _one_field(s.d, t._m and t.d, s._m and s.d, beta_l and beta_l._field,
-                   beta_r and beta_r._field)
+    betas = beta_l, beta_r
+    d = _one_field(s.d, t._m and t.d, s._m and s.d, *(b and b._field for b in betas))
     if t.sign() <= 0 or s.sign() <= 0:
         raise PreconditionError("t and s must be positive")
-    if beta_l is None:
-        beta_l = standard_beta(d)
-    if beta_r is None:
-        beta_r = standard_beta(d)
-    _check_beta(beta_l, "beta_l")
-    _check_beta(beta_r, "beta_r")
-    generators = {
-        "alpha_l": PLMap.translation(t, 1).affine_conjugate(t),
-        "beta_l": beta_l.affine_conjugate(t),
-        "alpha_r": PLMap.translation(s, 1).affine_conjugate(s),
-        "beta_r": beta_r.affine_conjugate(s),
-    }
+    betas = [standard_beta(d) if b is None else b for b in betas]
+    for x, beta in zip(PIECES, betas):
+        _check_beta(beta, f"beta_{x}")
+    generators = {}
+    for x, length, beta in zip(PIECES, (t, s), betas):
+        generators[f"alpha_{x}"] = PLMap.translation(length, 1).affine_conjugate(length)
+        generators[f"beta_{x}"] = beta.affine_conjugate(length)
     return ActionSpec(d=d, t=t, s=s, generators=generators)
 
 
@@ -129,18 +130,15 @@ def load_action_config(config: dict) -> ActionSpec:
         s = QNum.parse(config["s"], d)
     except KeyError as exc:
         raise ParseError(f"action config missing field {exc}") from exc
-    beta_l = beta_r = None
-    if "beta_l" in config:
-        beta_l = PLMap.from_json(config["beta_l"], d)
-    if "beta_r" in config:
-        beta_r = PLMap.from_json(config["beta_r"], d)
-    return build_glued_action(t, s, beta_l, beta_r)
+    betas = [PLMap.from_json(config[f"beta_{x}"], d) if f"beta_{x}" in config else None
+             for x in PIECES]
+    return build_glued_action(t, s, *betas)
 
 
 class ComposedMap:
     """A word image that admits no single-period PL representation.
 
-    Mixing the two non-translation generators across sides composes maps with
+    Mixing the non-translation generators of two pieces composes maps with
     incommensurable periods; the result is an honest homeomorphism of the
     line but not periodic, so it is kept as an ordered factor list with exact
     pointwise evaluation.
@@ -175,7 +173,7 @@ def evaluate_word(spec: ActionSpec, word):
     """Image of a word under the action, as a PLMap whenever one exists.
 
     Falls back to a ComposedMap when the word mixes non-translation
-    generators from both sides (incommensurable periods).
+    generators of two pieces (incommensurable periods).
     """
     factors = [g.pow(exp) for g, exp in _validate_word(spec, word)]
     if not factors:
@@ -189,12 +187,12 @@ def evaluate_word(spec: ActionSpec, word):
         return ComposedMap(factors)
 
 
-def side_translation_subgroup(spec: ActionSpec, side: str) -> PeriodGroup:
-    """The translations commuting with one side, via its beta generator."""
-    try:
-        beta_name = SIDES[side]
-    except KeyError:
-        raise PreconditionError(f"side must be 'left' or 'right', got {side!r}") from None
+def side_translation_subgroup(spec: ActionSpec, piece: str) -> PeriodGroup:
+    """The translations commuting with one piece of ``PIECES``, via its beta
+    generator."""
+    if piece not in PIECES:
+        raise PreconditionError(f"piece must be one of {', '.join(PIECES)}, got {piece!r}")
+    beta_name = f"beta_{piece}"
     beta = spec.generator(beta_name)
     if beta.is_translation():
         raise PreconditionError(f"{beta_name} is a translation")
@@ -202,7 +200,7 @@ def side_translation_subgroup(spec: ActionSpec, side: str) -> PeriodGroup:
 
 
 class Certificate(Record):
-    """Decision on whether any translation commutes with both sides.
+    """Decision on whether any translation commutes with both pieces.
 
     ``verdict`` is NO_COMMON_TRANSLATION or COMMON_TRANSLATION; ``left_step``
     and ``right_step`` are QNums, ``ratio_rational`` is a bool, ``quotient``
@@ -233,14 +231,30 @@ class Certificate(Record):
 def certify_nonuniform(spec: ActionSpec, density_word_len: int | None = None) -> Certificate:
     """Decide, exactly, whether a common commuting translation exists.
 
-    The verdict NO_COMMON_TRANSLATION is the algebraic certificate that no
-    slithering is compatible with both sides; it is conditional on
-    minimality of the orbits, for which the gap report of the orbit of 0
-    in [0, 1), attached when ``density_word_len`` is given, is numeric
-    evidence rather than proof.
+    The steps c_l and c_r generate the translations commuting with beta_l
+    and beta_r.  The verdict is COMMON_TRANSLATION, with the minimal common
+    step, when c_l/c_r is rational.  Otherwise it is NO_COMMON_TRANSLATION,
+    which certifies that no increasing homeomorphism h of the line without
+    fixed points commutes with both betas, so no slithering is compatible
+    with both pieces:
+
+    - Fix(beta_x) is c_x-periodic, nonempty (``_check_beta``), and a PL
+      map has finitely many fixed components per period, n_x say.
+    - h commutes with beta_x, so it maps Fix(beta_x) onto itself keeping
+      order, and shifts its components by a fixed index m_x.  Then h^N
+      moves the points of Fix(beta_x) by N*m_x*c_x/n_x + O(1).
+    - A point of one fixed set between two points of the other, at most
+      one period apart, stays between their images under h^N.  So the
+      two rates are equal: m_l*c_l/n_l = m_r*c_r/n_r.
+    - c_l/c_r is irrational, so m_l = m_r = 0.  Then h maps a component of
+      Fix(beta_l), a point or a closed interval, onto itself, and fixes
+      it or its ends.
+
+    The gap report of the orbit of 0 in [0, 1), attached when
+    ``density_word_len`` is given, is a diagnostic; the verdict does not
+    rest on it.
     """
-    c_l = side_translation_subgroup(spec, "left").step
-    c_r = side_translation_subgroup(spec, "right").step
+    c_l, c_r = (side_translation_subgroup(spec, x).step for x in PIECES)
     rational, quotient = ratio_is_rational(c_l, c_r)
     common = None
     if rational:
@@ -277,8 +291,7 @@ def _generator_moves(spec: ActionSpec):
     a map equal to an earlier one: its images would repeat the earlier
     map's, so a search skips them all, and the first letter wins."""
     moves = {}
-    for name in spec.generators:
-        g = spec.generator(name)
+    for name, g in spec.generators.items():
         moves.setdefault(g, (name, 1))
         moves.setdefault(g.inverse(), (name, -1))
     return [(letter, m) for m, letter in moves.items()]

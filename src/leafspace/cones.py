@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from ._record import Record
-from .action import side_translation_subgroup
+from .action import PIECES, side_translation_subgroup
 from .errors import PreconditionError
 from .plmap import PLMap
 from .qfield import QNum, _make, _one_field, _triple, as_qnum, qnum
@@ -127,8 +127,7 @@ def metric_gap_check(chain: MetricChain, i: int, j: int, samples) -> GapReport:
         if gap > bound:
             violations += 1
         count += 1
-    ratio = float(max_gap) / float(bound) if bound.sign() > 0 else 0.0
-    return GapReport(bound, max_gap, ratio, violations, count)
+    return GapReport(bound, max_gap, float(max_gap) / float(bound), violations, count)
 
 
 class LedgerRow(Record):
@@ -227,18 +226,19 @@ def adversarial_stall(T, r) -> StallTrace | None:
 
 
 def build_chain_from_action(spec, pattern: str, seed: int = 0) -> MetricChain:
-    """A metric chain whose slithering periods come from the action's sides.
+    """A metric chain whose slithering periods come from the action's pieces.
 
-    ``pattern`` is a string over {L, R}; perturbations are bump maps derived
+    ``pattern`` is a string over {L, R}, each letter a piece of
+    ``action.PIECES`` in upper case; perturbations are bump maps derived
     from the standard beta shape, scaled to respect the half-period clamp.
     """
-    if not pattern or any(c not in "LR" for c in pattern):
-        raise PreconditionError("pattern must be a nonempty string over {L, R}")
-    step_l = side_translation_subgroup(spec, "left").step
-    step_r = side_translation_subgroup(spec, "right").step
+    letters = [x.upper() for x in PIECES]
+    if not pattern or any(c not in letters for c in pattern):
+        raise PreconditionError(f"pattern must be a nonempty string over {{{', '.join(letters)}}}")
+    step = {c: side_translation_subgroup(spec, c.lower()).step for c in letters}
     rng = random.Random(seed)
     labels = list(pattern)
-    periods = [step_l if c == "L" else step_r for c in labels]
+    periods = [step[c] for c in labels]
     perturbations = []
     for p in periods:
         # Bump with exact displacement in [0, amp], amp <= p/2 and < 1/2 so

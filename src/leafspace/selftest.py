@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .action import build_glued_action, certify_nonuniform
+from .action import PIECES, build_glued_action, certify_nonuniform
 from .cones import (adversarial_stall, build_chain_from_action, metric_gap_check,
                     run_progress_ledger, sample_leaf_pairs)
 from .plmap import Exact, PLMap, translation_number
@@ -131,8 +131,8 @@ def check_certificates() -> int:
     if comm.verdict != "COMMON_TRANSLATION":
         return bad + 1
     w = comm.common_translation
-    for name in ("beta_l", "beta_r"):
-        g = spec.generator(name)
+    for x in PIECES:
+        g = spec.generator(f"beta_{x}")
         for period in (g.period, 1):
             if not g.commutes(PLMap.translation(w, period)):
                 bad += 1

@@ -1,6 +1,10 @@
 """Tests for the two-piece action, its word images, and the certificate."""
 
+import ast
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -175,8 +179,10 @@ class TestWords:
 
 class TestSideSubgroup:
     def test_rejects_an_unknown_side(self):
-        with pytest.raises(PreconditionError, match="side must be 'left' or 'right', got 'up'"):
-            side_translation_subgroup(FLAGSHIP, "up")
+        # A side is named by its piece in action.PIECES, nothing else.
+        for piece in ("up", "left", "beta_l", "L"):
+            with pytest.raises(PreconditionError, match=f"^piece must be one of l, r, got {piece!r}$"):
+                side_translation_subgroup(FLAGSHIP, piece)
 
     def test_rejects_a_translation_beta_in_a_spec_built_directly(self):
         # build_glued_action rejects such a beta; an ActionSpec built by
@@ -184,14 +190,14 @@ class TestSideSubgroup:
         generators = {**FLAGSHIP.generators, "beta_l": PLMap.translation(Fraction(1, 2))}
         spec = ActionSpec(FLAGSHIP.d, FLAGSHIP.t, FLAGSHIP.s, generators)
         with pytest.raises(PreconditionError, match="^beta_l is a translation$"):
-            side_translation_subgroup(spec, "left")
-        assert side_translation_subgroup(spec, "right") == side_translation_subgroup(FLAGSHIP, "right")
+            side_translation_subgroup(spec, "l")
+        assert side_translation_subgroup(spec, "r") == side_translation_subgroup(FLAGSHIP, "r")
 
 
 class TestCertificate:
     def test_flagship_steps(self):
-        assert side_translation_subgroup(FLAGSHIP, "left").step == R2 - 1
-        assert side_translation_subgroup(FLAGSHIP, "right").step == R2 / 2
+        assert side_translation_subgroup(FLAGSHIP, "l").step == R2 - 1
+        assert side_translation_subgroup(FLAGSHIP, "r").step == R2 / 2
 
     def test_flagship_no_common_translation(self):
         cert = certify_nonuniform(FLAGSHIP)
@@ -481,3 +487,73 @@ def test_searches_match_the_reference_searches(case, length):
         spec, x0, length, ends)
     assert incompressible_interval_search(spec, ends, length).word == reference_incompressible(
         spec, ends, length)
+
+
+SHIPPED = {name: load_action_config(json.loads(
+    (Path(action.__file__).parent / "configs" / f"{name}.json").read_text()))
+    for name in ("flagship", "commensurable")}
+
+
+def fixed_ends(beta):
+    """The fixed points of beta over one period, and the ends of its fixed
+    intervals there."""
+    fp = beta.fixed_points()
+    return [*fp.points, *(end for interval in fp.intervals for end in interval)]
+
+
+def assert_step_keeps_fixed_points(spec):
+    for x in action.PIECES:
+        beta = spec.generator(f"beta_{x}")
+        step = side_translation_subgroup(spec, x).step
+        ends = fixed_ends(beta)
+        assert ends, f"beta_{x} has no fixed point"
+        for y in ends:
+            for z in (y + step, y - step):
+                assert beta(z) == z
+
+
+class TestFixedPoints:
+    """The facts behind NO_COMMON_TRANSLATION (``certify_nonuniform``): each
+    beta has fixed points, and its fixed set is periodic under its step."""
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_the_step_keeps_each_fixed_point_fixed(self, name):
+        assert_step_keeps_fixed_points(SHIPPED[name])
+
+    def test_the_common_translation_keeps_each_fixed_set(self):
+        spec = SHIPPED["commensurable"]
+        w = certify_nonuniform(spec).common_translation
+        for x in action.PIECES:
+            beta = spec.generator(f"beta_{x}")
+            for y in fixed_ends(beta):
+                assert beta(y + w) == y + w and beta(y - w) == y - w
+
+    def test_flagship_fixed_sets(self):
+        # Fix(beta_l) = (sqrt 2 - 1)Z and Fix(beta_r) = (sqrt 2 / 2)Z: one
+        # fixed point, 0, in each period.
+        spec = SHIPPED["flagship"]
+        for x, period in zip(action.PIECES, (R2 - 1, R2 / 2)):
+            beta = spec.generator(f"beta_{x}")
+            fp = beta.fixed_points()
+            assert beta.period == period
+            assert (fp.kind, fp.points, fp.intervals) == ("some", (0,), ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_actions())
+def test_the_step_keeps_each_fixed_point_fixed_in_drawn_actions(case):
+    assert_step_keeps_fixed_points(case[0])
+
+
+def test_only_action_names_the_generators():
+    # The generator names come from action.PIECES; no other module spells
+    # one out.
+    generator = re.compile(r"(alpha|beta)_\w+")
+    names = {}
+    for path in Path(action.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names[path.stem] = sorted({node.value for node in ast.walk(tree)
+                                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                                   and generator.fullmatch(node.value)})
+    assert "alpha_l" in names.pop("action")  # the longitude
+    assert {module: found for module, found in names.items() if found} == {}
