@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import ParseError, PeriodMismatchError, PreconditionError
-from .plmap import PLMap, PeriodGroup
+from .plmap import PLMap, PeriodGroup, _only_keys
 from .qfield import (
     QNum, _cmp, _float, _one_field, _reduced, _triple, as_qnum, qnum, ratio_is_rational,
 )
@@ -118,10 +118,11 @@ def load_action_config(config: dict) -> ActionSpec:
 
     Schema: ``{"d": int, "t": qnum, "s": qnum, "beta_l": plmap?, "beta_r":
     plmap?}`` with numbers in the canonical text grammar; omitted beta maps
-    default to the standard one.
+    default to the standard one, and any other key is malformed.
     """
     if not isinstance(config, dict):
         raise ParseError("action config must be a JSON object")
+    _only_keys(config, ("d", "t", "s", *(f"beta_{x}" for x in PIECES)), "action config")
     d = config.get("d", 2)
     if type(d) is not int:
         raise ParseError(f"d must be an integer, got {d!r}")
@@ -204,31 +205,15 @@ class Certificate(Record):
 
     ``verdict`` is NO_COMMON_TRANSLATION or COMMON_TRANSLATION; ``left_step``
     and ``right_step`` are QNums, ``ratio_rational`` is a bool, ``quotient``
-    is the exact QNum left_step / right_step, ``common_translation`` the
-    minimal common step (a QNum) when it exists or else None, and
-    ``density_report`` an OrbitGapReport or None.
+    is the exact QNum left_step / right_step, and ``common_translation`` the
+    minimal common step (a QNum) when it exists or else None.
     """
 
     __slots__ = ("verdict", "left_step", "right_step", "ratio_rational", "quotient",
-                 "common_translation", "density_report")
-
-    def to_json(self) -> dict:
-        obj = {
-            "verdict": self.verdict,
-            "left_step": str(self.left_step),
-            "right_step": str(self.right_step),
-            "ratio_rational": self.ratio_rational,
-            "quotient": str(self.quotient),
-            "common_translation": (
-                None if self.common_translation is None else str(self.common_translation)
-            ),
-        }
-        if self.density_report is not None:
-            obj["density_evidence"] = self.density_report.to_json()
-        return obj
+                 "common_translation")
 
 
-def certify_nonuniform(spec: ActionSpec, density_word_len: int | None = None) -> Certificate:
+def certify_nonuniform(spec: ActionSpec) -> Certificate:
     """Decide, exactly, whether a common commuting translation exists.
 
     The steps c_l and c_r generate the translations commuting with beta_l
@@ -250,9 +235,8 @@ def certify_nonuniform(spec: ActionSpec, density_word_len: int | None = None) ->
       Fix(beta_l), a point or a closed interval, onto itself, and fixes
       it or its ends.
 
-    The gap report of the orbit of 0 in [0, 1), attached when
-    ``density_word_len`` is given, is a diagnostic; the verdict does not
-    rest on it.
+    The verdict rests on these fixed sets alone; an orbit's gaps
+    (``orbit_density``) are a diagnostic.
     """
     c_l, c_r = (side_translation_subgroup(spec, x).step for x in PIECES)
     rational, quotient = ratio_is_rational(c_l, c_r)
@@ -263,27 +247,14 @@ def certify_nonuniform(spec: ActionSpec, density_word_len: int | None = None) ->
         verdict = "COMMON_TRANSLATION"
     else:
         verdict = "NO_COMMON_TRANSLATION"
-    report = None
-    if density_word_len is not None:
-        report = orbit_density(spec, 0, density_word_len, (0, 1))
-    return Certificate(verdict, c_l, c_r, rational, quotient, common, report)
+    return Certificate(verdict, c_l, c_r, rational, quotient, common)
 
 
 class OrbitGapReport(Record):
-    """The largest gap ``max_gap`` (a float) of an orbit in ``window`` (a
-    pair), with the ints ``points_in_window``, ``orbit_size`` and
-    ``max_word_len``."""
+    """The largest gap ``max_gap`` (a float) an orbit leaves in its window,
+    with the ints ``points_in_window`` and ``orbit_size``."""
 
-    __slots__ = ("max_gap", "points_in_window", "orbit_size", "max_word_len", "window")
-
-    def to_json(self) -> dict:
-        return {
-            "max_gap": self.max_gap,
-            "points_in_window": self.points_in_window,
-            "orbit_size": self.orbit_size,
-            "max_word_len": self.max_word_len,
-            "window": [repr(float(w)) for w in self.window],
-        }
+    __slots__ = ("max_gap", "points_in_window", "orbit_size")
 
 
 def _generator_moves(spec: ActionSpec):
@@ -368,7 +339,7 @@ def orbit_density(spec: ActionSpec, x0, max_word_len: int, window) -> OrbitGapRe
     inside = sorted(_float(*x, d) for x in seen if _cmp(x, lo_i, d) >= 0 > _cmp(x, hi_i, d))
     seq = [float(lo)] + inside + [float(hi)]
     gap = max(b - a for a, b in zip(seq, seq[1:]))
-    return OrbitGapReport(gap, len(inside), len(seen), max_word_len, (lo, hi))
+    return OrbitGapReport(gap, len(inside), len(seen))
 
 
 class CompressionResult(Record):
@@ -376,12 +347,6 @@ class CompressionResult(Record):
     the compressing word (a tuple of letters) or None."""
 
     __slots__ = ("kind", "word")
-
-    def to_json(self) -> dict:
-        return {
-            "result": self.kind,
-            "word": None if self.word is None else [list(w) for w in self.word],
-        }
 
 
 def incompressible_interval_search(

@@ -95,8 +95,10 @@ def _parse_pair(text: str, d: int) -> tuple:
 
 
 # -- subcommand handlers --------------------------------------------------
-# Each handler returns its output: a JSON object or CSV text.  `certify` and
-# `selftest` return (output, exit code); `main` writes and exits.
+# Each handler returns its output: a JSON object or CSV text, built here from
+# the library's result records, which are data; this module writes every
+# report.  `certify` and `selftest` return (output, exit code); `main` writes
+# and exits.
 
 
 def cmd_rotnum(args):
@@ -140,29 +142,56 @@ def cmd_eval_word(args):
     }
 
 
+def _orbit_gap(spec, x0, max_word_len: int, window) -> dict:
+    """The orbit-gap report, as `orbit-gap` prints it and `certify` attaches
+    it as its density evidence."""
+    rep = orbit_density(spec, x0, max_word_len, window)
+    return {
+        "max_gap": rep.max_gap,
+        "points_in_window": rep.points_in_window,
+        "orbit_size": rep.orbit_size,
+        "max_word_len": max_word_len,
+        "window": [repr(float(w)) for w in window],
+    }
+
+
 def cmd_certify(args):
-    cert = certify_nonuniform(_load_spec(args), args.density_word_len)
-    ok = cert.verdict == "NO_COMMON_TRANSLATION"
-    return cert.to_json(), EXIT_OK if ok else EXIT_COMMON_TRANSLATION
+    spec = _load_spec(args)
+    cert = certify_nonuniform(spec)
+    evidence = _orbit_gap(spec, 0, args.density_word_len, (0, 1))
+    common = cert.common_translation
+    obj = {
+        "verdict": cert.verdict,
+        "left_step": str(cert.left_step),
+        "right_step": str(cert.right_step),
+        "ratio_rational": cert.ratio_rational,
+        "quotient": str(cert.quotient),
+        "common_translation": None if common is None else str(common),
+        "density_evidence": evidence,
+    }
+    return obj, EXIT_OK if cert.verdict == "NO_COMMON_TRANSLATION" else EXIT_COMMON_TRANSLATION
 
 
 def cmd_orbit_gap(args):
     spec = _load_spec(args)
     window = _parse_pair(args.window, spec.d)
-    return orbit_density(spec, QNum.parse(args.x0), args.max_word_len, window).to_json()
+    return _orbit_gap(spec, QNum.parse(args.x0, spec.d), args.max_word_len, window)
 
 
 def cmd_incompressible(args):
     spec = _load_spec(args)
     interval = _parse_pair(args.interval, spec.d)
-    return incompressible_interval_search(spec, interval, args.max_word_len).to_json()
+    res = incompressible_interval_search(spec, interval, args.max_word_len)
+    return {"result": res.kind, "word": None if res.word is None else [list(w) for w in res.word]}
 
 
 def cmd_metric_lemma(args):
     spec = _load_spec(args)
     chain = build_chain_from_action(spec, args.pattern, seed=args.seed)
     pairs = sample_leaf_pairs(random.Random(args.seed), args.samples)
-    return metric_gap_check(chain, 0, len(chain), pairs).to_json()
+    rep = metric_gap_check(chain, 0, len(chain), pairs)
+    return {"bound": str(rep.bound), "max_gap": str(rep.max_gap), "max_ratio": rep.max_ratio,
+            "violations": rep.violations, "samples": rep.samples}
 
 
 def cmd_cone_progress(args):
@@ -228,15 +257,8 @@ def cmd_selftest(args):
 # -- parser ---------------------------------------------------------------
 
 # Each count or length option carries its maximum; a larger value exits 3
-# while the arguments are read, before any work.  Measured at each cap
-# (x86_64, Python 3.11): rotnum's exact search took 0.02 s on
-# tests/golden/map-irrational.json, and 10 s at 3000; the cone-progress
-# ledger is 0.94 MB, and the shear-shadow series 1.06 MB for --lam 11/10;
-# shear-holonomy took 0.13 s; metric-lemma 0.4 s at its sample cap, and
-# 1.1 s at its pattern cap but 6.3 s at twice it; on flagship, orbit-gap took
-# 0.4 s and certify 0.45 s, then about 1.3 s one letter longer and 7 s two
-# longer; incompressible took 0.64 s and 50 MB on an interval no word nests
-# (483/1000,48301/100000), and 2.8 s and 152 MB one letter longer.
+# while the arguments are read, before any work.  README's table of limits
+# gives the cost measured at each cap.
 
 
 def _at_most(p, flag, cap, help_, read=int, unit="", **kw):

@@ -85,15 +85,6 @@ class GapReport(Record):
 
     __slots__ = ("bound", "max_gap", "max_ratio", "violations", "samples")
 
-    def to_json(self) -> dict:
-        return {
-            "bound": str(self.bound),
-            "max_gap": str(self.max_gap),
-            "max_ratio": self.max_ratio,
-            "violations": self.violations,
-            "samples": self.samples,
-        }
-
 
 def sample_leaf_pairs(rng: random.Random, samples: int) -> list:
     """``samples`` leaf pairs (lam, mu), lam in (1/7)Z and mu in (1/11)Z,

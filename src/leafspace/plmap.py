@@ -501,14 +501,23 @@ class PLMap:
     @classmethod
     def from_json(cls, obj: dict, d: int | None = None) -> "PLMap":
         try:
+            _only_keys(obj, ("period", "breakpoints"), "PL map")
             period = QNum.parse(obj["period"], d)
-            pts = [
-                (QNum.parse(bp["x"], d), QNum.parse(bp["y"], d))
-                for bp in obj["breakpoints"]
-            ]
+            pts = []
+            for bp in obj["breakpoints"]:
+                _only_keys(bp, ("x", "y"), "breakpoint")
+                pts.append((QNum.parse(bp["x"], d), QNum.parse(bp["y"], d)))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed PL map object: {exc}") from exc
         return cls(period, pts)
+
+
+def _only_keys(obj, keys, what: str) -> None:
+    """Raise ``ParseError`` naming the first key of ``obj``, if it is a
+    dict, that is not in ``keys``."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in keys:
+            raise ParseError(f"unknown {what} key {key!r}")
 
 
 class FixedPoints(Record):

@@ -431,7 +431,7 @@ class QNum:
         if sign == "-":
             bn = -bn
         if d is not None and dd != d and bn != 0:
-            raise FieldMismatchError(f"expected sqrt({d}), got sqrt({dd})")
+            raise _mixed_fields(d, dd)
         return _make(an * bq, bn * aq, aq * bq, _check_d(dd))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from leafspace import action
+from leafspace import action, cli
 from leafspace.action import (
     ActionSpec,
     _check_beta,
@@ -230,16 +230,18 @@ class TestCertificate:
             rescaled = build_glued_action(q * spec.t, q * spec.s)
             assert certify_nonuniform(rescaled).verdict == certify_nonuniform(spec).verdict
 
-    def test_json_round_trippable_fields(self):
-        obj = certify_nonuniform(FLAGSHIP).to_json()
+    # The certificate's JSON form is written by the CLI, not by the record.
+
+    def test_json_round_trippable_fields(self, capsys):
+        assert cli.main(["certify", "--config", "flagship"]) == cli.EXIT_OK
+        obj = json.loads(capsys.readouterr().out)
         assert obj["verdict"] == "NO_COMMON_TRANSLATION"
         assert obj["quotient"] == "2-1*sqrt(2)"
         assert obj["common_translation"] is None
 
-    def test_density_evidence_attached(self):
-        cert = certify_nonuniform(FLAGSHIP, density_word_len=3)
-        assert cert.density_report is not None
-        assert cert.to_json()["density_evidence"]["max_word_len"] == 3
+    def test_density_evidence_attached(self, capsys):
+        assert cli.main(["certify", "--config", "flagship", "--density-word-len", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["density_evidence"]["max_word_len"] == 3
 
 
 class TestOrbitDensity:

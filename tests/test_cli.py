@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver and its exit-code contract."""
 
+import ast
 import json
 import time
 from pathlib import Path
@@ -133,6 +134,64 @@ class TestMalformedNumbers:
     def test_eval_word_zero_exponent_is_a_precondition(self, capsys):
         code, _, _ = run(capsys, "eval-word", "--config", "flagship", "--word", '[["beta_l", 0]]')
         assert code == EXIT_PRECONDITION
+
+
+def _with(obj, **fields):
+    return {**obj, **fields}
+
+
+class TestUnknownKeys:
+    """A key outside the schema of an action config, a PL map or a
+    breakpoint is malformed input, named in one error line, not ignored."""
+
+    FLAGSHIP = {"d": 2, "t": "1+1*sqrt(2)", "s": "0+1*sqrt(2)"}
+    TYPO_POINT = {"period": "1", "breakpoints": [{"x": "0", "y": "0"}, {"x": "1/2", "Y": "3/4"}]}
+
+    @pytest.mark.parametrize("command, obj, key", [
+        ("certify", _with(FLAGSHIP, beta_R=BETA_MAP), "beta_R"),
+        ("certify", _with(FLAGSHIP, D=3), "D"),
+        ("certify", _with(FLAGSHIP, beta_l=_with(BETA_MAP, perod="1")), "perod"),
+        ("certify", _with(FLAGSHIP, beta_r=TYPO_POINT), "Y"),
+        ("periods", _with(BETA_MAP, perod="2"), "perod"),
+        ("rotnum", TYPO_POINT, "Y"),
+    ], ids=["config-beta_R", "config-D", "config-map-perod", "config-point-Y",
+            "periods-perod", "rotnum-point-Y"])
+    def test_unknown_key_is_two(self, capsys, map_file, command, obj, key):
+        option = "--config" if command == "certify" else "--map"
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, option, map_file(obj))
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert repr(key) in err
+        assert elapsed < 1
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--window", "0+1/10*sqrt(3),1"), ("--x0", "0+1*sqrt(3)"),
+])
+def test_orbit_gap_field_mismatch_has_one_message(capsys, option, value):
+    code, out, err = run(capsys, "orbit-gap", "--config", "flagship", option, value)
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err == "error: precondition violated: mixed fields: sqrt(2) vs sqrt(3)\n"
+
+
+def test_only_cli_writes_reports():
+    # Result records are data: cli.py alone turns them into JSON.  PLMap
+    # keeps to_json/from_json, the map file format that is read back.
+    writers, json_users = set(), set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                json_users |= {path.stem for alias in node.names if alias.name == "json"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                json_users.add(path.stem)
+            elif isinstance(node, ast.ClassDef):
+                writers |= {node.name for item in node.body
+                            if isinstance(item, ast.FunctionDef) and item.name == "to_json"}
+    assert json_users == {"cli"}
+    assert writers == {"PLMap"}
 
 
 class TestRotnumAndPeriods:

@@ -216,15 +216,17 @@ def _calls(name):
 
 
 def test_field_errors_are_built_only_in_qfield():
-    assert _calls("FieldMismatchError") == {("qfield", "_mixed_fields"), ("qfield", "QNum.parse")}
+    assert _calls("FieldMismatchError") == {("qfield", "_mixed_fields")}
 
 
 def test_mixed_fields_is_raised_only_by_one_field_and_the_per_operation_checks():
     # QNum operators, map calls and compose keep a two-line inline check for
-    # speed; every decision made once per construction goes through _one_field.
+    # speed, and QNum.parse checks text against its declared field; every
+    # decision made once per construction goes through _one_field.
     assert _calls("_mixed_fields") == {
         ("qfield", "_one_field"),
         ("qfield", "QNum._operand"),
+        ("qfield", "QNum.parse"),
         ("plmap", "PLMap.__call__"),
         ("plmap", "PLMap.compose"),
     }

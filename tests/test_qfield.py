@@ -171,7 +171,7 @@ def reference_parse(text, d=None):
     if m.group(2) == "-":
         b = -b
     if d is not None and dd != d and b != 0:
-        raise FieldMismatchError(f"expected sqrt({d}), got sqrt({dd})")
+        raise FieldMismatchError(f"mixed fields: sqrt({min(d, dd)}) vs sqrt({max(d, dd)})")
     return QNum(a, b, dd)
 
 
