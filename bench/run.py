@@ -217,8 +217,11 @@ ROWS = {
     # QNum's own operators, on operands in Q(sqrt 2) and in Q.
     "qfield.add.sqrt2": "x_r2 + y_r2",
     "qfield.add.rational": "x_rat + y_rat",
+    "qfield.sub.sqrt2": "x_r2 - y_r2",
     "qfield.mul.sqrt2": "x_r2 * y_r2",
     "qfield.mul.rational": "x_rat * y_rat",
+    "qfield.div.sqrt2": "x_r2 / y_r2",
+    "qfield.div.rational": "x_rat / y_rat",
     "qfield.lt.sqrt2": "x_r2 < y_r2",
     "qfield.lt.rational": "x_rat < y_rat",
     # A translation of period 1 and a map of period 1/(1 + sqrt 2), in

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -118,7 +117,8 @@ def _float(n: int, m: int, q: int, d: int) -> float:
 # -- triples ------------------------------------------------------------------
 # ``PLMap`` and the word searches hold values as reduced triples (n, m, q), a
 # ``QNum``'s ints, in a field d kept once: equal values are equal triples.  This
-# is their one arithmetic; ``QNum``'s operators keep an inline copy for speed.
+# is the library's one arithmetic: ``QNum``'s operators and comparisons call it
+# too, on their operands' triples.
 
 
 def _triple(x: "QNum") -> tuple[int, int, int]:
@@ -165,24 +165,6 @@ def _cmp(x, y, d: int) -> int:
     return _sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], d)
 
 
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
-
-
-def _hash_rational(n: int, q: int) -> int:
-    # Python's documented hash of the rational n/q (q > 0, gcd(n, q) = 1),
-    # so a rational QNum hashes like the equal int or Fraction.
-    if q == 1:
-        return hash(n)
-    if q % _HASH_MODULUS == 0:
-        h = _HASH_INF
-    else:
-        h = abs(n) % _HASH_MODULUS * pow(q, -1, _HASH_MODULUS) % _HASH_MODULUS
-    if n < 0:
-        h = -h
-    return -2 if h == -1 else h
-
-
 _new = object.__new__
 
 
@@ -199,6 +181,14 @@ def _make(n: int, m: int, q: int, d: int) -> "QNum":
     x._n = n
     x._m = m
     x._q = q
+    x._d = d
+    return x
+
+
+def _of(t: tuple[int, int, int], d: int) -> "QNum":
+    # The QNum of a reduced triple t in field d: no gcd is taken again.
+    x = _new(QNum)
+    x._n, x._m, x._q = t
     x._d = d
     return x
 
@@ -246,19 +236,19 @@ class QNum:
     # -- coercion ---------------------------------------------------------
 
     def _operand(self, other):
-        """(n, m, q, d) of ``other`` as an operand of ``self``, where d is
-        the field of the result: other's if it is irrational, else self's.
-        None if ``other`` is not an exact number."""
+        """(triple, d) of ``other`` as an operand of ``self``, where d is the
+        field of the result: other's if it is irrational, else self's.  None
+        if ``other`` is not an exact number."""
         if isinstance(other, QNum):
             if not other._m:
-                return other._n, 0, other._q, self._d
+                return (other._n, 0, other._q), self._d
             if self._m and other._d != self._d:  # _one_field, inline: once per operation
                 raise _mixed_fields(self._d, other._d)
-            return other._n, other._m, other._q, other._d
+            return (other._n, other._m, other._q), other._d
         if isinstance(other, int):
-            return int(other), 0, 1, self._d
+            return (int(other), 0, 1), self._d
         if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator, self._d
+            return (other.numerator, 0, other.denominator), self._d
         return None
 
     # -- arithmetic -------------------------------------------------------
@@ -267,24 +257,18 @@ class QNum:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        n, m, q, d = o
-        if q == self._q:
-            return _make(self._n + n, self._m + m, q, d)
-        return _make(self._n * q + n * self._q, self._m * q + m * self._q, self._q * q, d)
+        return _of(_add(_triple(self), o[0]), o[1])
 
     __radd__ = __add__
 
     def __neg__(self) -> "QNum":
-        return _make(-self._n, -self._m, self._q, self._d)
+        return _of((-self._n, -self._m, self._q), self._d)
 
     def __sub__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        n, m, q, d = o
-        if q == self._q:
-            return _make(self._n - n, self._m - m, q, d)
-        return _make(self._n * q - n * self._q, self._m * q - m * self._q, self._q * q, d)
+        return _of(_sub(_triple(self), o[0]), o[1])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -293,31 +277,23 @@ class QNum:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        n, m, q, d = o
-        n1, m1 = self._n, self._m
-        if not m1 and not m:
-            return _make(n1 * n, 0, self._q * q, d)
-        return _make(n1 * n + m1 * m * d, n1 * m + m1 * n, self._q * q, d)
+        return _of(_mul(_triple(self), o[0], o[1]), o[1])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QNum":
-        if not self._n and not self._m:
+        if not self:
             raise DivisionByZeroError("inverse of zero")
-        return _make(*_quot((1, 0, 1), _triple(self), self._d), self._d)
+        return _of(_div((1, 0, 1), _triple(self), self._d), self._d)
 
     def __truediv__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        n, m, q, d = o
-        if m:
-            return _make(*_quot(_triple(self), (n, m, q), d), d)
-        if not n:
+        t, d = o
+        if not t[0] and not t[1]:
             raise DivisionByZeroError("inverse of zero")
-        if n < 0:
-            n, q = -n, -q
-        return _make(self._n * q, self._m * q, self._q * n, d)
+        return _of(_div(_triple(self), t, d), d)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -346,10 +322,7 @@ class QNum:
         o = self._operand(other)
         if o is None:
             return None
-        n, m, q, d = o
-        if q == self._q:
-            return _sign(self._n - n, self._m - m, d)
-        return _sign(self._n * q - n * self._q, self._m * q - m * self._q, d)
+        return _cmp(_triple(self), o[0], o[1])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QNum):
@@ -358,7 +331,7 @@ class QNum:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self._n == o[0] and self._m == o[1] and self._q == o[2]
+        return _triple(self) == o[0]
 
     def __lt__(self, other) -> bool:
         c = self._cmp(other)
@@ -377,8 +350,8 @@ class QNum:
         return NotImplemented if c is None else c >= 0
 
     def __hash__(self) -> int:
-        if not self._m:
-            return _hash_rational(self._n, self._q)
+        if not self._m:  # as the equal int or Fraction
+            return hash(self.a)
         return hash((self._n, self._m, self._q, self._d))
 
     def __bool__(self) -> bool:

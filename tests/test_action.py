@@ -1,6 +1,7 @@
 """Tests for the two-piece action, its word images, and the certificate."""
 
 import ast
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -514,6 +515,69 @@ def assert_step_keeps_fixed_points(spec):
                 assert beta(z) == z
 
 
+def fixed_components(beta, width):
+    """The components of Fix(beta) inside [-width, width], in order, each as
+    its (left, right) ends: a fixed point y is (y, y), and fixed intervals
+    that touch, across the end of a period too, are one component."""
+    p, fp = beta.period, beta.fixed_points()
+    base = [(y, y) for y in fp.points] + list(fp.intervals)
+    k = (width / p).floor() + 1
+    merged = []
+    for lo, hi in sorted((lo + j * p, hi + j * p) for j in range(-k - 1, k + 1) for lo, hi in base):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return [c for c in merged if -width <= c[0] and c[1] <= width]
+
+
+def keeps_order(fixed, shift, width):
+    """Whether moving component i of Fix(beta_x) to component i + shift[x],
+    for each piece x, keeps the order of the union: each pair of ends in
+    [-width, width] compares as their images do.  ``fixed`` maps each piece
+    to its ``fixed_components``, taken over a window wider than ``width``."""
+    ends = sorted(((y, x, i, e) for x, comps in fixed.items() for i, c in enumerate(comps)
+                   if 0 <= i + shift[x] < len(comps) and -width <= c[0] and c[1] <= width
+                   for e, y in enumerate(c)), key=lambda end: end[0])
+    images = [fixed[x][i + shift[x]][e] for _, x, i, e in ends]
+    return all((y < z, y == z) == (u < v, u == v)
+               for (y, *_), (z, *_), u, v in zip(ends, ends[1:], images, images[1:]))
+
+
+SHIFT_PAIRS = tuple(itertools.product(range(-3, 4), repeat=2))
+
+
+def rate_gaps(spec):
+    """(P, gaps): P is the longer beta period, and gaps[m] = |m_l*g_l -
+    m_r*g_r| is the gap between the rates at which the shift pair m = (m_l,
+    m_r) moves Fix(beta_l) and Fix(beta_r), g_x being the mean spacing of
+    Fix(beta_x): its period over its components per period.  An irrational
+    ratio of the periods makes every gap but that of (0, 0) nonzero."""
+    betas = [spec.generator(f"beta_{x}") for x in action.PIECES]
+    P = max(beta.period for beta in betas)
+    g_l, g_r = (beta.period / sum(0 <= lo < beta.period for lo, _ in fixed_components(beta, 2 * P))
+                for beta in betas)
+    return P, {m: abs(m[0] * g_l - m[1] * g_r) for m in SHIFT_PAIRS}
+
+
+def kept_shift_pairs(spec):
+    """The pairs of ``SHIFT_PAIRS`` that keep the order of Fix(beta_l) union
+    Fix(beta_r), each tested within 4 + 3*P/delta periods P of 0 each way
+    (6 if delta = 0), delta being its rate gap.
+
+    That window is enough (``certify_nonuniform``'s argument, once): if the
+    pair keeps the order, exactly m_r components of Fix(beta_r) lie between
+    the left end a_i of a component of Fix(beta_l) and a_{i+m_l}.  k such
+    steps span k*m_l*g_l, give or take beta_l's period, so they hold k*m_r
+    components only while k*delta <= p_l + p_r, which fails at some k <=
+    2P/delta + 1, over less than (6P/delta + 4)*P."""
+    P, gaps = rate_gaps(spec)
+    widths = {m: (4 + (3 * P / gap).floor() + 1 if gap else 6) * P for m, gap in gaps.items()}
+    fixed = {x: fixed_components(spec.generator(f"beta_{x}"), max(widths.values()) + 4 * P)
+             for x in action.PIECES}
+    return {m for m, width in widths.items() if keeps_order(fixed, dict(zip(action.PIECES, m)), width)}
+
+
 class TestFixedPoints:
     """The facts behind NO_COMMON_TRANSLATION (``certify_nonuniform``): each
     beta has fixed points, and its fixed set is periodic under its step."""
@@ -530,6 +594,22 @@ class TestFixedPoints:
             for y in fixed_ends(beta):
                 assert beta(y + w) == y + w and beta(y - w) == y - w
 
+    def test_only_the_identity_shift_keeps_the_flagship_order(self):
+        # t/s is irrational, so no h without fixed points commutes with both
+        # betas: every shift of the components but (0, 0) breaks the order.
+        assert kept_shift_pairs(SHIPPED["flagship"]) == {(0, 0)}
+
+    def test_the_common_translation_shift_keeps_the_order(self):
+        # Positive control: x -> x + w commutes with both betas and shifts
+        # each fixed set by its count of components in [0, w), so that pair
+        # and its inverse keep the order, besides (0, 0).
+        spec = SHIPPED["commensurable"]
+        w = certify_nonuniform(spec).common_translation
+        shift = tuple(sum(0 <= lo < w for lo, _ in fixed_components(spec.generator(f"beta_{x}"), 2 * w))
+                      for x in action.PIECES)
+        assert shift == (2, 1)
+        assert kept_shift_pairs(spec) == {(0, 0), (2, 1), (-2, -1)}
+
     def test_flagship_fixed_sets(self):
         # Fix(beta_l) = (sqrt 2 - 1)Z and Fix(beta_r) = (sqrt 2 / 2)Z: one
         # fixed point, 0, in each period.
@@ -545,6 +625,18 @@ class TestFixedPoints:
 @given(field_actions())
 def test_the_step_keeps_each_fixed_point_fixed_in_drawn_actions(case):
     assert_step_keeps_fixed_points(case[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(field_actions())
+def test_only_the_identity_shift_keeps_the_order_in_drawn_actions(case):
+    # Drawn actions with an irrational step ratio, each shift pair's rate
+    # gap at least P/8, so that every window is at most 28 periods wide.
+    spec = case[0]
+    assume(not certify_nonuniform(spec).ratio_rational)
+    P, gaps = rate_gaps(spec)
+    assume(all(8 * gap >= P for m, gap in gaps.items() if m != (0, 0)))
+    assert kept_shift_pairs(spec) == {(0, 0)}
 
 
 def test_only_action_names_the_generators():

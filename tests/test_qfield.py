@@ -1,3 +1,4 @@
+import ast
 import math
 import operator
 import re
@@ -5,10 +6,12 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leafspace import qfield
 from leafspace.errors import DivisionByZeroError, FieldMismatchError, ParseError, PreconditionError
 from leafspace.qfield import QNum, _is_square_free, qnum, ratio_is_rational, sqrt_of
 from leafspace.selftest import random_qnum
@@ -231,6 +234,30 @@ def test_rational_hash_matches_fraction_and_int():
     for value in (-1, 0, Fraction(-1, 2), Fraction(1, modulus), Fraction(-3, 2 * modulus),
                   Fraction(modulus + 1, modulus - 1), -(2**200) + 1):
         assert hash(qnum(value)) == hash(value)
+
+
+@pytest.mark.parametrize("method, triple_function", [
+    ("__add__", "_add"), ("__sub__", "_sub"), ("__mul__", "_mul"), ("__truediv__", "_div"),
+    ("inverse", "_div"), ("_cmp", "_cmp"),
+])
+def test_qnum_operators_run_on_the_triple_functions(method, triple_function):
+    # One arithmetic: each QNum operator calls the triple function that PLMap
+    # and the searches run on, and does no sum or product of its own.
+    tree = ast.parse(Path(qfield.__file__).read_text(encoding="utf-8"))
+    qnum_class = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "QNum")
+    body = next(node for node in qnum_class.body if isinstance(node, ast.FunctionDef) and node.name == method)
+    nodes = list(ast.walk(body))
+    assert triple_function in {node.func.id for node in nodes
+                               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not [node for node in nodes
+                if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult))]
+
+
+def test_a_rational_hashes_as_its_fraction():
+    # No hand-written copy of Python's numeric hash: QNum.__hash__ uses the
+    # Fraction's own.
+    tree = ast.parse(Path(qfield.__file__).read_text(encoding="utf-8"))
+    assert "_hash_rational" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
 def test_irrational_values_hash_consistently_with_equality():

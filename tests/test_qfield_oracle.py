@@ -8,6 +8,11 @@
 * Field arithmetic and the canonical text form are checked against
   ``PairRef``, a small a + b*sqrt(d) model built on two ``Fraction``s.
 
+``QNum``'s operators and comparisons run on ``qfield``'s triple functions
+(``_add``, ``_sub``, ``_mul``, ``_div`` and ``_cmp``), the one arithmetic
+that ``PLMap`` and the action searches run on, so these tests check the
+arithmetic behind every map evaluation, composition and search as well.
+
 Coefficients reach 2^200 in size, and the draws include near-units
 (a close to -b*sqrt(d), so a + b*sqrt(d) is tiny) and operands of opposite
 sign, where a sign decision needs every digit.
