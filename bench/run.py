@@ -108,6 +108,7 @@ def orbit_map(xs, m):
     return PLMap(1, [(x, xs[(j + m) % q] + (j + m) // q) for j, x in enumerate(xs)])
 
 
+orbit3 = PLMap(1, [(F(3, 16), F(3, 8)), (F(5, 16), F(9, 16)), (F(9, 16), F(17, 16))])
 orbit5 = orbit_map([F(0), F(1, 7), F(1, 3), F(1, 2), F(5, 6)], 2)
 orbit61 = orbit_map([F(j * j + 1, 3728) for j in range(61)], 7)
 # A conjugate of x -> x + 1/10 at period 1/2, carried at period 1: it
@@ -161,15 +162,21 @@ ROWS = {
     "plmap.call.translation": "unit(x_r2)",
     "plmap.construct.sqrt2_4_breakpoints": "PLMap(period_r2, pts_r2)",
     "plmap.compose.sqrt2": "g_r2.compose(beta2)",
+    # rot's tau = sqrt(2)/10 is irrational: the search up to max_denom 64
+    # finds no periodic orbit, and the bracket is the rounded walk's.
     "plmap.translation_number.forced_bracket_eps_1e-3":
         "translation_number(rot, F(1, 1000), force_bracket=True)",
     # The default eps of rotnum: n = 2000001 steps at most.
     "plmap.translation_number.forced_bracket_eps_1e-6":
         "translation_number(rot, F(1, 10**6), force_bracket=True)",
-    # tests/golden/map.json: tau = 1/2, so the orbit of 0 closes at j = 2,
-    # and n = 2001 is odd.
+    # tests/golden/map.json: the search finds tau = 1/2 at f^2, and the
+    # bracket is 1/2 +- 1/n with n = 2001; nothing is walked.
     "plmap.translation_number.forced_bracket_closes_eps_1e-3":
         "translation_number(golden, F(1, 1000), force_bracket=True)",
+    # tau = 1/3 from the orbit 1/16 -> 5/16 -> 9/16 -> 17/16, which misses 0,
+    # as in leafbench's rotnum-forced requests: the search finds it at f^3.
+    "plmap.translation_number.forced_bracket_orbit_misses_0_eps_1e-5":
+        "translation_number(orbit3, F(1, 10**5), force_bracket=True)",
     "plmap.inverse.sqrt2_4_breakpoints": "g_r2.inverse()",
     "plmap.affine_conjugate.sqrt2_4_breakpoints": "g_r2.affine_conjugate(1 + r2)",
     "qfield.parse.sqrt2_literal": 'QNum.parse("1/3+2/7*sqrt(2)")',

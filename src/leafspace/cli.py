@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help="PL map JSON file (or - for stdin)")
     p.add_argument("--eps", default="1/1000000", help="bracket width bound")
     _at_most(p, "--max-denom", 256, "longest periodic orbit searched for", default=64)
-    p.add_argument("--bracket", action="store_true", help="skip the exact search")
+    p.add_argument("--bracket", action="store_true", help="a bracket even when the value is exact")
 
     p = add("periods", cmd_periods, "commuting-translation subgroup of a PL map")
     p.add_argument("--map", required=True)

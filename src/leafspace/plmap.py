@@ -779,10 +779,9 @@ def translation_number(
     The bracket comes from two orbits of 0 rounded onto a grid
     (``_rounded_walk``), whose ends are short fractions times p, in at most
     n = floor(2p/eps) + 1 steps on each grid; the same walk guides the one
-    search for a periodic orbit (``_periodic_orbit``).  A forced bracket
-    first walks the exact orbit of 0 for up to max_denom steps; if
-    f^j(0) = k*p there, or those are all n steps, it returns
-    [(f^n(0) - p)/n, (f^n(0) + p)/n] from the exact f^n(0).
+    search for a periodic orbit (``_periodic_orbit``).  ``force_bracket``
+    asks for a bracket even when the value tau is exact: it returns
+    [tau - p/n, tau + p/n], whose width 2p/n is below eps.
     """
     p = f.period
     eps = as_qnum(eps, p.d)
@@ -791,25 +790,10 @@ def translation_number(
     if max_denom < 0:
         raise PreconditionError("max_denom must be >= 0")
     n = (2 * p / eps).floor() + 1
-    x, j = as_qnum(0, p.d), 0
     if f.is_translation():
-        if not force_bracket:
-            return Exact(f.displacement)
-        x, j = f.displacement * n, n
-    elif force_bracket:
-        inn, inm_d, inm, inq = f._kernel()[0]
-        stop = min(n, max_denom)
-        while j < stop:
-            x, j = f(x), j + 1
-            # x/p = (N + M*sqrt(d))/Q with N, M, Q below, unreduced, so x is
-            # an integer multiple of p iff M == 0 and Q divides N.
-            if not x._n * inm + x._m * inn:
-                k, r = divmod(x._n * inn + x._m * inm_d, x._q * inq)
-                if not r:
-                    # f^j(0) = k*p and f commutes with x -> x + p, so
-                    # f^n(0) = f^(n mod j)((n // j)*k*p); no later point of
-                    # that walk is a multiple of p, j being the least.
-                    x, j, stop = (n // j) * k * p, n - n % j, n
-    if j == n:
-        return Bracket((x - p) / n, (x + p) / n)
-    return _periodic_orbit(f, 0 if force_bracket else max_denom, _rounded_walk(f, eps, n))
+        tau = Exact(f.displacement)
+    else:
+        tau = _periodic_orbit(f, max_denom, _rounded_walk(f, eps, n))
+    if force_bracket and isinstance(tau, Exact):
+        return Bracket(tau.value - p / n, tau.value + p / n)
+    return tau

@@ -160,6 +160,10 @@ def test_fuzz_number_options(a, b, c, e):
         (["rotnum", "--map", "-", "--max-denom", "257"],
          json.dumps({"period": "1", "breakpoints": [{"x": "0", "y": "1/5"},
                                                     {"x": "1/2", "y": "3/5"}]}), 3),
+        # the exponent notation and the float overflow above, on commands
+        # other than shear-holonomy
+        (["shear-shadow", "--lam", "1e5000", "--n", "3"], "", 2),
+        (["orbit-gap", "--config", "flagship", "--window", "0,1" + "0" * 400], "", 3),
     ],
 )
 def test_boundary_cases(argv, stdin, code):

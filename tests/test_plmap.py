@@ -323,28 +323,19 @@ class TestTranslationNumber:
         assert res.contains(R2)
 
     @staticmethod
-    def _reference_orbit(f, eps, force_bracket):
-        """The orbit part of translation_number with closure decided by
-        building x/p as a Fraction, as it was before the integer test."""
+    def _reference_orbit(f, eps):
+        """Exact(m*p/q) when the orbit of 0 closes, f^q(0) = m*p, within n
+        steps, closure decided by building x/p as a Fraction; else the
+        bracket [(f^n(0) - p)/n, (f^n(0) + p)/n] of the exact f^n(0)."""
         p = f.period
         n = (2 * p / eps).floor() + 1
-        orbit = [qnum(0, 0, p.d)]
-        closure = None
+        x = qnum(0, 0, p.d)
         for j in range(1, n + 1):
-            x = f(orbit[-1])
+            x = f(x)
             shift = x / p
             if shift.is_rational() and shift.as_fraction().denominator == 1:
-                closure = (j, shift.as_fraction().numerator)
-                break
-            orbit.append(x)
-        if closure is not None:
-            q, m = closure
-            if not force_bracket:
-                return Exact(p * Fraction(m, q))
-            xn = orbit[n % q] + (n // q) * m * p
-        else:
-            xn = orbit[n]
-        return Bracket((xn - p) / n, (xn + p) / n)
+                return Exact(p * Fraction(shift.as_fraction().numerator, j))
+        return Bracket((x - p) / n, (x + p) / n)
 
     def test_orbit_closure_matches_fraction_test(self, rng):
         periodic = [
@@ -357,39 +348,57 @@ class TestTranslationNumber:
         maps = periodic + randoms + [f.affine_conjugate(1 + R2) for f in randoms[:3]]
         # f(0) = -1 + sqrt 2: integer coefficients, yet not a multiple of p
         maps.append(PLMap(1, [(0, R2 - 1), (Fraction(1, 2), R2 - Fraction(3, 4))]))
-        # eps 2/7 gives n = 8 on period 1, where the orbits of period 2 and 4
-        # close with n mod j = 0; eps 3/8 gives n = 9 on period 3/2, where
-        # the orbit of period 3 does.  At eps 1/1000 (n = 2001 on period 1)
-        # only orbits that close are walked, since the others take seconds.
-        kinds = set()
+        # At eps 1/1000 (n = 2001 on period 1) only orbits that close are
+        # walked, since the others take seconds.
+        closes = set()
         for eps, fs in [(Fraction(1, 50), maps), (Fraction(2, 7), maps),
                         (Fraction(3, 8), maps), (Fraction(1, 1000), periodic)]:
             for f in fs:
                 if f.is_translation():
                     continue
-                refs = {force: self._reference_orbit(f, eps, force) for force in (False, True)}
-                closes = isinstance(refs[False], Exact)
-                for force, ref in refs.items():
-                    if closes and f in periodic:
-                        # The orbit of 0 closes within n steps: the exact
-                        # search, or a forced bracket's exact walk, gives
-                        # the same result.
-                        got = translation_number(f, eps, force_bracket=force)
-                        assert got == ref
-                        kinds.add(type(got))
-                        continue
+                ref = self._reference_orbit(f, eps)
+                if isinstance(ref, Exact) and f in periodic:
+                    # The orbit of 0 closes within n steps: the exact search
+                    # gives its value, and a forced bracket that value
+                    # widened by p/n on each side.
+                    p = f.period
+                    n = (2 * p / eps).floor() + 1
+                    assert translation_number(f, eps) == ref
+                    forced = translation_number(f, eps, force_bracket=True)
+                    assert forced == Bracket(ref.value - p / n, ref.value + p / n)
+                    closes.add(True)
+                    continue
+                closes.add(False)
+                for force in (False, True):
                     # max_denom=0 skips the search for a periodic orbit, so
                     # the rounded orbits decide; both results contain tau.
                     got = translation_number(f, eps, max_denom=0, force_bracket=force)
                     assert isinstance(got, Bracket) and got.hi - got.lo <= eps
                     lo, hi = (ref.value, ref.value) if isinstance(ref, Exact) else (ref.lo, ref.hi)
                     assert got.lo <= hi and lo <= got.hi
-        assert kinds == {Exact, Bracket}
+        assert closes == {False, True}
+
+    @pytest.mark.parametrize("scale", [1, 1 + R2], ids=["rational", "conjugate"])
+    def test_forced_bracket_of_an_orbit_that_misses_0_is_fast(self, scale):
+        # tau = p/3 from the orbit 1/16 -> 5/16 -> 9/16 -> 17/16 (at scale 1);
+        # the orbit of 0 never closes, and a rounded walk narrows only like
+        # 1/j, so the bracket comes from the exact value.
+        f = PLMap(1, [(Fraction(3, 16), Fraction(3, 8)), (Fraction(5, 16), Fraction(9, 16)),
+                      (Fraction(9, 16), Fraction(17, 16))]).affine_conjugate(scale)
+        eps = Fraction(1, 10**6)
+        p = f.period
+        n = (2 * p / eps).floor() + 1
+        tau = p / 3
+        t0 = time.perf_counter()
+        res = translation_number(f, eps, force_bracket=True)
+        elapsed = time.perf_counter() - t0
+        assert res == Bracket(tau - p / n, tau + p / n) and res.hi - res.lo < eps
+        assert elapsed < 0.1
 
     def test_bracket_memory_does_not_grow_with_the_orbit(self):
-        # No short periodic orbit: the exact walk takes the first 64 steps,
-        # whose coefficients grow with j, and the rounded orbits the rest,
-        # one grid point each; a stored exact orbit of n = 2001 takes MBs.
+        # No short periodic orbit: the search tests powers of f up to the
+        # 64th, and the rounded orbits hold one grid point each; a stored
+        # exact orbit of n = 2001 takes MBs.
         tracemalloc.start()
         try:
             res = translation_number(PROBE, Fraction(1, 1000), force_bracket=True)

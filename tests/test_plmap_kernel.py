@@ -660,8 +660,8 @@ def test_a_map_builds_its_kernel_table_once(monkeypatch):
         assert m(Fraction(1, 3)) == reference_call(m, Fraction(1, 3))
         assert m(r2 / 3) == reference_call(m, r2 / 3)
         assert len(built) == 1 and built[0] is m
-    # The rounded walk's rows, and a forced bracket's 1/p and exact walk,
-    # read the same table as a call.
+    # The rounded walk's rows read the same table as a call, and a forced
+    # bracket builds no table but its map's.
     built.clear()
     _grid_rows(f, 8)
     f(Fraction(1, 3))

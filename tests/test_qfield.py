@@ -69,6 +69,10 @@ def test_division_by_zero():
         qnum(0).inverse()
     with pytest.raises(DivisionByZeroError):
         ratio_is_rational(R2, qnum(0))
+    for x in (R2, qnum(Fraction(2, 3))):
+        for zero in (0, Fraction(0), QNum(0, 0, 3)):
+            with pytest.raises(DivisionByZeroError, match=r"^inverse of zero$"):
+                x / zero
 
 
 def test_mixed_fields_rejected():
