@@ -187,7 +187,7 @@ ROWS = {
     "shear.holonomy_domain_trace.rational": "holonomy_domain_trace(2, F(1, 10), F(1, 10), 6)",
     "action.load_action_config.flagship": "load_action_config(flagship_config)",
     # The metric-lemma chain: ten bump maps at the flagship's side steps,
-    # composed into the chain's phis.
+    # clamp-checked; their products are composed only when a phi is asked for.
     "cones.build_chain_from_action.flagship_LR5": 'build_chain_from_action(flagship, "LR" * 5)',
     "action.orbit_density.flagship_L5": "orbit_density(flagship, 0, 5, (0, 1))",
     "action.orbit_density.flagship_L6": "orbit_density(flagship, 0, 6, (0, 1))",
@@ -247,10 +247,16 @@ ROWS = {
         'run_progress_ledger(T_r2, r_r2, 30, "random", 1)',
     "cones.metric_gap_check.flagship_LR5_40_samples":
         "metric_gap_check(chain_lr5, 0, len(chain_lr5), pairs40)",
+    # A 50-letter chain, built in the statement: phi_50 is composed, then
+    # phi_0 and phi_50 are read at the 40 pairs.
+    "cones.metric_gap_check.flagship_LR25_40_samples":
+        'metric_gap_check(build_chain_from_action(flagship, "LR" * 25), 0, 50, pairs40)',
     # Whole CLI requests through cli.main: arguments read, handler run and
     # output written; the parser is built once, by the first call.
     "cli.main.cone_progress_n20": 'cli_main(["cone-progress", "--T", "1", "--r", "1/10", "--n", "20"])',
     "cli.main.certify_flagship": 'cli_main(["certify", "--config", "flagship"])',
+    "cli.main.metric_lemma_flagship_LR5":
+        'cli_main(["metric-lemma", "--config", "flagship", "--pattern", "LR" * 5])',
     # Interpreter start-up, which the rows above do not count, in a fresh
     # interpreter per op.  Their calls are the calling process's only.
     "cli.startup.import_build_parser": "fresh(IMPORT_BUILD_PARSER)",

@@ -322,20 +322,28 @@ def orbit_density(spec: ActionSpec, x0, max_word_len: int, window) -> OrbitGapRe
     if not lo < hi:
         raise PreconditionError("window must be nondegenerate")
     moves = _generator_moves(spec)
-    reach = max((abs(disp) for _, m in moves for disp in m.displacement_range()), default=0)
-    margin = reach * max_word_len + 1
-    low, high = lo - margin, hi + margin
     x0 = as_qnum(x0, spec.d)
-    # A point of word length j lies within reach*j of x0, so the margin test
-    # drops none before the first j at which that leaves [low, high].
-    first = next((j for j in range(1, max_word_len + 1)
-                  if x0 - reach * j < low or x0 + reach * j > high), max_word_len + 1)
     d = _one_field(spec.d, *(m._field for _, m in moves), *(x._m and x._d for x in (x0, lo, hi)))
-    low, high, lo_i, hi_i = map(_triple, (low, high, lo, hi))
-    # y lies in [low, high] iff y - low and y - high are not of one sign.
+    keep = None
+    # The margin test keeps the points within reach*L + 1 of the window, L
+    # the word length bound.  A point of word length j lies within reach*j
+    # of x0, so the test drops none before the first j at which that leaves
+    # the margin: none at all when x0 lies within 1 of the window.
+    if not lo - 1 <= x0 <= hi + 1:
+        reach = max((abs(disp) for _, m in moves for disp in m.displacement_range()), default=0)
+        margin = reach * max_word_len + 1
+        low, high = lo - margin, hi + margin
+        first = next((j for j in range(1, max_word_len + 1)
+                      if x0 - reach * j < low or x0 + reach * j > high), max_word_len + 1)
+        low, high = _triple(low), _triple(high)
+
+        def keep(y, j):
+            # y lies in [low, high] iff y - low and y - high are not of one sign.
+            return j < first or _cmp(y, low, d) * _cmp(y, high, d) <= 0
+
+    lo_i, hi_i = _triple(lo), _triple(hi)
     _, seen = _word_search(
-        [(letter, _int_move(m, d)) for letter, m in moves], _triple(x0), max_word_len,
-        lambda y, j: j < first or _cmp(y, low, d) * _cmp(y, high, d) <= 0)
+        [(letter, _int_move(m, d)) for letter, m in moves], _triple(x0), max_word_len, keep)
     inside = sorted(_float(*x, d) for x in seen if _cmp(x, lo_i, d) >= 0 > _cmp(x, hi_i, d))
     seq = [float(lo)] + inside + [float(hi)]
     gap = max(b - a for a, b in zip(seq, seq[1:]))

@@ -275,6 +275,11 @@ def _at_most(p, flag, cap, help_, read=int, unit="", **kw):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple:
+    """The full parser and a {name: parser} map of its subcommands."""
     parser = argparse.ArgumentParser(
         prog="leafspace",
         description="Exact leaf-space dynamics: certificates, ledgers, shear models.",
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", required=True, help="a,b in the number grammar")
     _at_most(p, "--max-word-len", 7, "longest word searched", default=4)
     p = add_action("metric-lemma", cmd_metric_lemma, "sample the metric comparison bound")
-    _at_most(p, "--pattern", 200, "pieces, a string over L and R", read=str, unit=" letters",
+    _at_most(p, "--pattern", 400, "pieces, a string over L and R", read=str, unit=" letters",
              default="LRLR")
     _at_most(p, "--samples", 10000, "leaf pairs sampled", default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -351,12 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("selftest", cmd_selftest, "run the deterministic invariant suite")
     p.add_argument("--seed", type=int, default=0)
 
-    return parser
+    return parser, sub.choices
 
 
-# Built by the first ``main`` call and shared by later calls in the process;
-# ``parse_args`` leaves the parser unchanged, so calls cannot leak options.
-_parser: argparse.ArgumentParser | None = None
+# Built by the first ``main`` call and shared by later calls in the process:
+# the full parser and its subcommands' parsers, as ``_build_parsers``
+# returns them.  ``parse_args`` leaves a parser unchanged, so calls cannot
+# leak options.
+_parser: tuple | None = None
 
 
 def _join_negative_values(argv: list) -> list:
@@ -372,14 +379,29 @@ def _join_negative_values(argv: list) -> list:
     return out
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """The arguments, read by the parser of the subcommand that ``argv[0]``
+    names when it takes every argument after it: the full parser hands it
+    just those.  Any other argv goes to the full parser, so every usage
+    error, help text and exit code is argparse's own; one that the
+    subcommand's parser left arguments of is read again there, only to fail."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parsers()
+    parser, commands = _parser
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     """The one request path: read the arguments, run the handler, write its
     output (a JSON object, or text as it is) and return the exit code."""
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        args = _parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
         out, code = args.fn(args), EXIT_OK
         if isinstance(out, tuple):
             out, code = out

@@ -36,11 +36,21 @@ __all__ = [
 class MetricChain:
     """A sequence of slithering pieces with comparison metrics per cylinder.
 
-    ``periods[i]`` is the slithering period of piece i; ``phis[i]`` maps leaf
+    ``periods[i]`` is the slithering period of piece i; ``phi(i)`` maps leaf
     coordinates to the measurement system of cylinder boundary i, with
-    ``phis[0]`` the identity.  The constructor enforces the clamp that makes
+    ``phi(0)`` the identity.  The constructor enforces the clamp that makes
     the metric comparison lemma hold: the perturbation between consecutive
     boundaries displaces no point by more than half the piece's period.
+
+    The perturbations psi_1, ..., psi_n are the leaves of a product tree:
+    the node of a range [lo, hi) is psi_hi o ... o psi_{lo+1}, the node of
+    its upper half after that of its lower half, split at the midpoint.
+    Nodes are composed when first asked for and kept, so each is composed at
+    most once.  phi(i) = psi_i o ... o psi_1 composes the O(log n) nodes
+    that cover [0, i).  Composition is associative and a ``PLMap`` has one
+    canonical form, so phi(i) is the map the prefix composes give; composing
+    halves keeps both operands small, where each prefix compose grows the
+    map by a piece.
     """
 
     def __init__(self, labels, periods, perturbations) -> None:
@@ -60,10 +70,10 @@ class MetricChain:
                 raise PreconditionError(
                     f"perturbation displacement exceeds half-period clamp {half}"
                 )
-        phis = [PLMap.identity(perturbations[0].period)]
-        for psi in perturbations:
-            phis.append(psi.compose(phis[-1]))
-        self.phis = tuple(phis)
+        # Products of ranges [lo, hi), keyed by the range: the tree's nodes,
+        # with its leaves, and each phi(i) asked for, the product of [0, i).
+        self._products = {(k, k + 1): psi for k, psi in enumerate(perturbations)}
+        self._products[(0, 0)] = PLMap.identity(perturbations[0].period)
 
     @property
     def r_max(self) -> QNum:
@@ -72,11 +82,42 @@ class MetricChain:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def _node(self, lo: int, hi: int) -> PLMap:
+        f = self._products.get((lo, hi))
+        if f is None:
+            mid = (lo + hi) // 2
+            f = self._products[(lo, hi)] = self._node(mid, hi).compose(self._node(lo, mid))
+        return f
+
+    def phi(self, i: int) -> PLMap:
+        """phi_i = psi_i o ... o psi_1, for 0 <= i <= len(self)."""
+        if not 0 <= i <= len(self):
+            raise PreconditionError(f"cylinder index {i} out of range")
+        f = self._products.get((0, i))
+        if f is None:
+            # Walk down from the root [0, n): a node inside [0, i) is taken
+            # whole, else the walk goes on into the half that holds i.
+            lo, hi, parts = 0, len(self), []
+            while lo < i:
+                mid = (lo + hi) // 2
+                if hi == i:
+                    parts.append(self._node(lo, hi))
+                    break
+                if i <= mid:
+                    hi = mid
+                else:
+                    parts.append(self._node(lo, mid))
+                    lo = mid
+            f = parts[0]
+            for g in parts[1:]:
+                f = g.compose(f)
+            self._products[(0, i)] = f
+        return f
+
     def metric(self, i: int, lam, mu) -> QNum:
         """d_i(lam, mu) = |phi_i(lam) - phi_i(mu)|."""
-        if not 0 <= i < len(self.phis):
-            raise PreconditionError(f"cylinder index {i} out of range")
-        return abs(self.phis[i](lam) - self.phis[i](mu))
+        f = self.phi(i)
+        return abs(f(lam) - f(mu))
 
 
 class GapReport(Record):
@@ -102,7 +143,7 @@ def metric_gap_check(chain: MetricChain, i: int, j: int, samples) -> GapReport:
 
     n is the number of cylinders strictly between boundaries i and j.
     """
-    if not (0 <= i < len(chain.phis) and 0 <= j < len(chain.phis)):
+    if not (0 <= i <= len(chain) and 0 <= j <= len(chain)):
         raise PreconditionError("cylinder indices out of range")
     if i > j:
         i, j = j, i

@@ -62,8 +62,8 @@ def test_criterion_2_metric_comparison(capsys):
         pattern = "".join(rng.choice("LR") for _ in range(length))
         chain = build_chain_from_action(spec, pattern, seed=c)
         for _ in range(500):
-            i = rng.randint(0, len(chain.phis) - 2)
-            j = rng.randint(i + 1, len(chain.phis) - 1)
+            i = rng.randint(0, len(chain) - 1)
+            j = rng.randint(i + 1, len(chain))
             pair = (Fraction(rng.randint(-300, 300), 7), Fraction(rng.randint(-300, 300), 11))
             rep = metric_gap_check(chain, i, j, [pair])
             violations += rep.violations

@@ -400,9 +400,12 @@ class TestRepeatedMoves:
     def test_orbit_density_from_far_outside_the_window(self, name):
         # Every move displaces by at most 1 here, so from x0 = 100 and
         # x0 = -7 + sqrt d the margin test runs on every level, and from
-        # 7/2 at length 4 only on levels 3 and 4.
+        # 7/2 at length 4 only on levels 3 and 4.  From -1 and 2, at the
+        # window's edges less 1 and plus 1, it never runs; just beyond them
+        # it runs from the last level.
         spec = SPECS[name]
-        for x0 in (100, -7 + sqrt_of(spec.d), Fraction(7, 2)):
+        for x0 in (100, -7 + sqrt_of(spec.d), Fraction(7, 2), -1, 2, Fraction(-1001, 1000),
+                   Fraction(2001, 1000)):
             for length in (1, 2, 4):
                 rep = orbit_density(spec, x0, length, (0, 1))
                 assert (rep.max_gap, rep.points_in_window, rep.orbit_size) == (

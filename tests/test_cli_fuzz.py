@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from leafspace import cli
 from leafspace.cli import build_parser, main
 
 EXITS = {0, 2, 3, 10}
@@ -113,59 +114,59 @@ def test_fuzz_number_options(a, b, c, e):
         assert run(argv, translation if argv[0] == "rotnum" else "")[0] in EXITS, argv
 
 
-@pytest.mark.parametrize(
-    "argv, stdin, code",
-    [
-        # more digits than int() converts
-        (["cone-progress", "--T", "1" * 5000, "--r", "1", "--n", "2"], "", 2),
-        (["build-action", "--config", "-"], '{"d": ' + "1" * 5000 + ', "t": "1", "s": "2"}', 2),
-        # nesting deeper than the JSON decoder's recursion
-        (["eval-word", "--config", "flagship", "--word", "[" * 100000], "", 2),
-        # Fraction's exponent notation is not number text
-        (["shear-holonomy", "--lam", "2", "--n", "3", "--eps", "1e5000"], "", 2),
-        (["rotnum", "--map", "-", "--eps", "1e-6"],
-         '{"period": "1", "breakpoints": [{"x": "0", "y": "1/3"}]}', 2),
-        # a window or interval is exactly two numbers
-        (["orbit-gap", "--config", "flagship", "--window", "1"], "", 2),
-        (["incompressible", "--config", "flagship", "--interval", "0,1/2,1"], "", 2),
-        # an exact value too large for a float report field
-        (["shear-holonomy", "--lam", "2", "--n", "3", "--eps", "1" + "0" * 400], "", 3),
-        # each shear-holonomy precondition on its own
-        (["shear-holonomy", "--lam", "1", "--n", "3"], "", 3),
-        (["shear-holonomy", "--lam", "2", "--n", "3", "--eps", "0"], "", 3),
-        (["shear-holonomy", "--lam", "2", "--n", "3", "--delta=-1/10"], "", 3),
-        (["shear-holonomy", "--lam", "2", "--n", "3", "--delta", "1"], "", 3),
-        (["shear-holonomy", "--lam", "2", "--n", "0"], "", 3),
-        # shear-shadow checks its numbers and n even when no level is printed
-        (["shear-shadow", "--lam", "2", "--n", "0"], "", 3),
-        (["shear-shadow", "--lam", "garbage", "--n", "0"], "", 2),
-        (["shear-shadow", "--lam", "1/2", "--n", "-3"], "", 3),
-        # a negative fraction given as its own argument is a value, not a flag
-        (["shear-holonomy", "--lam", "2", "--n", "3", "--delta", "-1/10"], "", 3),
-        (["cone-progress", "--T", "1", "--r", "-1/10", "--n", "3"], "", 3),
-        (["stall-search", "--T", "1", "--r", "-1/10"], "", 3),
-        # a count below its least value, not a vacuous or silently clamped run
-        (["metric-lemma", "--config", "flagship", "--samples", "-5"], "", 3),
-        (["rotnum", "--map", "-", "--max-denom", "-3"],
-         json.dumps({"period": "1", "breakpoints": [{"x": "0", "y": "1/2"}, {"x": "1/4", "y": "5/8"},
-                                                    {"x": "1/2", "y": "1"}]}), 3),
-        # a length outside the field the config declares
-        (["build-action", "--config", "-"], '{"d": 3, "t": "1+1*sqrt(5)", "s": "1"}', 3),
-        # a path that names a directory, and bytes that are not UTF-8 text
-        (["certify", "--config", "/"], "", 2),
-        (["rotnum", "--map", "/"], "", 2),
-        (["certify", "--config", "flagship", "--output", "/"], "", 2),
-        (["certify", "--config", "-"], b"\xff\xfe{}", 2),
-        # a count above its documented maximum
-        (["rotnum", "--map", "-", "--max-denom", "257"],
-         json.dumps({"period": "1", "breakpoints": [{"x": "0", "y": "1/5"},
-                                                    {"x": "1/2", "y": "3/5"}]}), 3),
-        # the exponent notation and the float overflow above, on commands
-        # other than shear-holonomy
-        (["shear-shadow", "--lam", "1e5000", "--n", "3"], "", 2),
-        (["orbit-gap", "--config", "flagship", "--window", "0,1" + "0" * 400], "", 3),
-    ],
-)
+BOUNDARY_CASES = [
+    # more digits than int() converts
+    (["cone-progress", "--T", "1" * 5000, "--r", "1", "--n", "2"], "", 2),
+    (["build-action", "--config", "-"], '{"d": ' + "1" * 5000 + ', "t": "1", "s": "2"}', 2),
+    # nesting deeper than the JSON decoder's recursion
+    (["eval-word", "--config", "flagship", "--word", "[" * 100000], "", 2),
+    # Fraction's exponent notation is not number text
+    (["shear-holonomy", "--lam", "2", "--n", "3", "--eps", "1e5000"], "", 2),
+    (["rotnum", "--map", "-", "--eps", "1e-6"],
+     '{"period": "1", "breakpoints": [{"x": "0", "y": "1/3"}]}', 2),
+    # a window or interval is exactly two numbers
+    (["orbit-gap", "--config", "flagship", "--window", "1"], "", 2),
+    (["incompressible", "--config", "flagship", "--interval", "0,1/2,1"], "", 2),
+    # an exact value too large for a float report field
+    (["shear-holonomy", "--lam", "2", "--n", "3", "--eps", "1" + "0" * 400], "", 3),
+    # each shear-holonomy precondition on its own
+    (["shear-holonomy", "--lam", "1", "--n", "3"], "", 3),
+    (["shear-holonomy", "--lam", "2", "--n", "3", "--eps", "0"], "", 3),
+    (["shear-holonomy", "--lam", "2", "--n", "3", "--delta=-1/10"], "", 3),
+    (["shear-holonomy", "--lam", "2", "--n", "3", "--delta", "1"], "", 3),
+    (["shear-holonomy", "--lam", "2", "--n", "0"], "", 3),
+    # shear-shadow checks its numbers and n even when no level is printed
+    (["shear-shadow", "--lam", "2", "--n", "0"], "", 3),
+    (["shear-shadow", "--lam", "garbage", "--n", "0"], "", 2),
+    (["shear-shadow", "--lam", "1/2", "--n", "-3"], "", 3),
+    # a negative fraction given as its own argument is a value, not a flag
+    (["shear-holonomy", "--lam", "2", "--n", "3", "--delta", "-1/10"], "", 3),
+    (["cone-progress", "--T", "1", "--r", "-1/10", "--n", "3"], "", 3),
+    (["stall-search", "--T", "1", "--r", "-1/10"], "", 3),
+    # a count below its least value, not a vacuous or silently clamped run
+    (["metric-lemma", "--config", "flagship", "--samples", "-5"], "", 3),
+    (["rotnum", "--map", "-", "--max-denom", "-3"],
+     json.dumps({"period": "1", "breakpoints": [{"x": "0", "y": "1/2"}, {"x": "1/4", "y": "5/8"},
+                                                {"x": "1/2", "y": "1"}]}), 3),
+    # a length outside the field the config declares
+    (["build-action", "--config", "-"], '{"d": 3, "t": "1+1*sqrt(5)", "s": "1"}', 3),
+    # a path that names a directory, and bytes that are not UTF-8 text
+    (["certify", "--config", "/"], "", 2),
+    (["rotnum", "--map", "/"], "", 2),
+    (["certify", "--config", "flagship", "--output", "/"], "", 2),
+    (["certify", "--config", "-"], b"\xff\xfe{}", 2),
+    # a count above its documented maximum
+    (["rotnum", "--map", "-", "--max-denom", "257"],
+     json.dumps({"period": "1", "breakpoints": [{"x": "0", "y": "1/5"},
+                                                {"x": "1/2", "y": "3/5"}]}), 3),
+    # the exponent notation and the float overflow above, on commands
+    # other than shear-holonomy
+    (["shear-shadow", "--lam", "1e5000", "--n", "3"], "", 2),
+    (["orbit-gap", "--config", "flagship", "--window", "0,1" + "0" * 400], "", 3),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code", BOUNDARY_CASES)
 def test_boundary_cases(argv, stdin, code):
     exit_code, err, out = run(argv, stdin)
     assert exit_code == code
@@ -173,21 +174,21 @@ def test_boundary_cases(argv, stdin, code):
     assert out == ""
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["cone-progress", "--T", "1", "--r", "1/10", "--n", "10001"],
-        ["cone-progress", "--T", "1", "--r", "1/10", "--n", "99999999999999999999999"],
-        ["shear-shadow", "--lam", "2", "--n", "1001"],
-        ["shear-shadow", "--lam", "2", "--n", "99999999999999999999999"],
-        ["shear-holonomy", "--lam", "2", "--n", "10001"],
-        ["shear-holonomy", "--lam", "2", "--n", "99999999999999999999999"],
-        ["metric-lemma", "--config", "flagship", "--samples", "10001"],
-        ["metric-lemma", "--config", "flagship", "--samples", "99999999999999999999999"],
-        ["metric-lemma", "--config", "flagship", "--pattern", "LR" * 100 + "L"],
-        ["metric-lemma", "--config", "flagship", "--pattern", "L" * 100000],
-    ],
-)
+OVER_CAP = [
+    ["cone-progress", "--T", "1", "--r", "1/10", "--n", "10001"],
+    ["cone-progress", "--T", "1", "--r", "1/10", "--n", "99999999999999999999999"],
+    ["shear-shadow", "--lam", "2", "--n", "1001"],
+    ["shear-shadow", "--lam", "2", "--n", "99999999999999999999999"],
+    ["shear-holonomy", "--lam", "2", "--n", "10001"],
+    ["shear-holonomy", "--lam", "2", "--n", "99999999999999999999999"],
+    ["metric-lemma", "--config", "flagship", "--samples", "10001"],
+    ["metric-lemma", "--config", "flagship", "--samples", "99999999999999999999999"],
+    ["metric-lemma", "--config", "flagship", "--pattern", "LR" * 200 + "L"],
+    ["metric-lemma", "--config", "flagship", "--pattern", "L" * 100000],
+]
+
+
+@pytest.mark.parametrize("argv", OVER_CAP)
 def test_count_above_its_cap_exits_at_once(argv):
     start = time.perf_counter()
     exit_code, err, out = run(argv)
@@ -244,3 +245,55 @@ def test_config_file_that_is_not_utf8(tmp_path):
     code, err, out = run(["certify", "--config", str(path)])
     assert (code, len(err.splitlines()), out) == (2, 1, "")
     assert err.startswith("error: malformed input:")
+
+
+# argv that the subcommand's own parser must not read differently from the
+# full parser: no arguments, an option or an unknown word first, help,
+# extra or unknown arguments, "--", over-cap values and missing values.
+DISPATCH_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--version"],
+    ["-x", "cone-progress"],
+    ["--", "cone-progress", "--T", "1", "--r", "1/10", "--n", "2"],
+    ["nope"],
+    ["certif", "--config", "flagship"],
+    ["cone-progress"],
+    ["cone-progress", "-h"],
+    ["cone-progress", "-h", "--bogus"],
+    ["cone-progress", "--T", "1", "--r", "1/10", "--n", "3", "extra"],
+    ["cone-progress", "--T", "1", "--r", "1/10", "--n", "3", "--"],
+    ["cone-progress", "--", "--T", "1", "--r", "1/10", "--n", "3"],
+    ["cone-progress", "--T", "1", "--r", "1/10", "--n", "3", "--bogus", "x"],
+    ["cone-progress", "--T=1", "--r=1/10", "--n=3", "--policy", "nope"],
+    ["cone-progress", "--T", "1", "--r", "1/10", "--n", "3", "--seed"],
+    ["cone-progress", "--T", "1", "--r", "1/10", "--n", "10001"],
+    ["stall-search", "--T", "1", "--r", "1", "--T", "2"],
+    ["shear-holonomy", "--t", "1", "--lam", "2", "--n", "3"],
+    ["metric-lemma", "--config", "flagship", "--pattern", "L" * 401],
+    ["metric-lemma", "--config", "flagship", "--pattern", "LR", "--samples", "5", "LR"],
+    ["certify", "--config"],
+    ["certify", "--config", "flagship", "--output"],
+    ["certify", "--config", "flagship", "--density-word-len", "x"],
+    ["selftest", "--seed", "0", "selftest"],
+]
+
+
+def _parity_cases():
+    from test_cli_golden import CASES, _argv
+
+    yield from ((_argv(name), "") for name in sorted(CASES))
+    yield from ((argv, stdin) for argv, stdin, _ in BOUNDARY_CASES)
+    yield from ((argv, "") for argv in OVER_CAP + DISPATCH_CASES)
+    for command, flag, cap, unit in _capped_options():
+        yield [command, flag, "L" * (cap + 1) if unit else str(cap + 1)], ""
+
+
+@pytest.mark.parametrize("argv, stdin", _parity_cases())
+def test_main_reads_arguments_as_the_full_parser(argv, stdin, monkeypatch):
+    # Exit code, stderr and stdout through the subcommand's parser, and
+    # then through the full parser alone: main with no subcommand map.
+    got = run(argv, stdin)
+    monkeypatch.setattr(cli, "_parser", (build_parser(), {}))
+    assert run(argv, stdin) == got

@@ -60,6 +60,61 @@ class TestMetricChain:
             MetricChain(["a"], [Fraction(1, 3)], [small_bump(Fraction(1, 4))])
 
 
+@st.composite
+def bump_chains(draw):
+    """Period-1 bump maps psi_1, ..., psi_n, rational or irrational in
+    Q(sqrt d), each displacing by less than 1/2, and an order of 0..n."""
+    d = draw(st.sampled_from((None, 2, 3, 5)))
+    psis = []
+    for _ in range(draw(st.integers(1, 24))):
+        amp = Fraction(draw(st.integers(1, 16)), 64)
+        if d is not None:
+            amp += sqrt_of(d) * Fraction(draw(st.integers(-4, 4)), 256)
+        phase = Fraction(draw(st.integers(0, 15)), 32)
+        psis.append(PLMap(1, [(phase, phase), (phase + Fraction(1, 2), phase + Fraction(1, 2) + amp)]))
+    return psis, draw(st.permutations(range(len(psis) + 1)))
+
+
+class TestProductTree:
+    @settings(max_examples=60, deadline=None)
+    @given(bump_chains())
+    def test_every_phi_is_the_prefix_compose(self, case):
+        psis, order = case
+        chain = MetricChain(["L"] * len(psis), [1] * len(psis), psis)
+        want = [PLMap.identity(1)]
+        for psi in psis:
+            want.append(psi.compose(want[-1]))
+        for i in order:
+            assert chain.phi(i) == want[i]
+
+    def test_composes_stay_near_n_log_n(self, monkeypatch):
+        # The tree composes each node once, from two halves: phi_n reads
+        # about 2 breakpoints a piece on each of log2 n levels, where the
+        # prefix composes read about n^2 (15722 at n = 128).  Every phi(i)
+        # together takes (n/2) log2 n composes.
+        compose, reads = PLMap.compose, []
+        monkeypatch.setattr(PLMap, "compose",
+                            lambda f, g: reads.append(len(f._xs) + len(g._xs)) or compose(f, g))
+        n, log_n = 128, 7
+        chain = build_chain_from_action(FLAGSHIP, "LR" * (n // 2))
+        assert reads == []
+        chain.phi(n)
+        assert len(reads) == n - 1 and sum(reads) <= 2.5 * n * log_n
+        for i in range(n + 1):
+            chain.phi(i)
+        assert len(reads) <= n * log_n / 2
+        for i in range(n + 1):
+            chain.phi(i)
+        assert len(reads) <= n * log_n / 2
+
+    def test_phi_index_out_of_range(self):
+        chain = build_chain_from_action(FLAGSHIP, "LRL", seed=1)
+        assert chain.phi(0) == PLMap.identity(1)
+        for i in (-1, 4):
+            with pytest.raises(PreconditionError, match=f"^cylinder index {i} out of range$"):
+                chain.phi(i)
+
+
 class TestGapCheck:
     def test_adjacent_boundaries_within_one_period(self, rng):
         chain = build_chain_from_action(FLAGSHIP, "LRLR", seed=1)
@@ -283,4 +338,4 @@ class TestBuildChain:
     def test_deterministic_in_seed(self):
         c1 = build_chain_from_action(FLAGSHIP, "LRLR", seed=7)
         c2 = build_chain_from_action(FLAGSHIP, "LRLR", seed=7)
-        assert c1.phis == c2.phis
+        assert [c1.phi(i) for i in range(len(c1) + 1)] == [c2.phi(i) for i in range(len(c2) + 1)]
