@@ -78,7 +78,6 @@ from leafspace.cones import (adversarial_stall, build_chain_from_action, metric_
                              run_progress_ledger, sample_leaf_pairs)
 from leafspace.plmap import PLMap, translation_number
 from leafspace.qfield import QNum, as_qnum, sqrt_of
-from leafspace.shear import holonomy_domain_trace
 r2 = sqrt_of(2)
 beta = PLMap(1, [(0, 0), (F(1, 2), F(3, 4))])
 beta2 = beta.affine_conjugate(1 + r2)
@@ -184,7 +183,6 @@ ROWS = {
     "qfield.floor.big_sqrt_part": "x_big.floor()",
     "qfield.as_qnum.fraction": "as_qnum(F(7, 3))",
     "qfield.construct.fraction_pair": "QNum(F(1, 3), F(2, 7), 2)",
-    "shear.holonomy_domain_trace.rational": "holonomy_domain_trace(2, F(1, 10), F(1, 10), 6)",
     "action.load_action_config.flagship": "load_action_config(flagship_config)",
     # The metric-lemma chain: ten bump maps at the flagship's side steps,
     # clamp-checked; their products are composed only when a phi is asked for.
@@ -254,6 +252,9 @@ ROWS = {
     # Whole CLI requests through cli.main: arguments read, handler run and
     # output written; the parser is built once, by the first call.
     "cli.main.cone_progress_n20": 'cli_main(["cone-progress", "--T", "1", "--r", "1/10", "--n", "20"])',
+    # A shear-holonomy request in the form of leafbench's ledger workload.
+    "cli.main.shear_holonomy_n20":
+        'cli_main(["shear-holonomy", "--lam", "2", "--eps", "1/10", "--delta", "1/10", "--n", "20"])',
     "cli.main.certify_flagship": 'cli_main(["certify", "--config", "flagship"])',
     "cli.main.metric_lemma_flagship_LR5":
         'cli_main(["metric-lemma", "--config", "flagship", "--pattern", "LR" * 5])',

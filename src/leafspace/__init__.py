@@ -23,6 +23,6 @@ from .cones import (
     metric_gap_check,
     run_progress_ledger,
 )
-from .shear import disjointness_check, holonomy_domain_trace, shadow_length
+from .shear import disjointness_check, shadow_length
 
 __version__ = "0.1.0"

@@ -159,13 +159,25 @@ class ComposedMap:
         return f"ComposedMap({len(self.factors)} factors)"
 
 
+# The most work one word may cost: under 1 s on the shipped configs.
+WORD_CHARGE_CAP = 2 * 10**7
+
+
 def _validate_word(spec: ActionSpec, word) -> list[tuple[PLMap, int]]:
-    """(generator, exponent) for each letter, every letter checked in turn."""
-    out = []
+    """(generator, exponent) for each letter, every letter checked in turn
+    and charged before any power is taken: ``size`` grows by |exponent| times
+    the breakpoints of a letter that is not a translation, and each letter
+    charges size**2, since a compose costs breakpoints times coefficient bits."""
+    out, size, charge = [], 0, 0
     for name, exp in word:
         g = spec.generator(name)
         if type(exp) is not int or exp == 0:
             raise PreconditionError(f"exponent for {name} must be a nonzero integer")
+        if not g.is_translation():
+            size += abs(exp) * len(g._xs)
+        charge += size * size
+        if charge > WORD_CHARGE_CAP:
+            raise PreconditionError(f"word costs more than {WORD_CHARGE_CAP} units of work")
         out.append((g, exp))
     return out
 

@@ -29,7 +29,7 @@ from .errors import ParseError, PreconditionError
 from .plmap import Exact, PLMap, translation_number
 from .qfield import QNum
 from .selftest import run_selftest
-from .shear import holonomy_domain_trace, shadow_length
+from .shear import shadow_length
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -233,18 +233,19 @@ def cmd_shear_shadow(args):
 
 
 def cmd_shear_holonomy(args):
-    trace = holonomy_domain_trace(
-        QNum.parse(args.lam),
-        _parse_rat(args.eps),
-        _parse_rat(args.delta),
-        args.n,
-        _parse_rat(args.threshold),
-    )
-    lines = ["level,domain_length"]
-    width = _f17(trace.width)
-    lines += [f"{level},{width}" for level in range(trace.levels)]
-    lines.append(f"# flag: {trace.flag}")
-    lines.append("# label: EXPLORATORY")
+    lam, eps, delta = QNum.parse(args.lam), _parse_rat(args.eps), _parse_rat(args.delta)
+    # The closed form of shear.py's docstring; delta < 1/2 + eps keeps mu monotone.
+    if delta < 0 or 2 * delta >= 1 + 2 * eps:
+        raise PreconditionError("delta must keep the shear monotone")
+    if not lam > 1:
+        raise PreconditionError("multiplier must exceed 1")
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
+    if args.n < 1:
+        raise PreconditionError("n must be >= 1")
+    width = _f17(1 + 2 * eps)
+    lines = ["level,domain_length", *(f"{level},{width}" for level in range(args.n + 1))]
+    lines += ["# flag: PERSISTS", "# label: EXPLORATORY"]
     return "\n".join(lines) + "\n"
 
 
@@ -286,8 +287,8 @@ def _build_parsers() -> tuple:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # No prefix abbreviations: an unknown option such as shear-holonomy
-    # --t must fail, not silently become --threshold.
+    # No prefix abbreviations: an unknown option such as cone-progress
+    # --pol must fail, not silently become --policy.
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.set_defaults(fn=fn)
@@ -351,7 +352,6 @@ def _build_parsers() -> tuple:
     p.add_argument("--delta", default="1/10", help="shear displacement")
     p.add_argument("--eps", default="1/10", help="collar half-width")
     _at_most(p, "--n", 10000, "levels", required=True)
-    p.add_argument("--threshold", default="1/1000000")
 
     p = add("selftest", cmd_selftest, "run the deterministic invariant suite")
     p.add_argument("--seed", type=int, default=0)

@@ -169,14 +169,19 @@ class PLMap:
 
     def displacement_range(self) -> tuple[QNum, QNum]:
         """Exact (min, max) of f(x) - x, attained at breakpoints."""
+        lo, hi = self._displacement_extremes()
+        return _make(*lo, self._d), _make(*hi, self._d)
+
+    def _displacement_extremes(self) -> tuple:
+        """``displacement_range`` as unreduced triples, as ``_cmp`` and ``_quot`` allow."""
         d, lo, hi = self._d, None, None
         for (xn, xm, xq), (yn, ym, yq) in zip(self._xs, self._ys):
-            v = (yn * xq - xn * yq, ym * xq - xm * yq, xq * yq)  # unreduced, as _cmp allows
+            v = (yn * xq - xn * yq, ym * xq - xm * yq, xq * yq)
             if lo is None or _cmp(v, lo, d) < 0:
                 lo = v
             if hi is None or _cmp(v, hi, d) > 0:
                 hi = v
-        return _make(*lo, d), _make(*hi, d)
+        return lo, hi
 
     @classmethod
     def translation(cls, t, period=1) -> "PLMap":
@@ -668,20 +673,16 @@ def _power(powers: dict, q: int) -> int:
 
 
 def _orbit_test(h: PLMap, s, d: int) -> tuple[int, bool]:
-    """(m, hit) for h = F^q and F's period s, a triple in the field d:
+    """(m, hit) for h = F^q and F's period s > 0, a triple in the field d:
     m = ceil(lo/s) and whether h moves a point by exactly m*s.  h - id takes
-    every value in [lo, hi], its extremes at breakpoints: m is the least
-    ceil((y - x)/s), and hit says m <= the largest floor((y - x)/s): the
-    floors are ``qfield._floor``, and each ceiling is derived from its floor
-    as that docstring says."""
-    floors, ceils = [], []
-    for (xn, xm, xq), (yn, ym, yq) in zip(h._xs, h._ys):  # y - x unreduced, as _quot allows
-        kn, km, kq = _quot((yn * xq - xn * yq, ym * xq - xm * yq, xq * yq), s, d)
-        k = _floor(kn, km, kq, d)
-        floors.append(k)
-        ceils.append(k + 1 if km or kn % kq else k)
-    m = min(ceils)
-    return m, m <= max(floors)
+    every value in [lo, hi], its extremes at breakpoints, so hit says
+    m <= floor(hi/s).  The floors are ``qfield._floor``, and the ceiling is
+    derived from its floor as that docstring says."""
+    lo, hi = h._displacement_extremes()
+    kn, km, kq = _quot(lo, s, d)
+    k = _floor(kn, km, kq, d)
+    m = k + 1 if km or kn % kq else k
+    return m, m <= _floor(*_quot(hi, s, d), d)
 
 
 def _periodic_orbit(f: PLMap, max_denom: int, walk):

@@ -260,7 +260,8 @@ class TestActionCommands:
         assert obj["kind"] == "composite"
         assert len(obj["factors"]) == 2
 
-    @pytest.mark.parametrize("name, n", [("alpha_l", 10**9), ("alpha_r", -123456789123)])
+    @pytest.mark.parametrize("name, n", [("alpha_l", 10**9), ("alpha_r", -123456789123),
+                                         ("alpha_l", 10**20)])
     def test_eval_word_takes_a_huge_power_of_a_translation(self, capsys, name, n):
         # PLMap.pow squares, so the power costs about log2|n| composes of
         # translations; a power found by counting down from n (as _power
@@ -379,12 +380,20 @@ class TestShearCommands:
         assert lines[0] == "level,domain_length"
         assert any(l.startswith("# flag:") for l in lines)
 
-    def test_shear_holonomy_has_no_t_option(self, capsys):
-        # --t is gone, and no option prefix stands for a longer option.
-        for extra in (["--t", "1"], ["--thr", "2"]):
+    def test_no_option_prefix_stands_for_a_longer_option(self, capsys):
+        for argv in (["cone-progress", "--T", "1", "--r", "1/10", "--n", "3", "--pol", "random"],
+                     ["rotnum", "--map", "-", "--max", "5"]):
             with pytest.raises(SystemExit) as exc:
-                main(["shear-holonomy", "--lam", "2", "--n", "3", *extra])
+                main(argv)
             assert exc.value.code == EXIT_BAD_INPUT
+
+    def test_shear_holonomy_has_no_threshold_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["shear-holonomy", "--lam", "2", "--n", "3", "--threshold", "1"])
+        assert exc.value.code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "leafspace: error: unrecognized arguments: --threshold 1"]
 
 
 class TestOutputAndDeterminism:

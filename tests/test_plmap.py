@@ -10,7 +10,7 @@ from leafspace import plmap
 from leafspace.action import build_glued_action
 from leafspace.errors import FieldMismatchError, PeriodMismatchError, PreconditionError
 from leafspace.plmap import Bracket, Exact, PLMap, translation_number
-from leafspace.qfield import QNum, _triple, qnum, sqrt_of
+from leafspace.qfield import QNum, _floor, _quot, _triple, qnum, sqrt_of
 from leafspace.selftest import random_plmap, random_qnum
 
 from conftest import periodic_orbit_map
@@ -453,6 +453,28 @@ class TestTranslationNumber:
             lo, hi = h.displacement_range()
             m = -((-lo / step).floor())
             assert plmap._orbit_test(h, _triple(step), step.d) == (m, m * step <= hi)
+
+    @staticmethod
+    def _reference_orbit_test(h, s, d):
+        """The per-breakpoint form of ``plmap._orbit_test``: m is the least
+        ceil((y - x)/s) and hit says m <= the largest floor((y - x)/s)."""
+        floors, ceils = [], []
+        for (xn, xm, xq), (yn, ym, yq) in zip(h._xs, h._ys):
+            kn, km, kq = _quot((yn * xq - xn * yq, ym * xq - xm * yq, xq * yq), s, d)
+            k = _floor(kn, km, kq, d)
+            floors.append(k)
+            ceils.append(k + 1 if km or kn % kq else k)
+        m = min(ceils)
+        return m, m <= max(floors)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rotnum_maps(), st.integers(1, 4))
+    def test_orbit_test_matches_the_per_breakpoint_test(self, f, q):
+        # ceil and floor are monotone and s > 0, so the two extremes decide.
+        h = f.pow(q)
+        for step in {f.period, f.period * Fraction(1, f._shift_divisor())}:
+            s, d = _triple(step), step.d
+            assert plmap._orbit_test(h, s, d) == self._reference_orbit_test(h, s, d)
 
     def test_orbit_test_floors_a_negative_sqrt_part(self):
         # The displacement 1 - sqrt 2 at x = 0, over denominator 1, has

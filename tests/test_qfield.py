@@ -371,7 +371,7 @@ def _boundary_readers():
     from leafspace.cones import MetricChain, adversarial_stall, run_progress_ledger
     from leafspace.plmap import PLMap, translation_number
     from leafspace.qfield import as_qnum
-    from leafspace.shear import disjointness_check, holonomy_domain_trace, shadow_length
+    from leafspace.shear import disjointness_check, shadow_length
 
     F = Fraction
     beta = PLMap(1, [(0, 0), (F(1, 2), F(3, 4))])
@@ -383,10 +383,6 @@ def _boundary_readers():
         ("qnum", lambda x: qnum(x, 0, 5), F(-2, 7)),
         ("as_qnum", lambda x: as_qnum(x, 3), F(-2, 7)),
         ("translation_number.eps", lambda x: translation_number(probe, x, 0), F(1, 100)),
-        ("holonomy.multiplier", lambda x: holonomy_domain_trace(x, F(1, 10), F(1, 10), 3), F(3, 2)),
-        ("holonomy.eps", lambda x: holonomy_domain_trace(2, x, F(1, 10), 3), F(1, 8)),
-        ("holonomy.delta", lambda x: holonomy_domain_trace(2, F(1, 10), x, 3), F(1, 20)),
-        ("holonomy.threshold", lambda x: holonomy_domain_trace(2, F(1, 10), 0, 3, x), F(3, 2)),
         ("shadow_length", lambda x: shadow_length(x, 2, 3), F(2, 3)),
         ("run_progress_ledger", lambda x: run_progress_ledger(1, x, 3), F(1, 10)),
         ("adversarial_stall", lambda x: adversarial_stall(1, x), F(1, 2)),

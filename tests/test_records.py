@@ -30,7 +30,7 @@ def test_the_walk_finds_every_record():
     assert {cls.__name__ for cls in RECORDS} == {
         "FixedPoints", "PeriodGroup", "Exact", "Bracket", "ActionSpec", "Certificate",
         "OrbitGapReport", "CompressionResult", "GapReport", "LedgerRow", "LedgerRun",
-        "StallTrace", "ShadowReport", "HolonomyTrace",
+        "StallTrace", "ShadowReport",
     }
 
 

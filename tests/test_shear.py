@@ -1,13 +1,15 @@
-"""Tests for the shadow-length series and the sheared-holonomy trace."""
+"""Tests for the shadow-length series, the sheared-holonomy trace that
+``shear-holonomy`` prints, and arc disjointness."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from leafspace.cli import main
 from leafspace.errors import PreconditionError
 from leafspace.qfield import qnum, sqrt_of
-from leafspace.shear import disjointness_check, holonomy_domain_trace, shadow_length
+from leafspace.shear import disjointness_check, shadow_length
 
 R2 = sqrt_of(2)
 
@@ -43,44 +45,48 @@ class TestShadowLength:
             shadow_length(1, 2, 0)
 
 
+def shear_holonomy(capsys, lam, eps, delta, n):
+    """Exit code, stdout and stderr of one ``shear-holonomy`` request."""
+    code = main(["shear-holonomy", "--lam", str(lam), "--eps", str(eps), "--delta", str(delta),
+                 "--n", str(n)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestHolonomyTrace:
-    def test_identity_shear_persists(self):
-        trace = holonomy_domain_trace(2, Fraction(1, 8), 0, 5)
-        assert (trace.width, trace.levels, trace.flag) == (Fraction(5, 4), 6, "PERSISTS")
+    def test_identity_shear_persists(self, capsys):
+        code, out, _ = shear_holonomy(capsys, 2, "1/8", 0, 5)
+        assert code == 0
+        assert out.splitlines()[1:] == [f"{level},1.25" for level in range(6)] + [
+            "# flag: PERSISTS", "# label: EXPLORATORY"]
 
-    def test_lengths_never_increase(self):
+    def test_lengths_never_increase(self, capsys):
         # One width at every level: the whole collar window survives.
-        trace = holonomy_domain_trace(2, Fraction(1, 8), Fraction(1, 4), 6)
-        assert (trace.width, trace.levels, trace.flag) == (Fraction(5, 4), 7, "PERSISTS")
+        code, out, _ = shear_holonomy(capsys, 2, "1/8", "1/4", 6)
+        assert code == 0
+        assert [row.split(",")[1] for row in out.splitlines()[1:8]] == ["1.25"] * 7
 
-    def test_coarse_threshold_reports_shrinkage(self):
-        trace = holonomy_domain_trace(2, Fraction(1, 8), Fraction(1, 4), 6, threshold=2)
-        assert trace.flag == "SHRINKS_TO_POINT"
-        assert (trace.width, trace.levels) == (Fraction(5, 4), 1)
+    def test_input_validation(self, capsys):
+        assert shear_holonomy(capsys, 2, "1/8", 0, 0) == (
+            3, "", "error: precondition violated: n must be >= 1\n")
 
-    def test_input_validation(self):
-        with pytest.raises(PreconditionError):
-            holonomy_domain_trace(2, Fraction(1, 8), 0, 0)
-
-    def test_shear_input_validation(self):
+    def test_shear_input_validation(self, capsys):
         """Each check on its own, then the order: delta, the multiplier,
         eps, n."""
-        eighth, quarter = Fraction(1, 8), Fraction(1, 4)
         for args, message in [
-            ((1, eighth, quarter, 3), "multiplier must exceed 1"),
-            ((2, 0, quarter, 3), "eps must be positive"),
-            ((2, eighth, -1, 3), "delta must keep the shear monotone"),
-            ((2, eighth, 1, 3), "delta must keep the shear monotone"),
+            ((1, "1/8", "1/4", 3), "multiplier must exceed 1"),
+            ((2, 0, "1/4", 3), "eps must be positive"),
+            ((2, "1/8", -1, 3), "delta must keep the shear monotone"),
+            ((2, "1/8", 1, 3), "delta must keep the shear monotone"),
             ((1, 0, -1, 0), "delta must keep the shear monotone"),
-            ((1, 0, quarter, 0), "multiplier must exceed 1"),
-            ((2, 0, quarter, 0), "eps must be positive"),
+            ((1, 0, "1/4", 0), "multiplier must exceed 1"),
+            ((2, 0, "1/4", 0), "eps must be positive"),
         ]:
-            with pytest.raises(PreconditionError, match=message):
-                holonomy_domain_trace(*args)
+            code, out, err = shear_holonomy(capsys, *args)
+            assert (code, out, err) == (3, "", f"error: precondition violated: {message}\n")
 
-    def test_closed_form_on_seeded_grid(self):
-        """The trace is the collar width at every level, or one level below
-        the threshold."""
+    def test_closed_form_on_seeded_grid(self, capsys):
+        """The trace is the collar width 1 + 2*eps at each level 0..n."""
         rng = random.Random(2024)
         lams = [qnum(Fraction(11, 10)), qnum(2), qnum(Fraction(7, 2)), 1 + R2, 1 + R2 / 3,
                 qnum(1, Fraction(3, 4))]
@@ -91,13 +97,12 @@ class TestHolonomyTrace:
             if Fraction(1, 2) + delta >= 1 + eps:
                 delta = 0
             n = rng.randint(1, 12)
-            width = 1 + 2 * eps
-            for threshold in (Fraction(1, 10**6), width, width + Fraction(1, 10**9), 2 * width):
-                trace = holonomy_domain_trace(lam, eps, delta, n, threshold)
-                if width < threshold:
-                    assert (trace.width, trace.levels, trace.flag) == (width, 1, "SHRINKS_TO_POINT")
-                else:
-                    assert (trace.width, trace.levels, trace.flag) == (width, n + 1, "PERSISTS")
+            width = format(float(1 + 2 * eps), ".17g")
+            code, out, _ = shear_holonomy(capsys, lam, eps, delta, n)
+            assert code == 0
+            assert out.splitlines() == ["level,domain_length",
+                                        *(f"{level},{width}" for level in range(n + 1)),
+                                        "# flag: PERSISTS", "# label: EXPLORATORY"]
 
 
 class TestDisjointness:
