@@ -96,6 +96,9 @@ g_r2 = PLMap(period_r2, pts_r2)
 # commutes with the shift by half its period.
 sym_r2 = PLMap(1, [(0, 0), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)), (F(3, 4), F(7, 8))]
                ).affine_conjugate(1 + r2)
+# Slopes 1/2, 3/2, 1/2, 3/2: they repeat two places on, but x_2 - x_0 = 3/8, so
+# the shift by 1/2 passes the slope pre-test and fails the breakpoint test.
+rep_rat = PLMap(1, [(0, 0), (F(1, 8), F(1, 16)), (F(3, 8), F(7, 16)), (F(3, 4), F(5, 8))])
 shift = PLMap.translation(r2 / 10, 1)
 rot = beta.compose(shift).compose(beta.inverse())
 golden = PLMap(1, [(0, F(1, 2)), (F(1, 4), F(5, 8)), (F(1, 2), 1)])
@@ -219,6 +222,7 @@ ROWS = {
     # No shift by p/2 commutes with g_r2; the one by p/2 commutes with sym_r2.
     "plmap.period_group.sqrt2_4_breakpoints": "g_r2.period_group()",
     "plmap.period_group.sqrt2_symmetric_4_breakpoints": "sym_r2.period_group()",
+    "plmap.period_group.slopes_repeat_4_breakpoints": "rep_rat.period_group()",
     # QNum's own operators, on operands in Q(sqrt 2) and in Q.
     "qfield.add.sqrt2": "x_r2 + y_r2",
     "qfield.add.rational": "x_rat + y_rat",

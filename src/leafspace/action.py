@@ -290,9 +290,9 @@ def _int_move(f: PLMap, d: int):
 def _word_search(moves, start, max_word_len: int, keep=None, stop=None):
     """Breadth-first over the words of length 1 to max_word_len; a move maps
     a word's state to that of the word with its letter applied last.  New
-    states are deduplicated exactly and dropped unless ``keep(state, j)``
-    for a word of length j.  Returns ``(word, seen)``: the first word whose
-    state satisfies ``stop``, else None, and a dict of the states reached.
+    states are deduplicated exactly and dropped unless ``keep(state)``.
+    Returns ``(word, seen)``: the first word whose state satisfies ``stop``,
+    else None, and a dict of the states reached.
 
     In ``_generator_moves`` the letter (name, -e) moves by the inverse of
     (name, e), so it takes a state reached by (name, e) back to its parent,
@@ -302,12 +302,12 @@ def _word_search(moves, start, max_word_len: int, keep=None, stop=None):
         after += [step for step in steps if step[0] != (name, -e)]
     seen = {start: None}
     frontier = [(start, steps)]
-    for j in range(1, max_word_len + 1):
+    for _ in range(max_word_len):
         nxt = []
         for x, options in frontier:
             for letter, move, after in options:
                 y = move(x)
-                if y in seen or keep is not None and not keep(y, j):
+                if y in seen or keep is not None and not keep(y):
                     continue
                 seen[y] = x, letter
                 if stop is not None and stop(y):
@@ -339,19 +339,16 @@ def orbit_density(spec: ActionSpec, x0, max_word_len: int, window) -> OrbitGapRe
     keep = None
     # The margin test keeps the points within reach*L + 1 of the window, L
     # the word length bound.  A point of word length j lies within reach*j
-    # of x0, so the test drops none before the first j at which that leaves
-    # the margin: none at all when x0 lies within 1 of the window.
+    # of x0, so when x0 lies within 1 of the window the test drops no point
+    # and is not made.
     if not lo - 1 <= x0 <= hi + 1:
         reach = max((abs(disp) for _, m in moves for disp in m.displacement_range()), default=0)
         margin = reach * max_word_len + 1
-        low, high = lo - margin, hi + margin
-        first = next((j for j in range(1, max_word_len + 1)
-                      if x0 - reach * j < low or x0 + reach * j > high), max_word_len + 1)
-        low, high = _triple(low), _triple(high)
+        low, high = _triple(lo - margin), _triple(hi + margin)
 
-        def keep(y, j):
+        def keep(y):
             # y lies in [low, high] iff y - low and y - high are not of one sign.
-            return j < first or _cmp(y, low, d) * _cmp(y, high, d) <= 0
+            return _cmp(y, low, d) * _cmp(y, high, d) <= 0
 
     lo_i, hi_i = _triple(lo), _triple(hi)
     _, seen = _word_search(

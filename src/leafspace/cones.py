@@ -46,11 +46,11 @@ class MetricChain:
     the node of a range [lo, hi) is psi_hi o ... o psi_{lo+1}, the node of
     its upper half after that of its lower half, split at the midpoint.
     Nodes are composed when first asked for and kept, so each is composed at
-    most once.  phi(i) = psi_i o ... o psi_1 composes the O(log n) nodes
-    that cover [0, i).  Composition is associative and a ``PLMap`` has one
-    canonical form, so phi(i) is the map the prefix composes give; composing
-    halves keeps both operands small, where each prefix compose grows the
-    map by a piece.
+    most once.  ``_product`` composes the O(log n) nodes that cover any
+    range [a, b), and phi(i) = psi_i o ... o psi_1 is that of [0, i).
+    Composition is associative and a ``PLMap`` has one canonical form, so
+    phi(i) is the map the prefix composes give; composing halves keeps both
+    operands small, where each prefix compose grows the map by a piece.
     """
 
     def __init__(self, labels, periods, perturbations) -> None:
@@ -82,11 +82,20 @@ class MetricChain:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def _node(self, lo: int, hi: int) -> PLMap:
-        f = self._products.get((lo, hi))
-        if f is None:
-            mid = (lo + hi) // 2
-            f = self._products[(lo, hi)] = self._node(mid, hi).compose(self._node(lo, mid))
+    def _product(self, lo: int, hi: int, a: int, b: int) -> PLMap:
+        """psi_b o ... o psi_{a+1}, the product of [a, b) for lo <= a < b <= hi,
+        from the node of [lo, hi) and the nodes under it."""
+        whole = (a, b) == (lo, hi)
+        if whole and (lo, hi) in self._products:
+            return self._products[(lo, hi)]
+        mid = (lo + hi) // 2
+        if b <= mid:
+            return self._product(lo, mid, a, b)
+        if a >= mid:
+            return self._product(mid, hi, a, b)
+        f = self._product(mid, hi, mid, b).compose(self._product(lo, mid, a, mid))
+        if whole:
+            self._products[(lo, hi)] = f
         return f
 
     def phi(self, i: int) -> PLMap:
@@ -95,23 +104,7 @@ class MetricChain:
             raise PreconditionError(f"cylinder index {i} out of range")
         f = self._products.get((0, i))
         if f is None:
-            # Walk down from the root [0, n): a node inside [0, i) is taken
-            # whole, else the walk goes on into the half that holds i.
-            lo, hi, parts = 0, len(self), []
-            while lo < i:
-                mid = (lo + hi) // 2
-                if hi == i:
-                    parts.append(self._node(lo, hi))
-                    break
-                if i <= mid:
-                    hi = mid
-                else:
-                    parts.append(self._node(lo, mid))
-                    lo = mid
-            f = parts[0]
-            for g in parts[1:]:
-                f = g.compose(f)
-            self._products[(0, i)] = f
+            f = self._products[(0, i)] = self._product(0, len(self), 0, i)
         return f
 
     def metric(self, i: int, lam, mu) -> QNum:

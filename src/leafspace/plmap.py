@@ -379,25 +379,6 @@ class PLMap:
     def commutes(self, other: "PLMap") -> bool:
         return self.compose(other) == other.compose(self)
 
-    def _commutes_with_shift(self, c) -> bool:
-        """Whether f commutes with x -> x + c (a triple), decided without composing.
-
-        The graph of x -> f(x - c) + c is the graph of f moved by (c, c),
-        and canonical breakpoints are exactly the slope changes, so the two
-        maps are equal iff the moved breakpoints, reduced mod p, are the
-        breakpoints of f.  Both sets have len(self._xs) distinct points,
-        so membership of every moved point decides equality.
-        """
-        if self.is_translation():
-            return True
-        p, d = self._p, self._d
-        pts = set(zip(self._xs, self._ys))
-        for x, y in pts:
-            shift = _sub(c, _mul(p, (_floor(*_quot(_add(x, c), p, d), d), 0, 1), d))
-            if (_add(x, shift), _add(y, shift)) not in pts:
-                return False
-        return True
-
     def affine_conjugate(self, scale) -> "PLMap":
         """h o f o h^-1 for h(x) = x/scale; rescales the coordinate system."""
         scale = as_qnum(scale, self._d)
@@ -468,15 +449,20 @@ class PLMap:
         """The group of translations commuting with f.
 
         All the reals for a translation; otherwise discrete of the form
-        (p/k)Z.  f commutes with x -> x + c iff its breakpoint set, reduced
-        mod p, is invariant under (x, y) -> (x + c, y + c), which is tested
-        point by point without composing.  The shift by p/k splits that set
-        into orbits of exactly k points, so only divisors k of the
-        breakpoint count n can commute, and searching them downwards finds
-        the largest one; k = 1, the period itself, always commutes.  The
-        search starts at n/2: k = n would take each breakpoint to the next
-        with its slope, so every slope would be equal, as no two
-        neighbouring slopes of f are.
+        (p/k)Z.  The graph of x -> f(x - c) + c is that of f moved by (c, c),
+        and canonical breakpoints are exactly the slope changes, so f
+        commutes with x -> x + c iff the move takes f's breakpoints, lifted
+        to all of Z by (x_{i+n}, y_{i+n}) = (x_i + p, y_i + p), onto
+        themselves.  The move keeps their order, so it takes each r places
+        on for some r, and k moves by c = p/k go once around, so kr = n.
+        Only divisors k of the breakpoint count n can commute, then, and
+        the shift by p/k does iff x_{i+r} - x_i = c = y_{i+r} - y_i for
+        every i.  The i < n - r decide it: from x_i, i < r, k - 1 steps of c
+        reach x_{i+n-r} = x_i + p - c, and one more lands on x_{i+n}; so too
+        for y.  Searching the divisors downwards finds the largest k; k = 1,
+        the period itself, always commutes.  The search starts at n/2: k = n
+        would take each breakpoint to the next with its slope, so every
+        slope would be equal, as no two neighbouring slopes of f are.
         """
         if self.is_translation():
             return PeriodGroup(True, None)
@@ -490,9 +476,11 @@ class PLMap:
         for k in range(n // 2, 1, -1):
             # The shift moves each breakpoint n/k places on and keeps its
             # slope, so the slopes repeat first; that test is cheaper.
-            if (n % k == 0 and slopes[n // k:] + slopes[:n // k] == slopes
-                    and self._commutes_with_shift(_div(self._p, (k, 0, 1), self._d))):
-                return k
+            if n % k == 0 and slopes[n // k:] + slopes[:n // k] == slopes:
+                r, xs, ys, c = n // k, self._xs, self._ys, _div(self._p, (k, 0, 1), self._d)
+                if all(_sub(xs[i + r], xs[i]) == c == _sub(ys[i + r], ys[i])
+                       for i in range(n - r)):
+                    return k
         return 1
 
     # -- serialization ----------------------------------------------------
@@ -691,7 +679,8 @@ def _periodic_orbit(f: PLMap, max_denom: int, walk):
     ``_rounded_walk`` of f, as a ``Bracket``.  The search steps the walk
     only as far as it needs, which may be past the done bracket.
 
-    F is f carried at its least period p/k (``_shift_divisor``), so
+    F is f carried at its least period p/k (``_shift_divisor``), on f's
+    first n/k breakpoints (the shift by p/k rotates f's n by n/k), so
     tau_F = k*tau(f)/p and F^q = f^q.  F^q moves a point by exactly
     m*p/k iff tau_F = m/q (Ghys, *Groups acting on the circle*, 2001).  A
     failed test says more: the moves of F^q then lie strictly between two

@@ -87,6 +87,20 @@ class TestProductTree:
         for i in order:
             assert chain.phi(i) == want[i]
 
+    @settings(max_examples=60, deadline=None)
+    @given(bump_chains(), st.data())
+    def test_every_range_product_is_the_range_compose(self, case, data):
+        psis, _ = case
+        n = len(psis)
+        chain = MetricChain(["L"] * n, [1] * n, psis)
+        for _ in range(4):
+            a = data.draw(st.integers(0, n - 1))
+            b = data.draw(st.integers(a + 1, n))
+            want = psis[a]
+            for psi in psis[a + 1:b]:
+                want = psi.compose(want)
+            assert chain._product(0, n, a, b) == want
+
     def test_composes_stay_near_n_log_n(self, monkeypatch):
         # The tree composes each node once, from two halves: phi_n reads
         # about 2 breakpoints a piece on each of log2 n levels, where the

@@ -602,6 +602,15 @@ class TestPeriodGroup:
         assert tiled.period_group().step == Fraction(1, 2)
         assert tiled.commutes(PLMap.translation(Fraction(1, 2), 1))
 
+    def test_slopes_repeat_but_breakpoints_do_not(self):
+        # The slopes 1/2, 3/2, 1/2, 3/2 pass the pre-test for the shift by
+        # 1/2, but x_2 - x_0 = 3/8, so that shift does not commute.
+        f = PLMap(1, [(0, 0), (Fraction(1, 8), Fraction(1, 16)),
+                      (Fraction(3, 8), Fraction(7, 16)), (Fraction(3, 4), Fraction(5, 8))])
+        assert f._slopes[2:] + f._slopes[:2] == f._slopes
+        assert f.period_group().step == 1
+        assert not f.commutes(PLMap.translation(Fraction(1, 2), 1))
+
     def test_reported_step_commutes_half_does_not(self, rng):
         for _ in range(50):
             f = random_plmap(rng)
@@ -623,7 +632,8 @@ class TestPeriodGroup:
 
 
 class TestCommutesWithShift:
-    """``_commutes_with_shift`` against the compose-based ``commutes``."""
+    """``period_group``'s step against the compose-based ``commutes``: f
+    commutes with x -> x + c iff c is a multiple of the step."""
 
     @staticmethod
     def _maps(rng):
@@ -641,12 +651,12 @@ class TestCommutesWithShift:
     def test_matches_commutes(self, rng):
         seen = set()
         for f in self._maps(rng):
-            p, n = f.period, len(f.breakpoints)
+            p, n, pg = f.period, len(f.breakpoints), f.period_group()
             shifts = [j * p * Fraction(1, k) for k in range(1, n + 2) for j in range(-1, k + 2)]
-            shifts += [p * R2 / 3, R2]
             for c in shifts:
                 expected = f.commutes(PLMap.translation(c, p))
-                assert f._commutes_with_shift(_triple(c)) == expected, (f, c)
+                multiple = pg.all_reals or (c / pg.step).as_fraction().denominator == 1
+                assert multiple == expected, (f, c)
                 seen.add(expected)
         assert seen == {True, False}
 
