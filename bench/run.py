@@ -73,11 +73,12 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from leafspace import cli
-from leafspace.action import incompressible_interval_search, load_action_config, orbit_density
+from leafspace.action import (_generator_moves, incompressible_interval_search, load_action_config,
+                              orbit_density)
 from leafspace.cones import (adversarial_stall, build_chain_from_action, metric_gap_check,
                              run_progress_ledger, sample_leaf_pairs)
 from leafspace.plmap import PLMap, translation_number
-from leafspace.qfield import QNum, as_qnum, sqrt_of
+from leafspace.qfield import QNum, _is_square_free, as_qnum, sqrt_of
 r2 = sqrt_of(2)
 beta = PLMap(1, [(0, 0), (F(1, 2), F(3, 4))])
 beta2 = beta.affine_conjugate(1 + r2)
@@ -186,10 +187,17 @@ ROWS = {
     "qfield.floor.big_sqrt_part": "x_big.floor()",
     "qfield.as_qnum.fraction": "as_qnum(F(7, 3))",
     "qfield.construct.fraction_pair": "QNum(F(1, 3), F(2, 7), 2)",
+    # The largest prime below 10**12; leafbench's certify-big-d request checks
+    # a prime near it.  Called directly, since _check_d caches the d it has checked.
+    "qfield.is_square_free.prime_near_1e12": "_is_square_free(999999999989)",
     "action.load_action_config.flagship": "load_action_config(flagship_config)",
+    # Each generator and its inverse, without repeats: alpha_r is alpha_l.
+    "action._generator_moves.flagship": "_generator_moves(flagship)",
     # The metric-lemma chain: ten bump maps at the flagship's side steps,
     # clamp-checked; their products are composed only when a phi is asked for.
     "cones.build_chain_from_action.flagship_LR5": 'build_chain_from_action(flagship, "LR" * 5)',
+    # A short search (13 states), where the fixed cost of a search dominates.
+    "action.orbit_density.flagship_L2": "orbit_density(flagship, 0, 2, (0, 1))",
     "action.orbit_density.flagship_L5": "orbit_density(flagship, 0, 5, (0, 1))",
     "action.orbit_density.flagship_L6": "orbit_density(flagship, 0, 6, (0, 1))",
     # The witness has length 3, so the search stops early on level 3.

@@ -20,9 +20,10 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import ParseError, PeriodMismatchError, PreconditionError
-from .plmap import PLMap, PeriodGroup, _only_keys
+from .plmap import _ONE, _ZERO, PLMap, PeriodGroup, _only_keys
 from .qfield import (
-    QNum, _cmp, _float, _one_field, _reduced, _triple, as_qnum, qnum, ratio_is_rational,
+    QNum, _cmp, _div, _float, _one_field, _reduced, _sign, _triple, as_qnum, qnum,
+    ratio_is_rational,
 )
 
 __all__ = [
@@ -77,12 +78,12 @@ def _check_beta(beta: PLMap, label: str) -> None:
             f"{label} is a translation; the certificate would be vacuous"
         )
     # Period 1 alone makes beta commute with the unit translation.
-    if beta.period != 1:
+    if beta._p != _ONE:
         raise PreconditionError(f"{label} must have period 1 in raw coordinates")
     # f(x) - x is continuous and periodic, so it vanishes somewhere iff its
     # range, attained at the breakpoints, contains 0.
-    lo, hi = beta.displacement_range()
-    if not lo <= 0 <= hi:
+    (ln, lm, _), (hn, hm, _) = beta._displacement_extremes()
+    if _sign(ln, lm, beta._d) > 0 or _sign(hn, hm, beta._d) < 0:
         raise PreconditionError(f"{label} must have fixed points in raw coordinates")
 
 
@@ -93,10 +94,12 @@ def build_glued_action(
 
     Each piece is conjugated by the coordinate rescaling that turns its
     alpha generator into a unit translation, so all pieces act in the same
-    longitude-unit coordinates on the leaf space.  The action's field is
-    that of an irrational length or beta, or else the field s was read in;
-    lengths and betas irrational in two fields raise ``FieldMismatchError``
-    before any map is built.
+    longitude-unit coordinates on the leaf space: alpha_x, x -> x + length
+    conjugated by x -> x/length, is the unit translation at period
+    1/length, built as that directly.  The action's field is that of an
+    irrational length or beta, or else the field s was read in; every
+    generator carries it.  Lengths and betas irrational in two fields raise
+    ``FieldMismatchError`` before any map is built.
     """
     t, s = as_qnum(t), as_qnum(s)
     betas = beta_l, beta_r
@@ -108,7 +111,8 @@ def build_glued_action(
         _check_beta(beta, f"beta_{x}")
     generators = {}
     for x, length, beta in zip(PIECES, (t, s), betas):
-        generators[f"alpha_{x}"] = PLMap.translation(length, 1).affine_conjugate(length)
+        generators[f"alpha_{x}"] = PLMap._trusted(d, _div(_ONE, _triple(length), d),
+                                                  [_ZERO], [_ONE], [_ONE])
         generators[f"beta_{x}"] = beta.affine_conjugate(length)
     return ActionSpec(d=d, t=t, s=s, generators=generators)
 

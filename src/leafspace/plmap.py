@@ -31,17 +31,16 @@ __all__ = [
 
 
 def _coerce_points(period, breakpoints):
-    """Read the inputs with ``as_qnum`` and give them one field.
+    """``(d, p, xs, ys)``: the inputs read with ``as_qnum``, as triples in one field d.
 
     The field is ``_one_field``'s over the inputs: that of the irrational ones,
     or with none the period's (Q(sqrt 2) for an int, a Fraction or rational
-    text).  The period is given that field, since ``period.d`` names the field
-    of the map.
+    text).  It is the map's field ``_d``, which ``period.d`` names.
     """
     p = as_qnum(period)
     pts = [(as_qnum(x), as_qnum(y)) for x, y in breakpoints]
     d = _one_field(p._d, p._m and p._d, *[v._d for pt in pts for v in pt if v._m])
-    return _make(p._n, p._m, p._q, d), pts
+    return d, _triple(p), [_triple(x) for x, _ in pts], [_triple(y) for _, y in pts]
 
 
 _ZERO, _ONE = (0, 0, 1), (1, 0, 1)
@@ -94,22 +93,20 @@ class PLMap:
     __slots__ = ("_d", "_p", "_xs", "_ys", "_slopes", "_field", "_table")
 
     def __init__(self, period, breakpoints) -> None:
-        p, pts = _coerce_points(period, breakpoints)
-        if p.sign() <= 0:
+        d, p, xs, ys = _coerce_points(period, breakpoints)
+        if _sign(p[0], p[1], d) <= 0:
             raise PreconditionError("period must be positive")
-        if not pts:
+        if not xs:
             raise PreconditionError("at least one breakpoint is required")
-        if any(not x0 < x1 for (x0, _), (x1, _) in zip(pts, pts[1:])):
+        if any(_cmp(x0, x1, d) >= 0 for x0, x1 in zip(xs, xs[1:])):
             raise PreconditionError("breakpoint x-coordinates must strictly increase")
-        if pts[0][0].sign() < 0 or not pts[-1][0] < p:
+        if _sign(xs[0][0], xs[0][1], d) < 0 or _cmp(xs[-1], p, d) >= 0:
             raise PreconditionError("breakpoints must lie in [0, p)")
-        if any(not y0 < y1 for (_, y0), (_, y1) in zip(pts, pts[1:])):
+        if any(_cmp(y0, y1, d) >= 0 for y0, y1 in zip(ys, ys[1:])):
             raise PreconditionError("breakpoint values must strictly increase")
-        if not pts[0][1] + p > pts[-1][1]:
-            raise PreconditionError("map is not monotone across the wrap segment")
-        d, p = p._d, _triple(p)
-        xs, ys = [_triple(x) for x, _ in pts], [_triple(y) for _, y in pts]
         ex, ey = [*xs, _add(xs[0], p)], [*ys, _add(ys[0], p)]
+        if _cmp(ey[-1], ys[-1], d) <= 0:
+            raise PreconditionError("map is not monotone across the wrap segment")
         slopes = [_div(_sub(ey[i + 1], ey[i]), _sub(ex[i + 1], ex[i]), d) for i in range(len(xs))]
         self._set(d, p, *self._drop_collinear(xs, ys, slopes))
 
@@ -186,10 +183,10 @@ class PLMap:
     @classmethod
     def translation(cls, t, period=1) -> "PLMap":
         """The map x -> x + t, carried at the given period."""
-        p, [(_, t)] = _coerce_points(period, [(0, t)])
-        if p.sign() <= 0:
+        d, p, _, [t] = _coerce_points(period, [(0, t)])
+        if _sign(p[0], p[1], d) <= 0:
             raise PreconditionError("period must be positive")
-        return cls._trusted(p._d, _triple(p), [_ZERO], [_triple(t)], [_ONE])
+        return cls._trusted(d, p, [_ZERO], [t], [_ONE])
 
     @classmethod
     def identity(cls, period=1) -> "PLMap":

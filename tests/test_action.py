@@ -77,6 +77,38 @@ class TestBuild:
         assert spec.t == 1 + R2 and spec.s == R2
         assert spec.generator("beta_l") == standard_beta().affine_conjugate(spec.t)
 
+    # Every d of leafbench's generated configs.
+    @pytest.mark.parametrize("d", (2, 3, 5, 6, 7, 10, 11))
+    def test_every_generator_carries_the_action_field(self, d):
+        r = sqrt_of(d)
+        specs = [
+            build_glued_action(qnum(Fraction(3, 2), 0, d), qnum(Fraction(5, 3), 0, d)),
+            build_glued_action(1 + r, r / 2),
+            build_glued_action(qnum(2, 0, d), 1 + r),
+            load_action_config({"d": d, "t": "3/2", "s": "5/3"}),
+            load_action_config({"d": d, "t": f"1+1*sqrt({d})", "s": "2"}),
+        ]
+        for spec in specs:
+            assert spec.d == d
+            assert {name: g._d for name, g in spec.generators.items()} == dict.fromkeys(
+                spec.generators, d)
+            assert spec.generator("alpha_l").period.d == d
+
+    @pytest.mark.parametrize("t, s", [
+        (1 + R2, R2), (2 * R2, R2), (Fraction(3, 2), Fraction(5, 3)), (1, 7),
+        (qnum(Fraction(1, 2), 1, 5), qnum(3, Fraction(-1, 3), 5)),
+    ])
+    def test_alpha_is_the_conjugated_unit_translation(self, t, s):
+        # alpha_x is built as the unit translation at period 1/length; the
+        # reference is x -> x + length conjugated by x -> x/length.
+        spec = build_glued_action(t, s)
+        for x, length in zip(action.PIECES, (spec.t, spec.s)):
+            got = spec.generator(f"alpha_{x}")
+            want = PLMap.translation(length, 1).affine_conjugate(length)
+            assert (got._p, got._xs, got._ys, got._slopes, got._field) == (
+                want._p, want._xs, want._ys, want._slopes, want._field)
+            assert got == want and hash(got) == hash(want)
+
     def test_load_config_missing_field(self):
         with pytest.raises(ParseError):
             load_action_config({"t": "1+1*sqrt(2)"})
@@ -108,6 +140,38 @@ def period_one_maps(draw, d=None):
         shift = PLMap.translation(sqrt_of(d) * Fraction(draw(st.integers(1, 99)), 100), 1)
         f = shift.compose(f).compose(shift.inverse())
     return f
+
+
+def reference_check_beta(beta, label):
+    """``_check_beta`` as it decided with ``QNum`` comparisons."""
+    if beta.is_translation():
+        raise PreconditionError(f"{label} is a translation; the certificate would be vacuous")
+    if beta.period != 1:
+        raise PreconditionError(f"{label} must have period 1 in raw coordinates")
+    lo, hi = beta.displacement_range()
+    if not lo <= 0 <= hi:
+        raise PreconditionError(f"{label} must have fixed points in raw coordinates")
+
+
+@settings(max_examples=300, deadline=None)
+@given(period_one_maps(), st.sampled_from((1, 1, 1, 2, Fraction(1, 2), "sqrt")),
+       st.integers(-6, 6), st.integers(-6, 6))
+def test_beta_check_matches_the_qnum_reference(f, scale, a, b):
+    # A drawn period-1 map moved up by (a + b*sqrt(d))/20, so that its
+    # displacements may be irrational with parts of opposite signs, or its
+    # conjugate at another period.
+    f = PLMap.translation(qnum(Fraction(a, 20), Fraction(b, 20), f._d), 1).compose(f)
+    if scale == "sqrt":
+        scale = 1 + sqrt_of(f._d)
+    f = f.affine_conjugate(scale)
+    outcomes = []
+    for check in (_check_beta, reference_check_beta):
+        try:
+            check(f, "beta_r")
+            outcomes.append(None)
+        except PreconditionError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 import tracemalloc
@@ -10,7 +11,7 @@ from leafspace import plmap
 from leafspace.action import build_glued_action
 from leafspace.errors import FieldMismatchError, PeriodMismatchError, PreconditionError
 from leafspace.plmap import Bracket, Exact, PLMap, translation_number
-from leafspace.qfield import QNum, _floor, _quot, _triple, qnum, sqrt_of
+from leafspace.qfield import QNum, _floor, _make, _one_field, _quot, _triple, as_qnum, qnum, sqrt_of
 from leafspace.selftest import random_plmap, random_qnum
 
 from conftest import periodic_orbit_map
@@ -108,6 +109,14 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             PLMap(1, [(2, 2)])
 
+    def test_first_point_sign_reads_the_sqrt_part(self):
+        # x_0 = (sqrt 2 - 1)/1000 lies in [0, p) though its rational part is
+        # negative; its negative lies below 0 though that part is positive.
+        x0 = (R2 - 1) / 1000
+        assert PLMap(1, [(x0, 0), (Fraction(1, 2), Fraction(1, 2))]).breakpoints[0] == (x0, 0)
+        with pytest.raises(PreconditionError, match=r"^breakpoints must lie in \[0, p\)$"):
+            PLMap(1, [(-x0, 0), (Fraction(1, 2), Fraction(1, 2))])
+
     def test_rejects_empty(self):
         with pytest.raises(PreconditionError):
             PLMap(1, [])
@@ -125,6 +134,144 @@ class TestConstruction:
         # x in Q(sqrt 2) and y in Q(sqrt 3): every slope lies in Q(sqrt 2).
         with pytest.raises(FieldMismatchError, match=r"^mixed fields: sqrt\(2\) vs sqrt\(3\)$"):
             PLMap(1, [(0, sqrt_of(3) / 10), (R2 / 4, sqrt_of(3) / 10 + Fraction(1, 2))])
+
+
+def reference_construction_error(period, breakpoints):
+    """The exception ``PLMap(period, breakpoints)`` raises, as (type,
+    message), or None: the field rule and the six construction checks in
+    their order, decided with ``QNum`` comparisons and arithmetic as the
+    constructor decided them before it read its points as triples."""
+    p = as_qnum(period)
+    pts = [(as_qnum(x), as_qnum(y)) for x, y in breakpoints]
+    try:
+        d = _one_field(p._d, p._m and p._d, *[v._d for pt in pts for v in pt if v._m])
+    except FieldMismatchError as exc:
+        return FieldMismatchError, str(exc)
+    p = _make(p._n, p._m, p._q, d)
+    if p.sign() <= 0:
+        message = "period must be positive"
+    elif not pts:
+        message = "at least one breakpoint is required"
+    elif any(not x0 < x1 for (x0, _), (x1, _) in zip(pts, pts[1:])):
+        message = "breakpoint x-coordinates must strictly increase"
+    elif pts[0][0].sign() < 0 or not pts[-1][0] < p:
+        message = "breakpoints must lie in [0, p)"
+    elif any(not y0 < y1 for (_, y0), (_, y1) in zip(pts, pts[1:])):
+        message = "breakpoint values must strictly increase"
+    elif not pts[0][1] + p > pts[-1][1]:
+        message = "map is not monotone across the wrap segment"
+    else:
+        return None
+    return PreconditionError, message
+
+
+# How a drawn valid input is broken, if at all, for the construction test.
+BREAKS = ("none", "none", "period", "empty", "unsorted_x", "equal_x", "negative_x", "tiny_x",
+          "x_at_p", "x_beyond_p", "y_equal", "y_decreasing", "wrap_equal", "wrap_beyond")
+
+
+@st.composite
+def construction_inputs(draw):
+    """(period, breakpoints, break): a valid map's inputs, rational, in
+    Q(sqrt d) or mixed, with one check broken as ``break`` names.  Valid
+    points are p*u for sorted u in [0, 1), and values y_0 + p*v for sorted
+    v in [0, 1), so the wrap holds; each coordinate but x_0 gets a small
+    sqrt(d) part when the mode allows it, and in the two fields mode the
+    last value is irrational in sqrt(7) instead."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    mode = draw(st.sampled_from(("rational", "field", "mixed", "two_fields")))
+
+    def tweak(v):
+        # A sqrt part small enough to keep the drawn order, in mixed mode only sometimes.
+        if mode == "rational" or mode != "field" and draw(st.booleans()):
+            return v
+        return v + QNum(0, Fraction(draw(st.integers(-3, 3)), 10**4 * draw(st.integers(1, 9))), d)
+
+    p = QNum(Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 9))), 0, d)
+    if mode in ("field", "mixed") and draw(st.booleans()):
+        p = p + QNum(0, Fraction(draw(st.integers(1, 3)), 100), d)
+    k = draw(st.integers(1, 5))
+    us = sorted(draw(st.lists(st.integers(0, 59), min_size=k, max_size=k, unique=True)))
+    vs = sorted(draw(st.lists(st.integers(0, 59), min_size=k, max_size=k, unique=True)))
+    y0 = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 7)))
+    xs = [p * Fraction(u, 60) for u in us]
+    ys = [y0 + p * Fraction(v, 60) for v in vs]
+    # A sqrt part moves a coordinate by at most 3*sqrt(5)/10**4 < 1/1400,
+    # and neighbours lie at least p/60 >= 1/540 apart, so the order holds.
+    xs = [xs[0]] + [tweak(x) for x in xs[1:]]
+    ys = [tweak(y) for y in ys[:-1]] + ys[-1:]
+    if mode == "two_fields":  # p is rational, and so is the last value
+        ys[-1] = QNum(ys[-1].as_fraction(), Fraction(1, 10**4), 7)
+    else:
+        ys[-1] = tweak(ys[-1])
+    kind = draw(st.sampled_from(BREAKS))
+    i = draw(st.integers(0, k - 1))
+    if kind == "period":
+        p = draw(st.sampled_from((0, -p, -1 + 0 * p)))
+    elif kind == "empty":
+        xs, ys = [], []
+    elif kind == "unsorted_x" and k > 1:
+        xs[i - 1], xs[i] = xs[i], xs[i - 1]
+    elif kind == "equal_x" and k > 1:
+        xs[i] = xs[i - 1]
+    elif kind == "negative_x":
+        xs[0] = -xs[1] / 2 if k > 1 else QNum(Fraction(-1, 100), 0, d)
+    elif kind == "tiny_x" and mode in ("field", "mixed"):
+        # Just below or just above 0, the parts of opposite signs: the
+        # sign decides, and x_1 >= p/60 - 1/1400 lies above the latter.
+        r = sqrt_of(d) - math.isqrt(d)
+        xs[0] = r / 1000 * draw(st.sampled_from((1, -1)))
+    elif kind == "x_at_p":
+        xs[-1] = p
+    elif kind == "x_beyond_p":
+        xs[-1] = p + xs[-1]
+    elif kind == "y_equal" and k > 1:
+        ys[i] = ys[i - 1]
+    elif kind == "y_decreasing" and k > 1:
+        ys[i] = ys[i - 1] - Fraction(1, 7)
+    elif kind == "wrap_equal" and k > 1:
+        ys[-1] = ys[0] + p
+    elif kind == "wrap_beyond" and k > 1:
+        ys[-1] = ys[0] + p + Fraction(1, 5)
+    # Each value as a QNum, a Fraction or an int where it is rational.
+    def plain(v):
+        if isinstance(v, QNum) and v.is_rational() and draw(st.booleans()):
+            a = v.as_fraction()
+            return a.numerator if a.denominator == 1 else a
+        return v
+    return plain(p), [(plain(x), plain(y)) for x, y in zip(xs, ys)], kind
+
+
+@settings(max_examples=400, deadline=None)
+@given(construction_inputs())
+def test_construction_checks_match_the_qnum_reference(case):
+    period, breakpoints, _ = case
+    want = reference_construction_error(period, breakpoints)
+    try:
+        PLMap(period, breakpoints)
+    except (PreconditionError, FieldMismatchError) as exc:
+        assert (type(exc), str(exc)) == want
+    else:
+        assert want is None
+
+
+def test_construction_inputs_reach_every_check():
+    """Each of the six messages, the field error and acceptance come from
+    some drawn input, so the reference test above sees every branch."""
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(construction_inputs())
+    def collect(case):
+        want = reference_construction_error(case[0], case[1])
+        seen.add(want and want[1].split(":")[0])
+
+    collect()
+    assert seen == {None, "mixed fields", "period must be positive",
+                    "at least one breakpoint is required",
+                    "breakpoint x-coordinates must strictly increase",
+                    "breakpoints must lie in [0, p)", "breakpoint values must strictly increase",
+                    "map is not monotone across the wrap segment"}
 
 
 class TestOneFieldRule:

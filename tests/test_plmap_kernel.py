@@ -26,7 +26,7 @@ from leafspace import plmap
 from leafspace.action import evaluate_word, load_action_config
 from leafspace.errors import FieldMismatchError, PreconditionError
 from leafspace.plmap import FixedPoints, PeriodGroup, PLMap, _coerce_points, _grid_rows, _grid_step
-from leafspace.qfield import QNum, as_qnum, sqrt_of
+from leafspace.qfield import QNum, _make, as_qnum, sqrt_of
 
 FIELDS = (2, 3, 5)
 BIG = 2**200
@@ -279,8 +279,8 @@ def test_slopes_match_a_second_pass(f):
 
 
 def checked_translation(t, period):
-    p, [(z, t)] = _coerce_points(period, [(0, t)])
-    return PLMap(p, [(z, t)])
+    d, p, [z], [t] = _coerce_points(period, [(0, t)])
+    return PLMap(_make(*p, d), [(_make(*z, d), _make(*t, d))])
 
 
 def checked_inverse(f):

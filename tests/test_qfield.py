@@ -344,7 +344,7 @@ def test_square_free_matches_square_division_below_20000():
         assert _is_square_free(n) == _square_free_by_square_division(n), n
 
 
-@settings(deadline=None)  # a product near 10**18 takes up to 10**6 divisions
+@settings(deadline=None)  # a product near 10**18 takes up to about 3.3*10**5 divisions
 @given(
     st.sampled_from([(0,), (0, 1), (0, 0), (0, 0, 1), (0, 1, 2)]),
     st.lists(st.sampled_from(PRIMES), min_size=3, max_size=3),
@@ -354,6 +354,33 @@ def test_square_free_matches_known_factorisation(shape, primes):
     # product is square-free iff no prime repeats.
     factors = [primes[i] for i in shape]
     assert _is_square_free(math.prod(factors)) == (len(set(factors)) == len(factors))
+
+
+# The trial divisors are 2, 3 and the k = 6j - 1 and 6j + 1: 7 and 13 are
+# 1 mod 6, and 11 and 999983 (the largest prime below 10**6) are 5 mod 6.
+WHEEL_PRIMES = (7, 11, 13, 999983)
+# Small cofactors, and primes just below 10**6 and 10**12 (999979 is 1 mod 6).
+COFACTORS = (1, 2, 3, 6, 5, 35, 999979, 999983, 999999999989)
+
+
+@pytest.mark.parametrize("p", WHEEL_PRIMES)
+@pytest.mark.parametrize("c", COFACTORS)
+def test_square_of_a_wheel_prime_is_not_square_free(p, c):
+    # p*p is caught by a trial division when p lies below the cube root of
+    # the product, and else by the cofactor's square test.
+    assert not _is_square_free(p * p * c)
+    # Every cofactor is square-free, so p*c is iff p does not divide c.
+    assert _is_square_free(p * c) == (c % p != 0)
+
+
+@pytest.mark.parametrize("p", [999961, 999983])  # 1 and 5 mod 6
+def test_product_with_a_prime_just_below_the_cube_root(p):
+    # p*q lies below 10**18 and its cube root just above p, so p is the last
+    # trial divisor that divides it, and the cofactor q is prime.
+    q = 999999999989
+    assert p**3 < p * q < (p + 30) ** 3 and p * q < 10**18
+    assert _is_square_free(p * q)
+    assert not _is_square_free(p * p * q)
 
 
 def test_prime_near_10_to_12_validates_fast():
