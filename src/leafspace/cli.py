@@ -191,7 +191,7 @@ def cmd_metric_lemma(args):
     pairs = sample_leaf_pairs(random.Random(args.seed), args.samples)
     rep = metric_gap_check(chain, 0, len(chain), pairs)
     return {"bound": str(rep.bound), "max_gap": str(rep.max_gap), "max_ratio": rep.max_ratio,
-            "violations": rep.violations, "samples": rep.samples}
+            "violations": rep.violations, "samples": args.samples}
 
 
 def cmd_cone_progress(args):

@@ -36,11 +36,14 @@ __all__ = [
 class MetricChain:
     """A sequence of slithering pieces with comparison metrics per cylinder.
 
-    ``periods[i]`` is the slithering period of piece i; ``phi(i)`` maps leaf
+    ``periods[i]`` is the slithering period of piece i and
+    ``perturbations[i]`` its perturbation psi_{i+1}; ``phi(i)`` maps leaf
     coordinates to the measurement system of cylinder boundary i, with
-    ``phi(0)`` the identity.  The constructor enforces the clamp that makes
-    the metric comparison lemma hold: the perturbation between consecutive
-    boundaries displaces no point by more than half the piece's period.
+    ``phi(0)`` the identity, and d_i(lam, mu) = |phi(i)(lam) - phi(i)(mu)|
+    is the comparison metric there.  The constructor enforces the clamp
+    that makes the metric comparison lemma hold: the perturbation between
+    consecutive boundaries displaces no point by more than half the piece's
+    period.
 
     The perturbations psi_1, ..., psi_n are the leaves of a product tree:
     the node of a range [lo, hi) is psi_hi o ... o psi_{lo+1}, the node of
@@ -53,12 +56,11 @@ class MetricChain:
     operands small, where each prefix compose grows the map by a piece.
     """
 
-    def __init__(self, labels, periods, perturbations) -> None:
-        if not labels:
+    def __init__(self, periods, perturbations) -> None:
+        if not periods:
             raise PreconditionError("chain needs at least one piece")
-        if not (len(labels) == len(periods) == len(perturbations)):
-            raise PreconditionError("labels, periods, perturbations must align")
-        self.labels = tuple(labels)
+        if len(periods) != len(perturbations):
+            raise PreconditionError("periods, perturbations must align")
         self.periods = tuple(as_qnum(p) for p in periods)
         for p in self.periods:
             if p.sign() <= 0:
@@ -80,7 +82,7 @@ class MetricChain:
         return max(self.periods)
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.periods)
 
     def _product(self, lo: int, hi: int, a: int, b: int) -> PLMap:
         """psi_b o ... o psi_{a+1}, the product of [a, b) for lo <= a < b <= hi,
@@ -107,17 +109,13 @@ class MetricChain:
             f = self._products[(0, i)] = self._product(0, len(self), 0, i)
         return f
 
-    def metric(self, i: int, lam, mu) -> QNum:
-        """d_i(lam, mu) = |phi_i(lam) - phi_i(mu)|."""
-        f = self.phi(i)
-        return abs(f(lam) - f(mu))
-
 
 class GapReport(Record):
     """The QNums ``bound`` and ``max_gap``, their float ratio ``max_ratio``,
-    and the ints ``violations`` and ``samples``."""
+    and the int ``violations``, the number of samples whose gap exceeds
+    the bound."""
 
-    __slots__ = ("bound", "max_gap", "max_ratio", "violations", "samples")
+    __slots__ = ("bound", "max_gap", "max_ratio", "violations")
 
 
 def sample_leaf_pairs(rng: random.Random, samples: int) -> list:
@@ -134,25 +132,17 @@ def sample_leaf_pairs(rng: random.Random, samples: int) -> list:
 def metric_gap_check(chain: MetricChain, i: int, j: int, samples) -> GapReport:
     """Check |d_i - d_j| <= (n+1) * max period over the sampled leaf pairs.
 
-    n is the number of cylinders strictly between boundaries i and j.
+    n is the number of cylinders strictly between boundaries i and j, so
+    the bound is |j - i| times the largest period, and one period when
+    i = j.  ``phi(i)`` and ``phi(j)`` are read once, and ``phi`` is the
+    range check.  No samples give a zero ``max_gap`` and no violations.
     """
-    if not (0 <= i <= len(chain) and 0 <= j <= len(chain)):
-        raise PreconditionError("cylinder indices out of range")
-    if i > j:
-        i, j = j, i
-    n = max(j - i - 1, 0)
-    bound = chain.r_max * (n + 1)
-    max_gap = qnum(0)
-    violations = 0
-    count = 0
-    for lam, mu in samples:
-        gap = abs(chain.metric(i, lam, mu) - chain.metric(j, lam, mu))
-        if gap > max_gap:
-            max_gap = gap
-        if gap > bound:
-            violations += 1
-        count += 1
-    return GapReport(bound, max_gap, float(max_gap) / float(bound), violations, count)
+    f, g = chain.phi(min(i, j)), chain.phi(max(i, j))
+    bound = chain.r_max * max(abs(j - i), 1)
+    gaps = [abs(abs(f(lam) - f(mu)) - abs(g(lam) - g(mu))) for lam, mu in samples]
+    max_gap = max(gaps, default=qnum(0))
+    violations = sum(gap > bound for gap in gaps)
+    return GapReport(bound, max_gap, float(max_gap) / float(bound), violations)
 
 
 class LedgerRow(Record):
@@ -262,8 +252,7 @@ def build_chain_from_action(spec, pattern: str, seed: int = 0) -> MetricChain:
         raise PreconditionError(f"pattern must be a nonempty string over {{{', '.join(letters)}}}")
     step = {c: side_translation_subgroup(spec, c.lower()).step for c in letters}
     rng = random.Random(seed)
-    labels = list(pattern)
-    periods = [step[c] for c in labels]
+    periods = [step[c] for c in pattern]
     perturbations = []
     for p in periods:
         # Bump with exact displacement in [0, amp], amp <= p/2 and < 1/2 so
@@ -274,4 +263,4 @@ def build_chain_from_action(spec, pattern: str, seed: int = 0) -> MetricChain:
         phase = Fraction(rng.randint(0, 7), 16)
         half = phase + Fraction(1, 2)
         perturbations.append(PLMap(1, [(phase, phase), (half, half + amp)]))
-    return MetricChain(labels, periods, perturbations)
+    return MetricChain(periods, perturbations)

@@ -45,6 +45,8 @@ def shadow_length(t, multiplier, n: int) -> ShadowReport:
     lam = as_qnum(multiplier)
     if not lam > 1:
         raise PreconditionError("multiplier must exceed 1")
+    if t.sign() <= 0:
+        raise PreconditionError("t must be positive")
     if n < 1:
         raise PreconditionError("n must be >= 1")
     shadow = t * (1 - lam ** (-n)) / (lam - 1)

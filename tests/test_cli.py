@@ -371,6 +371,14 @@ class TestShearCommands:
             rep = shadow_length(QNum.parse(t), QNum.parse(lam), level)
             assert row == f"{level},{rep.curve_length},{rep.shadow},{rep.limit}"
 
+    @pytest.mark.parametrize("t", ["0", "-1", "1-1*sqrt(2)"])
+    def test_shear_shadow_rejects_nonpositive_t(self, capsys, t):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "shear-shadow", "--lam", "2", "--n", "1", "--t", t)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == "error: precondition violated: t must be positive\n"
+
     def test_shear_holonomy_csv(self, capsys):
         code, out, _ = run(
             capsys, "shear-holonomy", "--lam", "2", "--n", "3", "--delta", "1/4"

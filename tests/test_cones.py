@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from leafspace.action import build_glued_action
 from leafspace.cones import (
     CROSSINGS,
+    GapReport,
     MetricChain,
     adversarial_stall,
     build_chain_from_action,
     metric_gap_check,
     run_progress_ledger,
+    sample_leaf_pairs,
 )
 from leafspace.errors import FieldMismatchError, PreconditionError
 from leafspace.plmap import PLMap
@@ -31,7 +33,8 @@ def small_bump(amp):
 class TestMetricChain:
     def test_base_metric_is_distance(self):
         chain = build_chain_from_action(FLAGSHIP, "LR", seed=3)
-        assert chain.metric(0, Fraction(1, 3), 2) == Fraction(5, 3)
+        f = chain.phi(0)
+        assert abs(f(Fraction(1, 3)) - f(2)) == Fraction(5, 3)
 
     def test_r_max_is_largest_period(self):
         chain = build_chain_from_action(FLAGSHIP, "LRL", seed=0)
@@ -39,25 +42,34 @@ class TestMetricChain:
 
     def test_metric_index_out_of_range(self):
         chain = build_chain_from_action(FLAGSHIP, "LR", seed=3)  # boundaries 0, 1, 2
-        assert chain.metric(2, 0, 1) >= 0
+        f = chain.phi(2)
+        assert abs(f(0) - f(1)) >= 0
         for i in (-1, 3):
             with pytest.raises(PreconditionError, match=f"^cylinder index {i} out of range$"):
-                chain.metric(i, 0, 1)
+                chain.phi(i)
+            for pair in ((0, i), (i, 0)):
+                with pytest.raises(PreconditionError, match=f"^cylinder index {i} out of range$"):
+                    metric_gap_check(chain, *pair, [(0, 1)])
+
+    def test_a_chain_is_its_periods_and_perturbations(self):
+        chain = MetricChain([1, Fraction(3, 4)], [small_bump(Fraction(1, 8))] * 2)
+        assert len(chain) == 2 and chain.r_max == 1
+        assert not hasattr(MetricChain, "metric") and not hasattr(chain, "labels")
 
     def test_rejects_misaligned_inputs(self):
         with pytest.raises(PreconditionError):
-            MetricChain([], [], [])
-        with pytest.raises(PreconditionError):
-            MetricChain(["a"], [1, 1], [small_bump(Fraction(1, 8))])
+            MetricChain([], [])
+        with pytest.raises(PreconditionError, match="^periods, perturbations must align$"):
+            MetricChain([1, 1], [small_bump(Fraction(1, 8))])
 
     def test_rejects_nonpositive_period(self):
         with pytest.raises(PreconditionError):
-            MetricChain(["a"], [0], [small_bump(Fraction(1, 8))])
+            MetricChain([0], [small_bump(Fraction(1, 8))])
 
     def test_rejects_clamp_violation(self):
         # Displacement reaches 1/4 > half of the period 1/3.
         with pytest.raises(PreconditionError):
-            MetricChain(["a"], [Fraction(1, 3)], [small_bump(Fraction(1, 4))])
+            MetricChain([Fraction(1, 3)], [small_bump(Fraction(1, 4))])
 
 
 @st.composite
@@ -80,7 +92,7 @@ class TestProductTree:
     @given(bump_chains())
     def test_every_phi_is_the_prefix_compose(self, case):
         psis, order = case
-        chain = MetricChain(["L"] * len(psis), [1] * len(psis), psis)
+        chain = MetricChain([1] * len(psis), psis)
         want = [PLMap.identity(1)]
         for psi in psis:
             want.append(psi.compose(want[-1]))
@@ -92,7 +104,7 @@ class TestProductTree:
     def test_every_range_product_is_the_range_compose(self, case, data):
         psis, _ = case
         n = len(psis)
-        chain = MetricChain(["L"] * n, [1] * n, psis)
+        chain = MetricChain([1] * n, psis)
         for _ in range(4):
             a = data.draw(st.integers(0, n - 1))
             b = data.draw(st.integers(a + 1, n))
@@ -129,6 +141,32 @@ class TestProductTree:
                 chain.phi(i)
 
 
+def reference_metric_gap_check(chain, i, j, samples):
+    """The per-sample loop ``metric_gap_check`` replaced: each sample reads
+    d_i and d_j through ``metric``, once the chain's method, which reads
+    ``phi``."""
+
+    def metric(k, lam, mu):
+        f = chain.phi(k)
+        return abs(f(lam) - f(mu))
+
+    if not (0 <= i <= len(chain) and 0 <= j <= len(chain)):
+        raise PreconditionError("cylinder indices out of range")
+    if i > j:
+        i, j = j, i
+    n = max(j - i - 1, 0)
+    bound = chain.r_max * (n + 1)
+    max_gap = qnum(0)
+    violations = 0
+    for lam, mu in samples:
+        gap = abs(metric(i, lam, mu) - metric(j, lam, mu))
+        if gap > max_gap:
+            max_gap = gap
+        if gap > bound:
+            violations += 1
+    return GapReport(bound, max_gap, float(max_gap) / float(bound), violations)
+
+
 class TestGapCheck:
     def test_adjacent_boundaries_within_one_period(self, rng):
         chain = build_chain_from_action(FLAGSHIP, "LRLR", seed=1)
@@ -139,7 +177,7 @@ class TestGapCheck:
         rep = metric_gap_check(chain, 0, 1, samples)
         assert rep.bound == chain.r_max
         assert rep.violations == 0
-        assert rep.samples == 200
+        assert GapReport.__slots__ == ("bound", "max_gap", "max_ratio", "violations")
 
     def test_separated_boundaries_bound(self, rng):
         chain = build_chain_from_action(FLAGSHIP, "LRLRL", seed=2)
@@ -155,8 +193,50 @@ class TestGapCheck:
 
     def test_index_validation(self):
         chain = build_chain_from_action(FLAGSHIP, "L", seed=0)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^cylinder index 9 out of range$"):
             metric_gap_check(chain, 0, 9, [])
+
+    def test_no_samples_give_no_gap(self):
+        chain = build_chain_from_action(FLAGSHIP, "LR", seed=0)
+        rep = metric_gap_check(chain, 2, 0, [])
+        assert rep == GapReport(chain.r_max * 2, 0, 0.0, 0)
+
+    def test_reads_each_phi_once(self, monkeypatch):
+        chain = build_chain_from_action(FLAGSHIP, "LRLRL", seed=2)
+        samples = sample_leaf_pairs(random.Random(0), 200)
+        phi, reads = MetricChain.phi, []
+        monkeypatch.setattr(MetricChain, "phi", lambda chain, i: reads.append(i) or phi(chain, i))
+        rep = metric_gap_check(chain, 5, 0, samples)
+        assert reads == [0, 5]
+        reads.clear()
+        assert reference_metric_gap_check(chain, 5, 0, samples) == rep
+        assert len(reads) == 400
+
+    @settings(max_examples=60, deadline=None)
+    @given(bump_chains(), st.booleans(), st.data())
+    def test_matches_the_per_sample_loop(self, case, tight, data):
+        psis, _ = case
+        n = len(psis)
+        fields = {psi._field for psi in psis} - {None}
+        d = fields.pop() if fields else None
+        choices = (1, Fraction(3, 4), Fraction(5, 2)) + ((sqrt_of(d) / 2,) if d else ())
+        periods = data.draw(st.lists(st.sampled_from(choices), min_size=n, max_size=n))
+        chain = (TightChain if tight else MetricChain)(periods, psis)
+        i, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+        fraction = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 11))
+        point = fraction | st.builds(as_qnum, fraction)
+        if d is not None:
+            point |= st.builds(lambda a, b: a + sqrt_of(d) * b, fraction, fraction)
+        samples = data.draw(st.lists(st.tuples(point, point), max_size=30))
+        rep = metric_gap_check(chain, i, j, samples)
+        assert rep == reference_metric_gap_check(chain, i, j, samples)
+
+
+class TightChain(MetricChain):
+    """A chain whose bound is a small fraction of a period, so that samples
+    violate it and the two loops' violation counts are compared."""
+
+    r_max = Fraction(1, 32)
 
 
 class TestProgressLedger:
@@ -341,7 +421,7 @@ class TestBuildChain:
     def test_periods_follow_pattern(self):
         chain = build_chain_from_action(FLAGSHIP, "LRR", seed=0)
         assert chain.periods == (R2 - 1, R2 / 2, R2 / 2)
-        assert chain.labels == ("L", "R", "R")
+        assert len(chain) == 3
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(PreconditionError):

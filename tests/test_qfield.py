@@ -414,7 +414,7 @@ def _boundary_readers():
         ("run_progress_ledger", lambda x: run_progress_ledger(1, x, 3), F(1, 10)),
         ("adversarial_stall", lambda x: adversarial_stall(1, x), F(1, 2)),
         ("disjointness_check", lambda x: disjointness_check((0, x), F(1, 2)), F(1, 4)),
-        ("MetricChain.periods", lambda x: MetricChain(["L"], [x], bump).periods, F(1, 2)),
+        ("MetricChain.periods", lambda x: MetricChain([x], bump).periods, F(1, 2)),
         ("build_glued_action", lambda x: build_glued_action(x, 1), F(3, 2)),
         ("orbit_density.x0", lambda x: orbit_density(spec, x, 2, (0, 1)), F(1, 3)),
         ("orbit_density.window", lambda x: orbit_density(spec, 0, 2, (0, x)), F(1, 2)),
@@ -451,7 +451,7 @@ class TestOneTextRule:
         for fn, text, exact in probes:
             assert fn(*text) == fn(*exact), fn.__name__
         bump = [PLMap(1, [(0, 0), (Fraction(1, 2), Fraction(5, 8))])]
-        chains = [MetricChain(["L"], [p], bump) for p in ("0+1*sqrt(3)", r3)]
+        chains = [MetricChain([p], bump) for p in ("0+1*sqrt(3)", r3)]
         assert chains[0].periods == chains[1].periods == (r3,)
         assert [chains[0].phi(i) for i in (0, 1)] == [chains[1].phi(i) for i in (0, 1)]
 

@@ -44,6 +44,11 @@ class TestShadowLength:
         with pytest.raises(PreconditionError):
             shadow_length(1, 2, 0)
 
+    @pytest.mark.parametrize("t", [0, -1, 1 - R2])
+    def test_curve_length_must_be_positive(self, t):
+        with pytest.raises(PreconditionError, match="^t must be positive$"):
+            shadow_length(t, 2, 3)
+
 
 def shear_holonomy(capsys, lam, eps, delta, n):
     """Exit code, stdout and stderr of one ``shear-holonomy`` request."""
